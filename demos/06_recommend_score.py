@@ -13,17 +13,12 @@ from cvmkit.analytics import retention_projection, top_box_rate
 from cvmkit.nps import nps, nps_vs_cva_report
 from cvmkit.regression import fit_hierarchy
 from cvmkit.rendering import render_nps, render_nps_vs_cva
-from cvmkit.survey import OutcomeKind, split_by_supplier
+from cvmkit.survey import OutcomeKind, outcome_values, split_by_supplier
 
 sample = datasets.market_survey()
 own, competitors = split_by_supplier(sample)
 
-ratings = [
-    r.outcome_ratings[OutcomeKind.RECOMMEND]
-    for r in own.respondents
-    if OutcomeKind.RECOMMEND in r.outcome_ratings
-]
-result = nps(ratings)
+result = nps(outcome_values(own, OutcomeKind.RECOMMEND))
 print(render_nps(result))
 
 # Side by side with CVA.  The score is one number; the value model tells

@@ -76,8 +76,6 @@ from .rendering import (
     render_priorities,
     render_profile_table,
     render_value_map,
-    write_loyalty_plot,
-    write_value_map_plot,
 )
 from .rng import RandomStream
 from .rounding import format_percent, format_rating, format_score, round_half_away
@@ -214,8 +212,6 @@ __all__ = [
     "render_value_map",
     "render_nps",
     "render_nps_vs_cva",
-    "write_loyalty_plot",
-    "write_value_map_plot",
     # numbers
     "round_half_away",
     "format_rating",

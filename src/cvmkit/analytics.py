@@ -40,6 +40,7 @@ from .survey import (
     OutcomeKind,
     SurveySample,
     node_mean,
+    root_outcome_pairs,
 )
 
 __all__ = [
@@ -338,12 +339,7 @@ def loyalty_curve(
     """
     if not 1 <= threshold <= 10:
         raise ValueError(f"threshold must be in [1, 10], got {threshold}")
-    root = sample.tree.root
-    pairs = [
-        (r.node_ratings[root], r.outcome_ratings[outcome])
-        for r in sample.respondents
-        if root in r.node_ratings and outcome in r.outcome_ratings
-    ]
+    pairs = root_outcome_pairs(sample, outcome)
     if not pairs:
         raise NoRatingsError(
             f"no respondents with both a root rating and a {outcome.value} outcome"

@@ -17,11 +17,12 @@ The file maps either subcommand names to flag dicts, or flag names directly
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
-import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import click
@@ -34,18 +35,18 @@ from .analytics import (
     value_map,
     value_target_for_loyalty,
 )
-from .errors import CvmError
+from .errors import CvmError, decode_utf8
 from .nps import aggregate_nps, nps, nps_vs_cva_report
 from .regression import fit_hierarchy, hierarchy_records, load_hierarchy
 from .rendering import (
-    loyalty_plot_rows,
+    loyalty_plot_csv,
     render_loyalty_curve,
     render_nps,
     render_nps_vs_cva,
     render_priorities,
     render_profile_table,
     render_value_map,
-    value_map_rows,
+    value_map_plot_csv,
 )
 from .rounding import format_percent, format_rating, format_score
 from .simulate import generate_market, load_truth
@@ -53,10 +54,12 @@ from .survey import (
     NoRatingsError,
     OutcomeKind,
     ingest_responses,
+    node_mean,
+    outcome_values,
     split_by_supplier,
     survey_text,
 )
-from .tree import parse_tree_spec, validate_tree
+from .tree import TreeFormatError, parse_tree_spec, validate_tree
 
 _SUBCOMMANDS = ("validate", "fit", "report", "nps", "simulate")
 
@@ -79,9 +82,18 @@ def _require_file(path: str, what: str) -> Path:
 
 def _write_atomic(path: str | Path, text: str) -> None:
     target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, target)
+    fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_sidecar(out_path: str | Path, command: str) -> None:
@@ -100,7 +112,8 @@ def _emit(text: str, out_path: str | None, command: str) -> None:
 
 
 def _load_tree(path: str):
-    return parse_tree_spec(_require_file(path, "tree").read_text(encoding="utf-8"))
+    data = _require_file(path, "tree").read_bytes()
+    return parse_tree_spec(decode_utf8(data, TreeFormatError))
 
 
 def _load_sample(survey_path: str, tree, own: str):
@@ -165,8 +178,7 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 def validate(tree_path: str, survey_path: str | None, own_label: str | None) -> None:
     """Check a tree file (and optionally a survey against it)."""
     try:
-        path = _require_file(tree_path, "tree")
-        tree = parse_tree_spec(path.read_text(encoding="utf-8"))
+        tree = _load_tree(tree_path)
         violations = validate_tree(tree)  # parser already rejects invalid trees
         for violation in violations:
             click.echo(f"error: {violation.rule}: {violation.message}", err=True)
@@ -264,27 +276,16 @@ def _supplier_value_points(sample, tree) -> list[tuple[str, float, float]]:
     different top-level shape have no canonical quality/price split, so the
     caller skips the map.
     """
-    quality_node, price_node = tree.children_of(tree.root)
     points = []
     for supplier in sample.suppliers():
-        mine = [r for r in sample.respondents if r.supplier == supplier]
-        rest = [r for r in sample.respondents if r.supplier != supplier]
-        if not rest:
+        mine, rest = split_by_supplier(dataclasses.replace(sample, own_supplier=supplier))
+        if not rest.respondents:
             continue
-
-        def mean_of(respondents, node):
-            values = [r.node_ratings[node] for r in respondents if node in r.node_ratings]
-            if not values:
-                raise NoRatingsError(f"no ratings for {node!r}")
-            return sum(values) / len(values)
-
-        points.append(
-            (
-                supplier,
-                float(relative_rating(mean_of(mine, quality_node), mean_of(rest, quality_node))),
-                float(relative_rating(mean_of(mine, price_node), mean_of(rest, price_node))),
-            )
-        )
+        relatives = [
+            float(relative_rating(node_mean(mine, node).mean, node_mean(rest, node).mean))
+            for node in tree.children_of(tree.root)
+        ]
+        points.append((supplier, *relatives))
     return points
 
 
@@ -377,19 +378,9 @@ def report(
             if out_path is None:
                 _fail("--format plotdata needs --out STEM to name its files")
             if curve is not None:
-                buffer = io.StringIO()
-                buffer.write("value_score,proportion_willing,raw_proportion\n")
-                for row in loyalty_plot_rows(curve):
-                    buffer.write(",".join(row) + "\n")
-                _write_atomic(f"{out_path}_loyalty_curve.csv", buffer.getvalue())
-                _write_sidecar(f"{out_path}_loyalty_curve.csv", "report")
+                _emit(loyalty_plot_csv(curve), f"{out_path}_loyalty_curve.csv", "report")
             if map_points:
-                buffer = io.StringIO()
-                buffer.write("supplier,relative_quality,relative_price,zone\n")
-                for row in value_map_rows(map_points):
-                    buffer.write(",".join(row) + "\n")
-                _write_atomic(f"{out_path}_value_map.csv", buffer.getvalue())
-                _write_sidecar(f"{out_path}_value_map.csv", "report")
+                _emit(value_map_plot_csv(map_points), f"{out_path}_value_map.csv", "report")
             return
 
         if fmt == "records":
@@ -471,27 +462,10 @@ def nps_command(
         tree = _load_tree(tree_path)
         sample = _load_sample(survey_path, tree, own_label)
         own_sample, competitor_sample = split_by_supplier(sample)
-
-        recommend = OutcomeKind.RECOMMEND
-
-        def ratings_of(respondents) -> list[int]:
-            return [
-                r.outcome_ratings[recommend]
-                for r in respondents
-                if recommend in r.outcome_ratings
-            ]
-
         if aggregate_method == "average-of-units":
-            groups = {
-                supplier: ratings_of(
-                    [r for r in sample.respondents if r.supplier == supplier]
-                )
-                for supplier in sample.suppliers()
-            }
-            aggregate_nps(groups, method="average_of_units")  # refuses; see below
-            raise AssertionError("unreachable")  # pragma: no cover
+            aggregate_nps((), method="average_of_units")  # always refuses
 
-        own_ratings = ratings_of(own_sample.respondents)
+        own_ratings = outcome_values(own_sample, OutcomeKind.RECOMMEND)
         if not own_ratings:
             _fail(f"no recommend outcomes for supplier {own_label!r}")
         result = nps(own_ratings)
@@ -551,16 +525,14 @@ def simulate(config_path: str, out_path: str) -> None:
         root = truth.tree.root
         lines = [f"wrote {len(sample)} respondents to {out_path}"]
         for supplier in truth.n_per_supplier:
-            ratings = [
-                r.node_ratings[root]
-                for r in sample.respondents
-                if r.supplier == supplier and root in r.node_ratings
-            ]
-            if ratings:
-                lines.append(
-                    f"  {supplier}: n = {len(ratings)}, "
-                    f"mean {root} = {format_rating(sum(ratings) / len(ratings))}"
-                )
+            mine, _ = split_by_supplier(dataclasses.replace(sample, own_supplier=supplier))
+            try:
+                mean = node_mean(mine, root)
+            except NoRatingsError:
+                continue
+            lines.append(
+                f"  {supplier}: n = {mean.n}, mean {root} = {format_rating(mean.mean)}"
+            )
         click.echo("\n".join(lines))
     except CvmError as exc:
         _fail(str(exc))

@@ -20,7 +20,6 @@ from .tree import ValueTree, parse_tree_spec
 
 __all__ = [
     "automobile_tree",
-    "billing_tree",
     "market_truth",
     "market_survey",
     "fixture_text",
@@ -37,11 +36,6 @@ def fixture_text(name: str) -> str:
 def automobile_tree() -> ValueTree:
     """The automobile purchase value tree used throughout the examples."""
     return parse_tree_spec(fixture_text("automobile.tree"))
-
-
-def billing_tree() -> ValueTree:
-    """A small billing-experience tree, handy for compact examples."""
-    return parse_tree_spec(fixture_text("billing.tree"))
 
 
 def market_truth() -> GroundTruth:

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import CvmError
 from .regression import FittedHierarchy
-from .survey import OutcomeKind, SurveySample
+from .survey import OutcomeKind, SurveySample, outcome_values, split_by_supplier
 
 __all__ = [
     "NpsSegment",
@@ -162,17 +162,13 @@ def nps_vs_cva_report(
     """
     from .analytics import cva as compute_cva  # local import avoids a cycle
 
-    own_respondents = [r for r in own.respondents if r.supplier == own.own_supplier]
-    if not own_respondents:
+    own_customers, _ = split_by_supplier(own)
+    if not own_customers.respondents:
         raise CvmError(
             "no own-supplier respondents in the sample; the score needs your "
             "own customers"
         )
-    ratings = [
-        r.outcome_ratings[OutcomeKind.RECOMMEND]
-        for r in own_respondents
-        if OutcomeKind.RECOMMEND in r.outcome_ratings
-    ]
+    ratings = outcome_values(own_customers, OutcomeKind.RECOMMEND)
     if not ratings:
         raise CvmError("own respondents carry no recommend outcomes")
     result = nps(ratings)

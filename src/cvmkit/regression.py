@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CvmError
 from .rounding import round_half_away
-from .survey import SurveySample
+from .survey import SurveySample, complete_cases
 from .tree import ValueTree, path_to_root
 
 __all__ = [
@@ -232,21 +232,6 @@ def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _complete_cases(
-    sample: SurveySample, node_id: str, children: Sequence[str]
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    wanted = (node_id, *children)
-    rows = [
-        [r.node_ratings[w] for w in wanted]
-        for r in sample.respondents
-        if all(w in r.node_ratings for w in wanted)
-    ]
-    if not rows:
-        return np.empty(0), {c: np.empty(0) for c in children}
-    data = np.asarray(rows, dtype=np.float64)
-    return data[:, 0], {c: data[:, i + 1] for i, c in enumerate(children)}
-
-
 def fit_node_model(sample: SurveySample, tree: ValueTree, node_id: str) -> NodeModel:
     """Fit the driver model for one internal node.
 
@@ -256,7 +241,7 @@ def fit_node_model(sample: SurveySample, tree: ValueTree, node_id: str) -> NodeM
     children = tree.children_of(node_id)
     if not children:
         raise ValueError(f"{node_id!r} is a leaf; only internal nodes have driver models")
-    y, columns = _complete_cases(sample, node_id, children)
+    y, columns = complete_cases(sample, node_id, children)
     if y.shape[0] < len(children) + 2:
         raise InsufficientDataError(
             f"node {node_id!r}: {y.shape[0]} complete cases for "

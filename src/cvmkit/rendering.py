@@ -1,4 +1,4 @@
-"""Render analysis results as aligned text, markdown, or plot-data CSV.
+"""Render analysis results as aligned text or plot-data CSV.
 
 Every renderer takes the result object, never raw samples, so rendering can
 be re-run without recomputation, and every renderer is deterministic: the
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .analytics import (
@@ -31,18 +30,9 @@ __all__ = [
     "render_value_map",
     "render_nps",
     "render_nps_vs_cva",
-    "loyalty_plot_rows",
-    "write_loyalty_plot",
-    "value_map_rows",
-    "write_value_map_plot",
+    "loyalty_plot_csv",
+    "value_map_plot_csv",
 ]
-
-_FORMATS = ("text", "markdown")
-
-
-def _check_format(fmt: str) -> None:
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
 
 
 def _text_table(
@@ -69,27 +59,12 @@ def _text_table(
     return lines
 
 
-def _markdown_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[str]],
-    align_left: Sequence[int] = (0,),
-) -> list[str]:
-    lines = ["| " + " | ".join(headers) + " |"]
-    lines.append(
-        "| " + " | ".join("---" if i in align_left else "---:" for i in range(len(headers))) + " |"
-    )
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
-
-
-def render_profile_table(table: ProfileTable, fmt: str = "text") -> str:
+def render_profile_table(table: ProfileTable) -> str:
     """One competitive profile table: children, weights, means, relatives.
 
     The footer row carries the parent's own means and relative rating; at
     the root that relative is labelled as the overall value score (CVA).
     """
-    _check_format(fmt)
     headers = ["component", "impact", "own", "competitors", "relative"]
     rows = []
     half_widths = [table.parent_own.half_width]
@@ -126,12 +101,6 @@ def render_profile_table(table: ProfileTable, fmt: str = "text") -> str:
         f"means are +/-{format_score(max(half_widths), 2)} or tighter (95% confidence)"
     )
 
-    if fmt == "markdown":
-        lines = [f"### {table.parent_label}", ""]
-        lines += _markdown_table(headers, rows + [[f"**{footer[0]}**"] + footer[1:]])
-        lines += ["", r2_line, margin_line]
-        return "\n".join(lines) + "\n"
-
     # Render body and footer together so they share column widths, then
     # separate them with a rule.
     full = _text_table(headers, rows + [footer])
@@ -144,9 +113,8 @@ def render_profile_table(table: ProfileTable, fmt: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_priorities(ranking: PriorityRanking, fmt: str = "text") -> str:
+def render_priorities(ranking: PriorityRanking) -> str:
     """Improvement priorities, best first: score = path slope x rating gap."""
-    _check_format(fmt)
     headers = ["rank", "attribute", "score", "slope", "gap", "own", "competitors"]
     rows = []
     for rank, entry in enumerate(ranking, start=1):
@@ -162,12 +130,8 @@ def render_priorities(ranking: PriorityRanking, fmt: str = "text") -> str:
             ]
         )
     title = "Improvement priorities"
-    if fmt == "markdown":
-        lines = [f"### {title}", ""]
-        lines += _markdown_table(headers, rows, align_left=(1,))
-    else:
-        lines = [title, "=" * len(title)]
-        lines += _text_table(headers, rows, align_left=(1,))
+    lines = [title, "=" * len(title)]
+    lines += _text_table(headers, rows, align_left=(1,))
     if ranking.excluded:
         lines.append("")
         for node in sorted(ranking.excluded):
@@ -175,9 +139,8 @@ def render_priorities(ranking: PriorityRanking, fmt: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_loyalty_curve(curve: LoyaltyCurve, fmt: str = "text") -> str:
+def render_loyalty_curve(curve: LoyaltyCurve) -> str:
     """The smoothed loyalty curve at each observed overall-value score."""
-    _check_format(fmt)
     title = (
         f"Loyalty curve: share with {curve.outcome.value} >= {curve.threshold}"
     )
@@ -191,18 +154,13 @@ def render_loyalty_curve(curve: LoyaltyCurve, fmt: str = "text") -> str:
                 str(count),
             ]
         )
-    if fmt == "markdown":
-        lines = [f"### {title}", ""]
-        lines += _markdown_table(headers, rows, align_left=())
-    else:
-        lines = [title, "=" * len(title)]
-        lines += _text_table(headers, rows, align_left=())
+    lines = [title, "=" * len(title)]
+    lines += _text_table(headers, rows, align_left=())
     return "\n".join(lines) + "\n"
 
 
-def render_value_map(points: Sequence[ValueMapPoint], band: float, fmt: str = "text") -> str:
+def render_value_map(points: Sequence[ValueMapPoint], band: float) -> str:
     """Suppliers positioned by relative quality vs relative price."""
-    _check_format(fmt)
     title = "Value map"
     headers = ["supplier", "rel. quality", "rel. price", "zone"]
     rows = [
@@ -218,19 +176,13 @@ def render_value_map(points: Sequence[ValueMapPoint], band: float, fmt: str = "t
         f"fair-value band: quality + price within +/-{format_score(band, 1)} "
         "of the break-even line"
     )
-    if fmt == "markdown":
-        lines = [f"### {title}", ""]
-        lines += _markdown_table(headers, rows)
-        lines += ["", note]
-    else:
-        lines = [title, "=" * len(title)]
-        lines += _text_table(headers, rows)
-        lines += ["", note]
+    lines = [title, "=" * len(title)]
+    lines += _text_table(headers, rows)
+    lines += ["", note]
     return "\n".join(lines) + "\n"
 
 
-def render_nps(result: NpsResult, fmt: str = "text") -> str:
-    _check_format(fmt)
+def render_nps(result: NpsResult) -> str:
     title = "Net promoter score"
     headers = ["segment", "share"]
     rows = [
@@ -239,20 +191,14 @@ def render_nps(result: NpsResult, fmt: str = "text") -> str:
         ["detractors (0-6)", format_score(result.pct_detractors, 1) + "%"],
     ]
     score_line = f"NPS = {format_score(result.nps, 1)}   (n = {result.n})"
-    if fmt == "markdown":
-        lines = [f"### {title}", ""]
-        lines += _markdown_table(headers, rows)
-        lines += ["", score_line]
-    else:
-        lines = [title, "=" * len(title)]
-        lines += _text_table(headers, rows)
-        lines += ["", score_line]
+    lines = [title, "=" * len(title)]
+    lines += _text_table(headers, rows)
+    lines += ["", score_line]
     return "\n".join(lines) + "\n"
 
 
-def render_nps_vs_cva(report: NpsVsCva, fmt: str = "text") -> str:
+def render_nps_vs_cva(report: NpsVsCva) -> str:
     """NPS next to CVA, with what each is based on and can be traced to."""
-    _check_format(fmt)
     title = "NPS vs CVA"
     headers = ["measure", "value", "based on"]
     rows = [
@@ -264,45 +210,38 @@ def render_nps_vs_cva(report: NpsVsCva, fmt: str = "text") -> str:
         + ", ".join(report.cva_drill_down)
         + "); NPS has no decomposition — the single question is its own basis."
     )
-    if fmt == "markdown":
-        lines = [f"### {title}", ""]
-        lines += _markdown_table(headers, rows, align_left=(0, 2))
-        lines += ["", drill]
-    else:
-        lines = [title, "=" * len(title)]
-        lines += _text_table(headers, rows, align_left=(0, 2))
-        lines += ["", drill]
+    lines = [title, "=" * len(title)]
+    lines += _text_table(headers, rows, align_left=(0, 2))
+    lines += ["", drill]
     return "\n".join(lines) + "\n"
 
 
-def loyalty_plot_rows(curve: LoyaltyCurve) -> list[tuple[str, str, str]]:
-    """Rows for a loyalty-curve plot file: score, smoothed, raw proportion."""
-    rows = []
-    for (score, smoothed), raw in zip(curve.points, curve.raw_proportions):
-        rows.append(
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def loyalty_plot_csv(curve: LoyaltyCurve) -> str:
+    """Plot-data CSV of a loyalty curve: score, smoothed and raw proportion."""
+    return _csv_text(
+        ["value_score", "proportion_willing", "raw_proportion"],
+        (
             (format_rating(score), format_score(smoothed, 4), format_score(raw, 4))
-        )
-    return rows
+            for (score, smoothed), raw in zip(curve.points, curve.raw_proportions)
+        ),
+    )
 
 
-def write_loyalty_plot(curve: LoyaltyCurve, path: str | Path) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["value_score", "proportion_willing", "raw_proportion"])
-    writer.writerows(loyalty_plot_rows(curve))
-    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
-
-
-def value_map_rows(points: Sequence[ValueMapPoint]) -> list[tuple[str, str, str, str]]:
-    return [
-        (p.supplier, format_percent(p.relative_quality), format_percent(p.relative_price), p.zone)
-        for p in points
-    ]
-
-
-def write_value_map_plot(points: Sequence[ValueMapPoint], path: str | Path) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["supplier", "relative_quality", "relative_price", "zone"])
-    writer.writerows(value_map_rows(points))
-    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
+def value_map_plot_csv(points: Sequence[ValueMapPoint]) -> str:
+    """Plot-data CSV of a value map: supplier, both relative ratings, zone."""
+    return _csv_text(
+        ["supplier", "relative_quality", "relative_price", "zone"],
+        (
+            (p.supplier, format_percent(p.relative_quality),
+             format_percent(p.relative_price), p.zone)
+            for p in points
+        ),
+    )

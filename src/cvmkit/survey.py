@@ -11,8 +11,9 @@ tree node (canonical preorder) and the two outcome columns::
 
     respondent_id,role,supplier,<node ids...>,outcome_recommend,outcome_repurchase
 
-A JSON-lines export mirrors the same schema one record per respondent for
-machine consumption.  Ingest followed by export round-trips field-for-field.
+This module is the only reader of the per-respondent rating dicts: every
+other module gets node means, supplier splits, outcome lists and complete
+cases through the functions below.
 
 Means come with a spreadsheet-style 95% half-width (1.96 * sd / sqrt(n)).
 Survey *sourcing* — panel design, who counts as a decision maker, response
@@ -23,16 +24,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CvmError
+from .errors import CvmError, decode_utf8
 from .tree import ValueTree
 
 __all__ = [
@@ -47,12 +47,11 @@ __all__ = [
     "ingest_responses",
     "survey_text",
     "write_survey",
-    "survey_records",
-    "sample_from_records",
-    "write_survey_records",
-    "read_survey_records",
     "split_by_supplier",
     "node_mean",
+    "outcome_values",
+    "root_outcome_pairs",
+    "complete_cases",
 ]
 
 ROLES = ("decision_maker", "user")
@@ -109,11 +108,6 @@ class SurveySample:
     def __len__(self) -> int:
         return len(self.respondents)
 
-    @property
-    def competitor_only(self) -> bool:
-        """True when no respondent belongs to the own supplier."""
-        return all(r.supplier != self.own_supplier for r in self.respondents)
-
     def suppliers(self) -> list[str]:
         """Distinct supplier labels in first-appearance order."""
         seen: dict[str, None] = {}
@@ -161,16 +155,30 @@ def ingest_responses(
     ratings are then missing for everyone), but unknown names are an error —
     that is what catches a typo'd header.  Any bad cell aborts ingest with the
     offending row number; a header-only file yields an empty sample and a
-    warning.
+    warning.  A path is read as UTF-8, with or without a byte-order mark.
     """
     if hasattr(source, "read"):
         return _ingest_stream(source, tree, own_supplier)  # type: ignore[arg-type]
-    with open(source, "r", encoding="utf-8", newline="") as handle:
-        return _ingest_stream(handle, tree, own_supplier)
+    try:
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
+            return _ingest_stream(handle, tree, own_supplier)
+    except UnicodeDecodeError:
+        # The decoder reads ahead in blocks, so its error cannot name the
+        # row; decoding the whole file again can.
+        decode_utf8(Path(source).read_bytes(), SurveyFormatError)
+        raise
+
+
+def _csv_rows(stream: IO[str]) -> Iterator[list[str]]:
+    reader = csv.reader(stream)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SurveyFormatError(f"malformed CSV: {exc}", reader.line_num) from None
 
 
 def _ingest_stream(stream: IO[str], tree: ValueTree, own_supplier: str) -> SurveySample:
-    reader = csv.reader(stream)
+    reader = _csv_rows(stream)
     try:
         header = next(reader)
     except StopIteration:
@@ -263,70 +271,6 @@ def write_survey(sample: SurveySample, path: str | Path) -> None:
     Path(path).write_text(survey_text(sample), encoding="utf-8")
 
 
-def survey_records(sample: SurveySample) -> list[dict]:
-    """One plain dict per respondent, mirroring the CSV schema."""
-    return [
-        {
-            "respondent_id": r.id,
-            "role": r.role,
-            "supplier": r.supplier,
-            "node_ratings": dict(r.node_ratings),
-            "outcome_ratings": {k.value: v for k, v in r.outcome_ratings.items()},
-        }
-        for r in sample.respondents
-    ]
-
-
-def sample_from_records(
-    records: Iterable[Mapping], tree: ValueTree, own_supplier: str
-) -> SurveySample:
-    """Inverse of :func:`survey_records` (validates like CSV ingest)."""
-    respondents = []
-    for number, rec in enumerate(records, start=1):
-        role = rec["role"]
-        if role not in ROLES:
-            raise SurveyFormatError(f"unknown role {role!r}", number)
-        node_ratings: dict[str, int] = {}
-        for node_id, value in rec.get("node_ratings", {}).items():
-            if node_id not in tree.nodes:
-                raise SurveyFormatError(f"unknown node {node_id!r}", number)
-            node_ratings[node_id] = _parse_int(
-                str(value), RATING_MIN, RATING_MAX, f"rating for {node_id!r}", number
-            )
-        outcome_ratings: dict[OutcomeKind, int] = {}
-        for kind_value, value in rec.get("outcome_ratings", {}).items():
-            kind = OutcomeKind(kind_value)
-            outcome_ratings[kind] = _parse_int(
-                str(value), OUTCOME_MIN, OUTCOME_MAX, kind.column, number
-            )
-        respondents.append(
-            Respondent(
-                str(rec["respondent_id"]),
-                role,
-                str(rec["supplier"]),
-                node_ratings,
-                outcome_ratings,
-            )
-        )
-    return SurveySample(tree=tree, respondents=tuple(respondents), own_supplier=own_supplier)
-
-
-def write_survey_records(sample: SurveySample, path: str | Path) -> None:
-    """JSON-lines export: one respondent record per line."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in survey_records(sample):
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-
-
-def read_survey_records(
-    path: str | Path, tree: ValueTree, own_supplier: str
-) -> SurveySample:
-    with open(path, "r", encoding="utf-8") as handle:
-        records = [json.loads(line) for line in handle if line.strip()]
-    return sample_from_records(records, tree, own_supplier)
-
-
 def split_by_supplier(sample: SurveySample) -> tuple[SurveySample, SurveySample]:
     """(own-supplier respondents, everyone else), both keeping the tree/label."""
     own = tuple(r for r in sample.respondents if r.supplier == sample.own_supplier)
@@ -356,3 +300,38 @@ def node_mean(sample: SurveySample, node_id: str) -> MeanWithHalfWidth:
         sd = float(data.std(ddof=1))
         half = CONFIDENCE_MULTIPLIER * sd / float(np.sqrt(len(values)))
     return MeanWithHalfWidth(mean=mean, half_width=half, n=len(values))
+
+
+def outcome_values(sample: SurveySample, outcome: OutcomeKind) -> list[int]:
+    """Every answer to ``outcome`` in respondent order; blank answers are skipped."""
+    return [r.outcome_ratings[outcome] for r in sample.respondents if outcome in r.outcome_ratings]
+
+
+def root_outcome_pairs(sample: SurveySample, outcome: OutcomeKind) -> list[tuple[int, int]]:
+    """(root rating, ``outcome`` answer) for each respondent who gave both."""
+    root = sample.tree.root
+    return [
+        (r.node_ratings[root], r.outcome_ratings[outcome])
+        for r in sample.respondents
+        if root in r.node_ratings and outcome in r.outcome_ratings
+    ]
+
+
+def complete_cases(
+    sample: SurveySample, node_id: str, children: Sequence[str]
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Ratings of ``node_id`` and of each child, over the respondents who rated all.
+
+    This is listwise deletion: the response vector and one regressor column
+    per child, all of the same length.
+    """
+    wanted = (node_id, *children)
+    rows = [
+        [r.node_ratings[w] for w in wanted]
+        for r in sample.respondents
+        if all(w in r.node_ratings for w in wanted)
+    ]
+    if not rows:
+        return np.empty(0), {c: np.empty(0) for c in children}
+    data = np.asarray(rows, dtype=np.float64)
+    return data[:, 0], {c: data[:, i + 1] for i, c in enumerate(children)}

@@ -247,3 +247,22 @@ def test_10_priorities_put_billing_first(hierarchy, halves):
         own, competitors = halves
         ranking = rank_priorities(hierarchy, own, competitors)
         assert ranking.entries[0].node == "billing"
+
+
+def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
+    import cvmkit
+
+    modules = [cvmkit] + [
+        importlib.import_module(f"cvmkit.{info.name}")
+        for info in pkgutil.iter_modules(cvmkit.__path__)
+    ]
+    dangling = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert dangling == []

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -31,6 +32,34 @@ def test_validate_with_survey():
     assert result.exit_code == 0
     assert "survey ok: 2000 respondents" in result.stdout
     assert "our_co, comp_a, comp_b" in result.stdout
+
+
+def test_validate_names_the_row_of_a_non_utf8_byte(tmp_path):
+    survey = tmp_path / "latin1.csv"
+    lines = fixture_text("market_survey.csv").encode().splitlines(keepends=True)[:4]
+    lines[2] = lines[2].replace(b",our_co,", b",caf\xe9,", 1)
+    survey.write_bytes(b"".join(lines))
+    result = invoke("validate", "--tree", TREE, "--survey", str(survey), *OWN)
+    assert result.exit_code == 1
+    assert result.stderr == "error: row 3: byte 0xe9 is not valid UTF-8\n"
+
+
+def test_validate_names_the_line_of_a_non_utf8_tree_byte(tmp_path):
+    tree = tmp_path / "latin1.tree"
+    text = fixture_text("automobile.tree")
+    tree.write_bytes(text.encode() + b"# caf\xe9\n")
+    result = invoke("validate", "--tree", str(tree))
+    assert result.exit_code == 1
+    line = len(text.splitlines()) + 1
+    assert result.stderr == f"error: line {line}: byte 0xe9 is not valid UTF-8\n"
+
+
+def test_validate_accepts_a_byte_order_mark(tmp_path):
+    survey = tmp_path / "excel.csv"
+    survey.write_bytes(b"\xef\xbb\xbf" + fixture_text("market_survey.csv").encode())
+    result = invoke("validate", "--tree", TREE, "--survey", str(survey), *OWN)
+    assert result.exit_code == 0
+    assert "survey ok: 2000 respondents" in result.stdout
 
 
 def test_validate_missing_tree_file(tmp_path):
@@ -125,6 +154,19 @@ def test_report_plotdata_writes_csvs(tmp_path):
     assert len(vmap) == 4
 
 
+def test_report_plotdata_quotes_a_supplier_label_with_a_comma(tmp_path):
+    survey = tmp_path / "acme.csv"
+    survey.write_text(fixture_text("market_survey.csv").replace(",comp_a,", ',"Acme, Inc.",'))
+    stem = str(tmp_path / "plots")
+    result = invoke("report", "--tree", TREE, "--survey", str(survey), *OWN,
+                    "--format", "plotdata", "--out", stem)
+    assert result.exit_code == 0
+    with open(stem + "_value_map.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert all(len(row) == 4 for row in rows)
+    assert [row[0] for row in rows[1:]] == ["our_co", "Acme, Inc.", "comp_b"]
+
+
 def test_report_plotdata_requires_out():
     result = invoke("report", "--tree", TREE, "--survey", SURVEY, *OWN,
                     "--format", "plotdata")
@@ -203,6 +245,17 @@ def test_simulate_reproduces_the_bundled_survey(tmp_path):
     assert invoke("simulate", "--seed-config", TRUTH, "--out", str(again)).exit_code == 0
     assert again.read_bytes() == out.read_bytes()
     assert Path(str(out) + ".log").exists()
+
+
+def test_simulate_ignores_a_stale_temp_path_and_leaves_no_temp_file(tmp_path):
+    (tmp_path / "out.csv.tmp").mkdir()
+    out = tmp_path / "out.csv"
+    result = invoke("simulate", "--seed-config", TRUTH, "--out", str(out))
+    assert result.exit_code == 0
+    assert out.read_text() == fixture_text("market_survey.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "out.csv", "out.csv.log", "out.csv.tmp",
+    ]
 
 
 def test_simulate_empty_market_warns(tmp_path):

@@ -1,21 +1,23 @@
 import io
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvmkit.survey import (
     NoRatingsError,
     OutcomeKind,
     SurveyFormatError,
+    SurveySample,
     ingest_responses,
     node_mean,
-    read_survey_records,
-    sample_from_records,
     split_by_supplier,
     survey_columns,
-    survey_records,
     survey_text,
-    write_survey_records,
 )
 from cvmkit.tree import parse_tree_spec
 
@@ -62,15 +64,6 @@ def test_round_trip_text():
     again = ingest_responses(io.StringIO(text), TINY_TREE, "us")
     assert again == sample
     assert survey_text(again) == text
-
-
-def test_round_trip_records(tmp_path):
-    sample = ingest_responses(io.StringIO(TINY_CSV), TINY_TREE, "us")
-    path = tmp_path / "sample.jsonl"
-    write_survey_records(sample, path)
-    again = read_survey_records(path, TINY_TREE, "us")
-    assert again == sample
-    assert sample_from_records(survey_records(sample), TINY_TREE, "us") == sample
 
 
 def test_rating_out_of_range_names_row():
@@ -121,6 +114,33 @@ def test_header_only_warns_and_yields_empty():
 def test_missing_header_is_error():
     with pytest.raises(SurveyFormatError):
         ingest_responses(io.StringIO(""), TINY_TREE, "us")
+
+
+# Pieces of survey rows, so generated inputs also reach the field checks.
+_ROW_PIECES = [
+    b",", b"\n", b"\r", b'"', b" ", b"r1", b"us", b"user", b"decision_maker",
+    b"8", b"11", b"x", b"\x00", b"\xe9", b"\xef\xbb\xbf",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.sampled_from(_ROW_PIECES), max_size=60).map(b"".join),
+    )
+)
+def test_arbitrary_bytes_after_the_header_ingest_or_raise_survey_format_error(body):
+    data = TINY_CSV.splitlines(keepends=True)[0].encode() + body
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a header-only file warns
+        path = Path(tmp) / "survey.csv"
+        path.write_bytes(data)
+        for source in (path, io.StringIO(data.decode("utf-8", "replace"))):
+            try:
+                assert isinstance(ingest_responses(source, TINY_TREE, "us"), SurveySample)
+            except SurveyFormatError:
+                pass
 
 
 def test_split_by_supplier():
