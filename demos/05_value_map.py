@@ -12,23 +12,18 @@ higher is better on both axes.
 from cvmkit import datasets
 from cvmkit.analytics import relative_rating, value_map
 from cvmkit.rendering import render_value_map
-from cvmkit.survey import SurveySample, node_mean
+from cvmkit.survey import node_mean, split_by_supplier
 
 sample = datasets.market_survey()
 tree = sample.tree
 quality_node, price_node = tree.children_of(tree.root)
 
 
-def half_for(supplier: str, mine: bool) -> SurveySample:
-    kept = tuple(r for r in sample.respondents if (r.supplier == supplier) == mine)
-    return SurveySample(tree=tree, respondents=kept, own_supplier=sample.own_supplier)
-
-
 # For every supplier: its mean quality / price satisfaction relative to
 # the rest of the market pooled together.
 points = []
 for supplier in sample.suppliers():
-    mine, rest = half_for(supplier, True), half_for(supplier, False)
+    mine, rest = split_by_supplier(sample, supplier)
     points.append(
         (
             supplier,

@@ -127,7 +127,7 @@ def profile_table(
         reason = hierarchy.unfit.get(parent, "no model was fitted")
         raise MissingModelError(f"no driver model for node {parent!r}: {reason}")
     model = hierarchy.models[parent]
-    has_competitors = len(competitors.respondents) > 0
+    has_competitors = len(competitors) > 0
 
     def means_for(node_id: str) -> tuple[MeanWithHalfWidth, MeanWithHalfWidth | None, int | None]:
         own_m = node_mean(own, node_id)
@@ -166,7 +166,7 @@ def cva(hierarchy: FittedHierarchy, own: SurveySample, competitors: SurveySample
     """The root-level relative rating: overall customer value versus the market."""
     root = hierarchy.tree.root
     own_m = node_mean(own, root)
-    if not competitors.respondents:
+    if not len(competitors):
         raise NoRatingsError("competitor sample is empty; CVA needs both sides")
     comp_m = node_mean(competitors, root)
     return relative_rating(own_m.mean, comp_m.mean)
@@ -224,9 +224,6 @@ class PriorityRanking:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def pairs(self) -> list[tuple[str, float]]:
-        return [(e.node, e.score) for e in self.entries]
 
 
 def rank_priorities(
@@ -339,25 +336,22 @@ def loyalty_curve(
     """
     if not 1 <= threshold <= 10:
         raise ValueError(f"threshold must be in [1, 10], got {threshold}")
-    pairs = root_outcome_pairs(sample, outcome)
-    if not pairs:
+    scores, answers = root_outcome_pairs(sample, outcome)
+    if not scores.size:
         raise NoRatingsError(
             f"no respondents with both a root rating and a {outcome.value} outcome"
         )
-    bins = sorted({score for score, _ in pairs})
-    counts = []
-    raw = []
-    for b in bins:
-        outcomes = [o for s, o in pairs if s == b]
-        counts.append(len(outcomes))
-        raw.append(sum(1 for o in outcomes if o >= threshold) / len(outcomes))
+    per_score = np.bincount(scores)
+    bins = np.flatnonzero(per_score)
+    counts = per_score[bins]
+    raw = np.bincount(scores[answers >= threshold], minlength=per_score.size)[bins] / counts
     smoothed = pool_adjacent_violators(raw, counts)
     return LoyaltyCurve(
         threshold=threshold,
         outcome=outcome,
         points=tuple((float(b), float(s)) for b, s in zip(bins, smoothed)),
-        raw_proportions=tuple(raw),
-        bin_counts=tuple(counts),
+        raw_proportions=tuple(raw.tolist()),
+        bin_counts=tuple(counts.tolist()),
     )
 
 

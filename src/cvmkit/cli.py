@@ -17,7 +17,6 @@ The file maps either subcommand names to flag dicts, or flag names directly
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
 import json
 import os
@@ -35,7 +34,7 @@ from .analytics import (
     value_map,
     value_target_for_loyalty,
 )
-from .errors import CvmError, decode_utf8
+from .errors import CvmError, decode_utf8, read_json
 from .nps import aggregate_nps, nps, nps_vs_cva_report
 from .regression import fit_hierarchy, hierarchy_records, load_hierarchy
 from .rendering import (
@@ -145,11 +144,10 @@ def main(ctx: click.Context, config_path: str | None) -> None:
     """Customer-value analytics: value trees, driver models, competitive reports."""
     if config_path is None:
         return
-    path = _require_file(config_path, "config")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        _fail(f"config is not valid JSON: {exc}")
+        data = read_json(_require_file(config_path, "config"), "config", lambda d: d)
+    except CvmError as exc:
+        _fail(str(exc))
     if not isinstance(data, dict):
         _fail("config must be a JSON object")
     if data and set(data) <= set(_SUBCOMMANDS) and all(
@@ -278,8 +276,8 @@ def _supplier_value_points(sample, tree) -> list[tuple[str, float, float]]:
     """
     points = []
     for supplier in sample.suppliers():
-        mine, rest = split_by_supplier(dataclasses.replace(sample, own_supplier=supplier))
-        if not rest.respondents:
+        mine, rest = split_by_supplier(sample, supplier)
+        if not len(rest):
             continue
         relatives = [
             float(relative_rating(node_mean(mine, node).mean, node_mean(rest, node).mean))
@@ -325,9 +323,9 @@ def report(
         tree = _load_tree(tree_path)
         sample = _load_sample(survey_path, tree, own_label)
         own_sample, competitor_sample = split_by_supplier(sample)
-        if len(own_sample.respondents) == 0:
+        if len(own_sample) == 0:
             _fail(f"no respondents with supplier {own_label!r} in {survey_path}")
-        if len(competitor_sample.respondents) == 0:
+        if len(competitor_sample) == 0:
             _warn("no competitor respondents; relative columns unavailable")
         if hierarchy_path is not None:
             hierarchy = load_hierarchy(_require_file(hierarchy_path, "hierarchy"), tree)
@@ -471,7 +469,7 @@ def nps_command(
         result = nps(own_ratings)
 
         comparison = None
-        if len(competitor_sample.respondents) > 0:
+        if len(competitor_sample) > 0:
             hierarchy = fit_hierarchy(sample, tree)
             if tree.root in hierarchy.models:
                 comparison = nps_vs_cva_report(own_sample, hierarchy, competitor_sample)
@@ -525,7 +523,7 @@ def simulate(config_path: str, out_path: str) -> None:
         root = truth.tree.root
         lines = [f"wrote {len(sample)} respondents to {out_path}"]
         for supplier in truth.n_per_supplier:
-            mine, _ = split_by_supplier(dataclasses.replace(sample, own_supplier=supplier))
+            mine, _ = split_by_supplier(sample, supplier)
             try:
                 mean = node_mean(mine, root)
             except NoRatingsError:

@@ -163,7 +163,7 @@ def nps_vs_cva_report(
     from .analytics import cva as compute_cva  # local import avoids a cycle
 
     own_customers, _ = split_by_supplier(own)
-    if not own_customers.respondents:
+    if not len(own_customers):
         raise CvmError(
             "no own-supplier respondents in the sample; the score needs your "
             "own customers"

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CvmError
+from .errors import CvmError, read_json
 from .rounding import round_half_away
 from .survey import SurveySample, complete_cases
 from .tree import ValueTree, path_to_root
@@ -381,5 +381,4 @@ def save_hierarchy(hierarchy: FittedHierarchy, path: str | Path) -> None:
 
 
 def load_hierarchy(path: str | Path, tree: ValueTree) -> FittedHierarchy:
-    records = json.loads(Path(path).read_text(encoding="utf-8"))
-    return hierarchy_from_records(records, tree)
+    return read_json(path, "hierarchy", lambda records: hierarchy_from_records(records, tree))

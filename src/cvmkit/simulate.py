@@ -42,11 +42,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analytics import loyalty_curve, relative_rating
-from .errors import CvmError
+from .errors import CvmError, read_json
 from .regression import fit_hierarchy
 from .rng import RandomStream
 from .rounding import round_half_away
-from .survey import OutcomeKind, Respondent, SurveySample, node_mean, split_by_supplier
+from .survey import OutcomeKind, SurveySample, node_mean, split_by_supplier
 from .tree import ValueTree, parse_tree_spec, serialize_tree
 
 __all__ = [
@@ -270,22 +270,13 @@ def generate_market(truth: GroundTruth) -> SurveySample:
 
     roles = np.where(role_u < truth.decision_maker_share, "decision_maker", "user")
 
-    node_order = list(tree.preorder())
-    respondents = []
-    for i in range(total):
-        node_ratings = {node: int(ratings[node][i]) for node in node_order}
-        outcome_ratings = {kind: int(values[i]) for kind, values in outcomes.items()}
-        respondents.append(
-            Respondent(
-                id=f"r{i + 1:05d}",
-                role=str(roles[i]),
-                supplier=suppliers[i],
-                node_ratings=node_ratings,
-                outcome_ratings=outcome_ratings,
-            )
-        )
-    return SurveySample(
-        tree=tree, respondents=tuple(respondents), own_supplier=truth.own_supplier
+    ids = [f"r{i + 1:05d}" for i in range(total)]
+    return SurveySample.from_columns(
+        tree,
+        truth.own_supplier,
+        np.column_stack([ids, roles, suppliers]),
+        np.stack([ratings[node] for node in tree.preorder()], axis=1, dtype=np.int8),
+        np.stack([outcomes[kind] for kind in OutcomeKind], axis=1, dtype=np.int8),
     )
 
 
@@ -368,7 +359,7 @@ def save_truth(truth: GroundTruth, path: str | Path) -> None:
 
 
 def load_truth(path: str | Path) -> GroundTruth:
-    return truth_from_records(json.loads(Path(path).read_text(encoding="utf-8")))
+    return read_json(path, "ground truth", truth_from_records)
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,24 @@ A survey row is one respondent: who they are (id, role, supplier whose
 product they rated) plus a 1-10 rating for each value-tree node they answered
 and 0-10 willingness outcomes (would recommend / would repurchase).  Ratings
 may be missing per node; every present value is range-checked on ingest and
-rejects name the offending file row.
+rejects name the offending file row.  Respondent ids are unique: a repeated
+id is an ingest error naming both rows, since it would count one respondent
+twice in every mean and fit.
 
 The on-disk form is CSV with a fixed header prefix followed by one column per
 tree node (canonical preorder) and the two outcome columns::
 
     respondent_id,role,supplier,<node ids...>,outcome_recommend,outcome_repurchase
 
-This module is the only reader of the per-respondent rating dicts: every
-other module gets node means, supplier splits, outcome lists and complete
-cases through the functions below.
+In memory a :class:`SurveySample` is one columnar store: an ``(n, 3)``
+string array of (id, role, supplier), an ``(n, nodes)`` int8 rating matrix
+in tree preorder with 0 for a missing rating, and an ``(n, 2)`` int8 outcome
+matrix in :class:`OutcomeKind` order with -1 for a missing answer.  Supplier
+splits are row masks; node means, outcome lists, root/outcome pairs and
+complete cases are column slices.  Other modules read the store only
+through the functions below.  :class:`Respondent` rows are a view
+(``sample.respondents``) and a constructor (``SurveySample(tree, rows,
+own)``), which rejects values the missing codes would hide.
 
 Means come with a spreadsheet-style 95% half-width (1.96 * sd / sqrt(n)).
 Survey *sourcing* — panel design, who counts as a decision maker, response
@@ -28,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -74,6 +82,9 @@ class OutcomeKind(str, Enum):
         return f"outcome_{self.value}"
 
 
+_OUTCOMES = tuple(OutcomeKind)
+
+
 class SurveyFormatError(CvmError):
     """Malformed survey data; carries the 1-based file row when known."""
 
@@ -97,23 +108,107 @@ class Respondent:
     outcome_ratings: Mapping[OutcomeKind, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SurveySample:
-    """An immutable batch of respondents tied to one value tree."""
+    """An immutable batch of respondents tied to one value tree, held by column.
+
+    ``labels`` is an ``(n, 3)`` string array of (id, role, supplier);
+    ``ratings`` an ``(n, nodes)`` int8 matrix in tree preorder, 0 where a
+    rating is missing; ``outcomes`` an ``(n, 2)`` int8 matrix in
+    :class:`OutcomeKind` order, -1 where an answer is missing.  All three are
+    read-only.
+    """
 
     tree: ValueTree
-    respondents: tuple[Respondent, ...]
     own_supplier: str
+    labels: np.ndarray
+    ratings: np.ndarray
+    outcomes: np.ndarray
+
+    def __init__(self, tree: ValueTree, respondents: Iterable[Respondent], own_supplier: str):
+        """A sample from :class:`Respondent` rows.
+
+        An unknown node id, a rating outside 1-10 or an outcome outside 0-10
+        raises ``ValueError``: stored, it would read as a missing value.
+        """
+        rows = tuple(respondents)
+        position = _positions(tree)
+        ratings = np.zeros((len(rows), len(position)), dtype=np.int8)
+        outcomes = np.full((len(rows), len(_OUTCOMES)), -1, dtype=np.int8)
+        for i, r in enumerate(rows):
+            for node, value in r.node_ratings.items():
+                if node not in position:
+                    raise ValueError(f"respondent {r.id!r}: {node!r} is not a node of the tree")
+                ratings[i, position[node]] = _checked(value, RATING_MIN, RATING_MAX, r.id)
+            for kind, value in r.outcome_ratings.items():
+                k = _OUTCOMES.index(OutcomeKind(kind))
+                outcomes[i, k] = _checked(value, OUTCOME_MIN, OUTCOME_MAX, r.id)
+        labels = [(r.id, r.role, r.supplier) for r in rows]
+        self._store(tree, own_supplier, labels, ratings, outcomes)
+
+    @classmethod
+    def from_columns(
+        cls, tree: ValueTree, own_supplier: str, labels, ratings: np.ndarray, outcomes: np.ndarray
+    ) -> SurveySample:
+        """A sample from its columns (int8 matrices as in the class doc), taken as given."""
+        sample = object.__new__(cls)
+        sample._store(tree, own_supplier, labels, ratings, outcomes)
+        return sample
+
+    def _store(self, tree, own_supplier, labels, ratings, outcomes) -> None:
+        labels = np.asarray(labels, dtype=str).reshape(-1, 3)
+        for column in (labels, ratings, outcomes):
+            column.flags.writeable = False
+        for name, value in zip(("tree", "own_supplier", "labels", "ratings", "outcomes"),
+                               (tree, own_supplier, labels, ratings, outcomes)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_position", _positions(tree))
+
+    def _column(self, node_id: str) -> int:
+        """Position of ``node_id`` in the rating matrix."""
+        self.tree.node(node_id)  # raises UnknownNodeError for foreign ids
+        return self._position[node_id]
 
     def __len__(self) -> int:
-        return len(self.respondents)
+        return len(self.labels)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SurveySample):
+            return NotImplemented
+        return (
+            self.tree == other.tree
+            and self.own_supplier == other.own_supplier
+            and np.array_equal(self.labels, other.labels)
+            and np.array_equal(self.ratings, other.ratings)
+            and np.array_equal(self.outcomes, other.outcomes)
+        )
+
+    @property
+    def respondents(self) -> tuple[Respondent, ...]:
+        """The rows as :class:`Respondent` records; missing values are left out."""
+        return tuple(
+            Respondent(
+                *label.tolist(),
+                {node: v for node, v in zip(self._position, ratings.tolist()) if v},
+                {kind: v for kind, v in zip(_OUTCOMES, outcomes.tolist()) if v >= 0},
+            )
+            for label, ratings, outcomes in zip(self.labels, self.ratings, self.outcomes)
+        )
 
     def suppliers(self) -> list[str]:
         """Distinct supplier labels in first-appearance order."""
-        seen: dict[str, None] = {}
-        for r in self.respondents:
-            seen.setdefault(r.supplier, None)
-        return list(seen)
+        return list(dict.fromkeys(self.labels[:, 2].tolist()))
+
+
+def _checked(value: int, lo: int, hi: int, respondent_id: str) -> int:
+    if not lo <= value <= hi or value != int(value):
+        raise ValueError(f"respondent {respondent_id!r}: {value!r} not an integer in [{lo}, {hi}]")
+    return value
+
+
+def _positions(tree: ValueTree) -> dict[str, int]:
+    """Node id -> rating-matrix column (tree preorder)."""
+    return {node: j for j, node in enumerate(tree.preorder())}
 
 
 @dataclass(frozen=True)
@@ -190,18 +285,20 @@ def _ingest_stream(stream: IO[str], tree: ValueTree, own_supplier: str) -> Surve
         raise SurveyFormatError(
             f"header must start with {', '.join(fixed)}; got {header[:3]}", row=1
         )
-    outcome_by_column = {kind.column: kind for kind in OutcomeKind}
-    node_cols: dict[int, str] = {}
-    outcome_cols: dict[int, OutcomeKind] = {}
+    outcome_by_column = {kind.column: k for k, kind in enumerate(_OUTCOMES)}
+    position = _positions(tree)
+    # file column -> (matrix column, name for diagnostics)
+    node_cols: dict[int, tuple[int, str]] = {}
+    outcome_cols: dict[int, tuple[int, str]] = {}
     seen: set[str] = set()
     for idx, name in enumerate(header[len(fixed) :], start=len(fixed)):
         if name in seen:
             raise SurveyFormatError(f"duplicate column {name!r}", row=1)
         seen.add(name)
         if name in outcome_by_column:
-            outcome_cols[idx] = outcome_by_column[name]
-        elif name in tree.nodes:
-            node_cols[idx] = name
+            outcome_cols[idx] = (outcome_by_column[name], name)
+        elif name in position:
+            node_cols[idx] = (position[name], f"rating for {name!r}")
         else:
             raise SurveyFormatError(
                 f"unknown column {name!r}: not a node of tree {tree.name!r} "
@@ -209,7 +306,10 @@ def _ingest_stream(stream: IO[str], tree: ValueTree, own_supplier: str) -> Surve
                 row=1,
             )
 
-    respondents: list[Respondent] = []
+    labels: list[tuple[str, str, str]] = []
+    rating_rows: list[list[int]] = []
+    outcome_rows: list[list[int]] = []
+    first_row: dict[str, int] = {}
     for row_number, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -222,48 +322,49 @@ def _ingest_stream(stream: IO[str], tree: ValueTree, own_supplier: str) -> Surve
         supplier = row[2].strip()
         if not respondent_id:
             raise SurveyFormatError("empty respondent_id", row_number)
+        first = first_row.setdefault(respondent_id, row_number)
+        if first != row_number:
+            raise SurveyFormatError(
+                f"duplicate respondent_id {respondent_id!r} (first on row {first})", row_number
+            )
         if role not in ROLES:
             raise SurveyFormatError(
                 f"unknown role {role!r} (expected one of {', '.join(ROLES)})", row_number
             )
         if not supplier:
             raise SurveyFormatError("empty supplier", row_number)
-        node_ratings: dict[str, int] = {}
-        for idx, node_id in node_cols.items():
+        ratings = [0] * len(position)
+        for idx, (j, what) in node_cols.items():
             token = row[idx].strip()
             if token:
-                node_ratings[node_id] = _parse_int(
-                    token, RATING_MIN, RATING_MAX, f"rating for {node_id!r}", row_number
-                )
-        outcome_ratings: dict[OutcomeKind, int] = {}
-        for idx, kind in outcome_cols.items():
+                ratings[j] = _parse_int(token, RATING_MIN, RATING_MAX, what, row_number)
+        outcomes = [-1] * len(_OUTCOMES)
+        for idx, (k, what) in outcome_cols.items():
             token = row[idx].strip()
             if token:
-                outcome_ratings[kind] = _parse_int(
-                    token, OUTCOME_MIN, OUTCOME_MAX, f"{kind.column}", row_number
-                )
-        respondents.append(
-            Respondent(respondent_id, role, supplier, node_ratings, outcome_ratings)
-        )
+                outcomes[k] = _parse_int(token, OUTCOME_MIN, OUTCOME_MAX, what, row_number)
+        labels.append((respondent_id, role, supplier))
+        rating_rows.append(ratings)
+        outcome_rows.append(outcomes)
 
-    if not respondents:
+    if not labels:
         warnings.warn("survey has a header but no respondent rows", stacklevel=3)
-    return SurveySample(tree=tree, respondents=tuple(respondents), own_supplier=own_supplier)
+    ratings = np.array(rating_rows, dtype=np.int8).reshape(len(labels), len(position))
+    outcomes = np.array(outcome_rows, dtype=np.int8).reshape(len(labels), len(_OUTCOMES))
+    return SurveySample.from_columns(tree, own_supplier, labels, ratings, outcomes)
 
 
 def survey_text(sample: SurveySample) -> str:
     """Canonical CSV text for ``sample`` (the exact ingest round-trip form)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    columns = survey_columns(sample.tree)
-    writer.writerow(columns)
-    node_order = list(sample.tree.preorder())
-    for r in sample.respondents:
-        row = [r.id, r.role, r.supplier]
-        row += [str(r.node_ratings[n]) if n in r.node_ratings else "" for n in node_order]
-        for kind in (OutcomeKind.RECOMMEND, OutcomeKind.REPURCHASE):
-            row.append(str(r.outcome_ratings[kind]) if kind in r.outcome_ratings else "")
-        writer.writerow(row)
+    writer.writerow(survey_columns(sample.tree))
+    for label, ratings, outcomes in zip(sample.labels, sample.ratings, sample.outcomes):
+        writer.writerow(
+            label.tolist()
+            + [v or "" for v in ratings.tolist()]
+            + [v if v >= 0 else "" for v in outcomes.tolist()]
+        )
     return buffer.getvalue()
 
 
@@ -271,14 +372,22 @@ def write_survey(sample: SurveySample, path: str | Path) -> None:
     Path(path).write_text(survey_text(sample), encoding="utf-8")
 
 
-def split_by_supplier(sample: SurveySample) -> tuple[SurveySample, SurveySample]:
-    """(own-supplier respondents, everyone else), both keeping the tree/label."""
-    own = tuple(r for r in sample.respondents if r.supplier == sample.own_supplier)
-    rest = tuple(r for r in sample.respondents if r.supplier != sample.own_supplier)
-    return (
-        SurveySample(sample.tree, own, sample.own_supplier),
-        SurveySample(sample.tree, rest, sample.own_supplier),
-    )
+def split_by_supplier(
+    sample: SurveySample, supplier: str | None = None
+) -> tuple[SurveySample, SurveySample]:
+    """(``supplier``'s respondents, everyone else), both keeping the tree/label.
+
+    ``supplier`` defaults to the sample's own supplier.
+    """
+    mine = sample.labels[:, 2] == (sample.own_supplier if supplier is None else supplier)
+
+    def part(mask: np.ndarray) -> SurveySample:
+        return SurveySample.from_columns(
+            sample.tree, sample.own_supplier,
+            sample.labels[mask], sample.ratings[mask], sample.outcomes[mask],
+        )
+
+    return part(mine), part(~mine)
 
 
 def node_mean(sample: SurveySample, node_id: str) -> MeanWithHalfWidth:
@@ -288,33 +397,33 @@ def node_mean(sample: SurveySample, node_id: str) -> MeanWithHalfWidth:
     deviation; a single rating or a constant column gives half-width 0.
     Raises :class:`NoRatingsError` when nobody rated the node.
     """
-    sample.tree.node(node_id)  # raises UnknownNodeError for foreign ids
-    values = [r.node_ratings[node_id] for r in sample.respondents if node_id in r.node_ratings]
-    if not values:
+    column = sample.ratings[:, sample._column(node_id)]
+    data = column[column > 0].astype(np.float64)
+    if not data.size:
         raise NoRatingsError(f"no ratings for node {node_id!r}")
-    data = np.asarray(values, dtype=np.float64)
     mean = float(data.mean())
-    if len(values) < 2:
+    if data.size < 2:
         half = 0.0
     else:
         sd = float(data.std(ddof=1))
-        half = CONFIDENCE_MULTIPLIER * sd / float(np.sqrt(len(values)))
-    return MeanWithHalfWidth(mean=mean, half_width=half, n=len(values))
+        half = CONFIDENCE_MULTIPLIER * sd / float(np.sqrt(data.size))
+    return MeanWithHalfWidth(mean=mean, half_width=half, n=int(data.size))
 
 
 def outcome_values(sample: SurveySample, outcome: OutcomeKind) -> list[int]:
     """Every answer to ``outcome`` in respondent order; blank answers are skipped."""
-    return [r.outcome_ratings[outcome] for r in sample.respondents if outcome in r.outcome_ratings]
+    column = sample.outcomes[:, _OUTCOMES.index(outcome)]
+    return column[column >= 0].tolist()
 
 
-def root_outcome_pairs(sample: SurveySample, outcome: OutcomeKind) -> list[tuple[int, int]]:
-    """(root rating, ``outcome`` answer) for each respondent who gave both."""
-    root = sample.tree.root
-    return [
-        (r.node_ratings[root], r.outcome_ratings[outcome])
-        for r in sample.respondents
-        if root in r.node_ratings and outcome in r.outcome_ratings
-    ]
+def root_outcome_pairs(
+    sample: SurveySample, outcome: OutcomeKind
+) -> tuple[np.ndarray, np.ndarray]:
+    """(root ratings, ``outcome`` answers) of the respondents who gave both, row-aligned."""
+    root = sample.ratings[:, sample._column(sample.tree.root)]
+    answers = sample.outcomes[:, _OUTCOMES.index(outcome)]
+    both = (root > 0) & (answers >= 0)
+    return root[both], answers[both]
 
 
 def complete_cases(
@@ -325,13 +434,6 @@ def complete_cases(
     This is listwise deletion: the response vector and one regressor column
     per child, all of the same length.
     """
-    wanted = (node_id, *children)
-    rows = [
-        [r.node_ratings[w] for w in wanted]
-        for r in sample.respondents
-        if all(w in r.node_ratings for w in wanted)
-    ]
-    if not rows:
-        return np.empty(0), {c: np.empty(0) for c in children}
-    data = np.asarray(rows, dtype=np.float64)
+    block = sample.ratings[:, [sample._column(n) for n in (node_id, *children)]]
+    data = block[(block > 0).all(axis=1)].astype(np.float64)
     return data[:, 0], {c: data[:, i + 1] for i, c in enumerate(children)}

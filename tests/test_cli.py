@@ -291,3 +291,40 @@ def test_config_file_must_be_json(tmp_path):
     result = invoke("--config", str(config), "validate", "--tree", TREE)
     assert result.exit_code == 1
     assert "config is not valid JSON" in result.stderr
+
+
+def test_config_that_is_not_utf8_names_the_file(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"tree": "\xff"}')
+    result = invoke("--config", str(config), "validate", "--tree", TREE)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: config {config}: line 1: byte 0xff is not valid UTF-8" in result.stderr
+
+
+def test_malformed_hierarchy_file_names_the_file(tmp_path):
+    hierarchy = tmp_path / "fit.json"
+    hierarchy.write_text('{"models": ')
+    result = invoke("report", "--tree", TREE, "--survey", SURVEY, *OWN,
+                    "--hierarchy", str(hierarchy))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: hierarchy is not valid JSON: {hierarchy}" in result.stderr
+
+
+def test_malformed_seed_config_names_the_file(tmp_path):
+    config = tmp_path / "truth.json"
+    config.write_text("{")
+    result = invoke("simulate", "--seed-config", str(config), "--out", str(tmp_path / "s.csv"))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: ground truth is not valid JSON: {config}" in result.stderr
+
+
+def test_seed_config_without_a_tree_names_the_missing_field(tmp_path):
+    config = tmp_path / "truth.json"
+    config.write_text("{}")
+    result = invoke("simulate", "--seed-config", str(config), "--out", str(tmp_path / "s.csv"))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: ground truth {config}: missing field 'tree_text'" in result.stderr

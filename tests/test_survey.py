@@ -4,17 +4,22 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvmkit.survey import (
+    ROLES,
     NoRatingsError,
     OutcomeKind,
+    Respondent,
     SurveyFormatError,
     SurveySample,
+    complete_cases,
     ingest_responses,
     node_mean,
+    outcome_values,
     split_by_supplier,
     survey_columns,
     survey_text,
@@ -195,3 +200,98 @@ def test_fixture_roles_lean_decision_maker(sample):
         1 for r in sample.respondents if r.role == "decision_maker"
     )
     assert decision_makers == 1604  # share parameter is 0.8
+
+
+def test_duplicate_respondent_id_is_an_error_naming_both_rows():
+    bad = TINY_CSV.replace("r3,", "r1,")
+    with pytest.raises(SurveyFormatError) as err:
+        ingest_responses(io.StringIO(bad), TINY_TREE, "us")
+    assert err.value.row == 4
+    assert str(err.value) == "row 4: duplicate respondent_id 'r1' (first on row 2)"
+
+
+# --- the columnar store against a direct computation over Respondent rows
+
+_NODES = list(TINY_TREE.preorder())
+
+
+@st.composite
+def _respondent_rows(draw):
+    ids = draw(st.lists(st.text("abr019", min_size=1, max_size=3), unique=True, max_size=8))
+    return [
+        Respondent(
+            respondent_id,
+            draw(st.sampled_from(ROLES)),
+            draw(st.sampled_from(["us", "them"])),
+            draw(st.fixed_dictionaries({}, optional={n: st.integers(1, 10) for n in _NODES})),
+            draw(st.fixed_dictionaries({}, optional={k: st.integers(0, 10) for k in OutcomeKind})),
+        )
+        for respondent_id in ids
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_respondent_rows())
+def test_store_matches_a_per_row_computation(rows):
+    sample = SurveySample(TINY_TREE, rows, "us")
+    assert sample.respondents == tuple(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty sample warns
+        assert ingest_responses(io.StringIO(survey_text(sample)), TINY_TREE, "us") == sample
+    own, rest = split_by_supplier(sample)
+    assert own.respondents == tuple(r for r in rows if r.supplier == "us")
+    assert rest.respondents == tuple(r for r in rows if r.supplier != "us")
+
+    for node in _NODES:
+        values = [r.node_ratings[node] for r in rows if node in r.node_ratings]
+        if not values:
+            with pytest.raises(NoRatingsError):
+                node_mean(sample, node)
+            continue
+        stat = node_mean(sample, node)
+        assert stat.n == len(values)
+        assert stat.mean == np.mean(values)
+        if len(values) > 1:
+            assert stat.half_width == pytest.approx(
+                1.96 * np.std(values, ddof=1) / math.sqrt(len(values))
+            )
+    for kind in OutcomeKind:
+        assert outcome_values(sample, kind) == [
+            r.outcome_ratings[kind] for r in rows if kind in r.outcome_ratings
+        ]
+    wanted = ("value", "a", "b")
+    complete = [
+        [r.node_ratings[w] for w in wanted]
+        for r in rows
+        if all(w in r.node_ratings for w in wanted)
+    ]
+    y, columns = complete_cases(sample, "value", ("a", "b"))
+    assert y.tolist() == [c[0] for c in complete]
+    assert columns["a"].tolist() == [c[1] for c in complete]
+    assert columns["b"].tolist() == [c[2] for c in complete]
+
+
+@pytest.mark.parametrize(
+    "node_ratings, outcome_ratings",
+    [
+        ({"a": 0}, {}),
+        ({"a": 11}, {}),
+        ({}, {OutcomeKind.RECOMMEND: -1}),
+        ({}, {OutcomeKind.REPURCHASE: 11}),
+        ({"mood": 5}, {}),
+    ],
+    ids=["rating 0", "rating 11", "outcome -1", "outcome 11", "unknown node"],
+)
+def test_row_constructor_rejects_values_the_store_would_read_as_missing(
+    node_ratings, outcome_ratings
+):
+    row = Respondent("r1", "user", "us", node_ratings, outcome_ratings)
+    with pytest.raises(ValueError):
+        SurveySample(tree=TINY_TREE, respondents=(row,), own_supplier="us")
+
+
+def test_store_arrays_are_read_only():
+    sample = ingest_responses(io.StringIO(TINY_CSV), TINY_TREE, "us")
+    for column in (sample.labels, sample.ratings, sample.outcomes):
+        with pytest.raises(ValueError):
+            column[0, 0] = column[0, 1]
