@@ -315,10 +315,6 @@ class LoyaltyCurve:
         """Linear interpolation between bin centres, clamped at the ends."""
         xs = [p[0] for p in self.points]
         ys = [p[1] for p in self.points]
-        if value_score <= xs[0]:
-            return ys[0]
-        if value_score >= xs[-1]:
-            return ys[-1]
         return float(np.interp(value_score, xs, ys))
 
 

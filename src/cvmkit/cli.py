@@ -58,7 +58,7 @@ from .survey import (
     split_by_supplier,
     survey_text,
 )
-from .tree import TreeFormatError, parse_tree_spec, validate_tree
+from .tree import TreeFormatError, parse_tree_spec
 
 _SUBCOMMANDS = ("validate", "fit", "report", "nps", "simulate")
 
@@ -176,10 +176,7 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 def validate(tree_path: str, survey_path: str | None, own_label: str | None) -> None:
     """Check a tree file (and optionally a survey against it)."""
     try:
-        tree = _load_tree(tree_path)
-        violations = validate_tree(tree)  # parser already rejects invalid trees
-        for violation in violations:
-            click.echo(f"error: {violation.rule}: {violation.message}", err=True)
+        tree = _load_tree(tree_path)  # the parser rejects invalid trees
         click.echo(
             f"tree ok: {len(tree.nodes)} nodes, "
             f"{len(tree.internal_nodes())} internal, {len(tree.leaves())} leaves"
@@ -190,8 +187,6 @@ def validate(tree_path: str, survey_path: str | None, own_label: str | None) -> 
                 f"survey ok: {len(sample)} respondents, "
                 f"suppliers: {', '.join(sample.suppliers())}"
             )
-        if violations:
-            sys.exit(1)
     except CvmError as exc:
         _fail(str(exc))
 

@@ -37,15 +37,15 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .analytics import loyalty_curve, relative_rating
+from .analytics import LoyaltyCurve, loyalty_curve, relative_rating
 from .errors import CvmError, read_json
-from .regression import fit_hierarchy
+from .regression import FittedHierarchy, fit_hierarchy
 from .rng import RandomStream
-from .rounding import round_half_away
+from .rounding import format_rating, round_half_away
 from .survey import OutcomeKind, SurveySample, node_mean, split_by_supplier
 from .tree import ValueTree, parse_tree_spec, serialize_tree
 
@@ -213,45 +213,43 @@ def generate_market(truth: GroundTruth) -> SurveySample:
     """
     truth.validate()
     tree = truth.tree
+    column = {node: j for j, node in enumerate(tree.preorder())}
     leaves = tree.leaves()
     internal_pre = tree.internal_nodes()
 
-    suppliers: list[str] = []
-    for supplier, count in truth.n_per_supplier.items():
-        suppliers.extend([supplier] * count)
-    total = len(suppliers)
+    suppliers = [s for s, count in truth.n_per_supplier.items() if count > 0]
     classes = [truth.supplier_class(s) for s in suppliers]
+    block_of = np.repeat(  # each respondent's index into `suppliers`
+        np.arange(len(suppliers)), [truth.n_per_supplier[s] for s in suppliers]
+    )
+    total = len(block_of)
 
     stream = RandomStream(truth.seed)
-    halo = stream.normals(total) * truth.halo_sd if total else np.empty(0)
+    halo = stream.normals(total) * truth.halo_sd
     leaf_noise = stream.normals(total * len(leaves)).reshape(total, len(leaves))
     node_noise = stream.normals(total * len(internal_pre)).reshape(total, len(internal_pre))
     role_u = stream.uniforms(total)
     willing_u = stream.uniforms(total * 2).reshape(total, 2)
     band_u = stream.uniforms(total * 2).reshape(total, 2)
 
-    ratings: dict[str, np.ndarray] = {}
+    ratings = np.empty((total, len(column)), dtype=np.int8)
     for j, leaf in enumerate(leaves):
-        mean = np.asarray([truth.leaf_means[c][leaf] for c in classes], dtype=np.float64)
-        latent = mean + halo + leaf_noise[:, j] * truth.noise_sd[leaf]
-        ratings[leaf] = _clamp_round(latent)
+        per_block_mean = np.asarray([truth.leaf_means[c][leaf] for c in classes])
+        latent = per_block_mean[block_of] + halo + leaf_noise[:, j] * truth.noise_sd[leaf]
+        ratings[:, column[leaf]] = _clamp_round(latent)
 
-    node_column = {node: j for j, node in enumerate(internal_pre)}
-    for node in reversed(internal_pre):  # reversed preorder: children first
-        latent = np.full(total, truth.intercepts[node], dtype=np.float64)
-        shift_by_class = {
-            c: truth.class_shift.get(c, {}).get(node, 0.0) for c in set(classes)
-        }
-        if any(shift_by_class.values()):
-            latent += np.asarray([shift_by_class[c] for c in classes])
+    for j, node in reversed(list(enumerate(internal_pre))):  # children first
+        per_block_shift = np.asarray(
+            [truth.class_shift.get(c, {}).get(node, 0.0) for c in classes]
+        )
+        latent = truth.intercepts[node] + per_block_shift[block_of]
         for child, slope in truth.coefficients[node].items():
-            latent += slope * ratings[child].astype(np.float64)
-        latent += node_noise[:, node_column[node]] * truth.noise_sd[node]
-        ratings[node] = _clamp_round(latent)
+            latent += slope * ratings[:, column[child]].astype(np.float64)
+        latent += node_noise[:, j] * truth.noise_sd[node]
+        ratings[:, column[node]] = _clamp_round(latent)
 
-    root_ratings = ratings[tree.root] if total else np.empty(0, dtype=np.int64)
     link_table = np.asarray([truth.willingness_link[r] for r in range(1, 11)])
-    link = link_table[root_ratings - 1] if total else np.empty(0)
+    link = link_table[ratings[:, column[tree.root]] - 1]
 
     threshold = truth.outcome_threshold
     high_size = 11 - threshold
@@ -261,23 +259,18 @@ def generate_market(truth: GroundTruth) -> SurveySample:
     high_weights = (high_size - np.arange(high_size)).astype(np.float64)
     low_weights = ((np.arange(low_size) + 1.0) ** 2).astype(np.float64)
 
-    outcomes: dict[OutcomeKind, np.ndarray] = {}
-    for k, kind in enumerate((OutcomeKind.RECOMMEND, OutcomeKind.REPURCHASE)):
+    outcomes = np.empty((total, len(OutcomeKind)), dtype=np.int8)
+    for k in range(len(OutcomeKind)):
         willing = willing_u[:, k] < link
         high_pick = high_values[_band_pick(high_size, high_weights, band_u[:, k])]
         low_pick = low_values[_band_pick(low_size, low_weights, band_u[:, k])]
-        outcomes[kind] = np.where(willing, high_pick, low_pick)
+        outcomes[:, k] = np.where(willing, high_pick, low_pick)
 
     roles = np.where(role_u < truth.decision_maker_share, "decision_maker", "user")
 
     ids = [f"r{i + 1:05d}" for i in range(total)]
-    return SurveySample.from_columns(
-        tree,
-        truth.own_supplier,
-        np.column_stack([ids, roles, suppliers]),
-        np.stack([ratings[node] for node in tree.preorder()], axis=1, dtype=np.int8),
-        np.stack([outcomes[kind] for kind in OutcomeKind], axis=1, dtype=np.int8),
-    )
+    labels = np.column_stack([ids, roles, np.asarray(suppliers, dtype=str)[block_of]])
+    return SurveySample.from_columns(tree, truth.own_supplier, labels, ratings, outcomes)
 
 
 def truth_records(truth: GroundTruth) -> dict:
@@ -488,6 +481,11 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
     * the willingness table at the bins bracketing each loyalty anchor is
       adjusted until the smoothed, interpolated curve passes through it.
 
+    Each round draws one market; its statistics drive the update and check
+    every target cell exactly, so the returned truth is the one whose drawn
+    market was checked.  ``max_rounds`` bounds the updates; the last update
+    still gets its check.
+
     Raises :class:`InconsistentTargetsError` for self-contradictory targets
     and :class:`CalibrationError` if the budget runs out before every target
     cell verifies exactly.
@@ -508,16 +506,29 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
             raise CvmError(f"initial truth lacks a {cls!r} leaf-mean profile")
 
     worst: dict[str, float] = {}
-    for _ in range(max_rounds):
+    converged = False
+    for round_index in range(max_rounds + 1):
+        check_only = round_index == max_rounds  # a draw that only checks the last update
+        if check_only and not converged:
+            break
         sample = generate_market(truth)
         own_sample, comp_sample = split_by_supplier(sample)
         by_class = {own_label: own_sample, COMPETITOR_CLASS: comp_sample}
         hierarchy = fit_hierarchy(sample, tree)
+        means = {(node, cls): node_mean(by_class[cls], node).mean for node, cls in mean_targets}
+        curve = (
+            loyalty_curve(own_sample, targets.loyalty_outcome, truth.outcome_threshold)
+            if anchors
+            else None
+        )
+        if converged and _verify(targets, hierarchy, means, curve):
+            return truth
+        if check_only:
+            break
         worst = {"mean": 0.0, "coef": 0.0, "r2": 0.0, "loyalty": 0.0}
 
         for (node, cls), target in mean_targets.items():
-            realized = node_mean(by_class[cls], node).mean
-            err = target - realized
+            err = target - means[node, cls]
             worst["mean"] = max(worst["mean"], abs(err))
             if node in leaves:
                 truth.leaf_means[cls][node] += _DAMP * err
@@ -545,10 +556,7 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
                 factor = variance_ratio ** 0.35  # damped
                 truth.noise_sd[node] = min(3.0, max(0.02, truth.noise_sd[node] * factor))
 
-        if anchors:
-            curve = loyalty_curve(
-                own_sample, targets.loyalty_outcome, truth.outcome_threshold
-            )
+        if curve is not None:
             link = truth.willingness_link
             for score, target in anchors:
                 realized = curve.proportion_at(score)
@@ -576,8 +584,6 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
             and worst["r2"] <= _TOL_R2
             and worst["loyalty"] <= _TOL_LOYALTY
         )
-        if converged and _verify(targets, truth):
-            return truth
 
     raise CalibrationError(
         f"calibration did not converge in {max_rounds} rounds; "
@@ -585,52 +591,44 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
     )
 
 
-def _verify(targets: TableTargets, truth: GroundTruth) -> bool:
-    """Regenerate and check every displayed target cell exactly."""
-    from .rounding import format_rating
+def _verify(
+    targets: TableTargets,
+    hierarchy: FittedHierarchy,
+    means: Mapping[tuple[str, str], float],
+    curve: LoyaltyCurve | None,
+) -> bool:
+    """Whether one round's statistics show every displayed target cell exactly.
 
-    sample = generate_market(truth)
-    own_sample, comp_sample = split_by_supplier(sample)
-    hierarchy = fit_hierarchy(sample, truth.tree)
+    ``means`` maps (node, class) to the realized mean for every mean target,
+    and ``curve`` is the own supplier's loyalty curve (None without anchors).
+    """
+    own = targets.initial.own_supplier
 
-    def shown(sample_half: SurveySample, node: str) -> str:
-        return format_rating(node_mean(sample_half, node).mean)
-
-    def realized_relative(node: str) -> int:
-        return relative_rating(
-            node_mean(own_sample, node).mean, node_mean(comp_sample, node).mean
+    def shows(node: str, own_mean: float, competitor_mean: float, relative: int | None) -> bool:
+        realized_own, realized_comp = means[node, own], means[node, COMPETITOR_CLASS]
+        return (
+            format_rating(realized_own) == format_rating(own_mean)
+            and format_rating(realized_comp) == format_rating(competitor_mean)
+            and (relative is None or relative_rating(realized_own, realized_comp) == relative)
         )
 
     for cell in targets.cells:
         model = hierarchy.models.get(cell.parent)
         if model is None or model.impact_weights.get(cell.child) != cell.weight:
             return False
-        if shown(own_sample, cell.child) != format_rating(cell.own_mean):
-            return False
-        if shown(comp_sample, cell.child) != format_rating(cell.competitor_mean):
-            return False
-        if realized_relative(cell.child) != cell.relative:
+        if not shows(cell.child, cell.own_mean, cell.competitor_mean, cell.relative):
             return False
     for node_target in targets.nodes:
-        if shown(own_sample, node_target.node) != format_rating(node_target.own_mean):
-            return False
-        if shown(comp_sample, node_target.node) != format_rating(node_target.competitor_mean):
-            return False
-        if (
-            node_target.relative is not None
-            and realized_relative(node_target.node) != node_target.relative
-        ):
+        if not shows(node_target.node, node_target.own_mean, node_target.competitor_mean,
+                     node_target.relative):
             return False
     for node, target in targets.r_squared.items():
         realized = hierarchy.models[node].fit.r_squared
         if round_half_away(100.0 * realized) != round_half_away(100.0 * target):
             return False
-    if targets.loyalty_points:
-        curve = loyalty_curve(own_sample, targets.loyalty_outcome, truth.outcome_threshold)
-        for score, prop in targets.loyalty_points:
-            if abs(curve.proportion_at(score) - prop) > 0.01:
-                return False
-    return True
+    return curve is None or all(
+        abs(curve.proportion_at(score) - prop) <= 0.01 for score, prop in targets.loyalty_points
+    )
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from cvmkit import datasets
 from cvmkit.errors import CvmError
 from cvmkit.regression import fit_hierarchy
 from cvmkit.simulate import (
+    CalibrationError,
     CellTarget,
     GroundTruth,
     InconsistentTargetsError,
@@ -101,6 +102,34 @@ def test_class_shift_moves_internal_means():
     lifted_mean = np.mean([r.node_ratings["value"] for r in keep(lifted)])
     plain_mean = np.mean([r.node_ratings["value"] for r in keep(plain)])
     assert lifted_mean - plain_mean == pytest.approx(0.8, abs=0.15)
+
+
+def test_each_supplier_block_takes_its_class_profile():
+    # no noise and no halo: every rating is clamp(round(planted)) exactly
+    truth = tiny_truth()
+    truth.n_per_supplier = {"us": 3, "gone": 0, "rival": 2, "other": 4}
+    truth.leaf_means = {
+        "us": {"a": 6.2, "b": 4.7},
+        "rival": {"a": 9.8, "b": 8.6},
+        "competitors": {"a": 3.1, "b": 2.4},
+    }
+    truth.class_shift = {"rival": {"value": 1.4}, "competitors": {"value": 1.5}}
+    truth.intercepts = {"value": 0.3}
+    truth.noise_sd = {"value": 0.0, "a": 0.0, "b": 0.0}
+    sample = generate_market(truth)
+    assert [r.id for r in sample.respondents] == [f"r{i:05d}" for i in range(1, 10)]
+    planted = {
+        # supplier: (a, b, value), value = 0.3 + shift + 0.6 a + 0.4 b
+        "us": (6, 5, 6),  # 0.3 + 3.6 + 2.0 = 5.9
+        "rival": (10, 9, 10),  # 0.3 + 1.4 + 6.0 + 3.6 = 11.3, clamped
+        "other": (3, 2, 4),  # 0.3 + 1.5 + 1.8 + 0.8 = 4.4, competitors profile
+    }
+    expected = [planted[s] for s, n in truth.n_per_supplier.items() for _ in range(n)]
+    assert [r.supplier for r in sample.respondents] == ["us"] * 3 + ["rival"] * 2 + ["other"] * 4
+    assert [
+        (r.node_ratings["a"], r.node_ratings["b"], r.node_ratings["value"])
+        for r in sample.respondents
+    ] == expected
 
 
 def test_validate_catches_structural_mistakes():
@@ -201,6 +230,24 @@ def test_calibration_nudges_a_nearby_market_onto_its_targets():
         assert round(comp_mean, 1) == want_comp
     weights = fit_hierarchy(sample, TREE).models["value"].impact_weights
     assert weights == {"a": 60, "b": 40}
+
+
+def test_round_budget_counts_updates_and_still_verifies_the_last_one():
+    # this market converges on its 12th update; the check of that update
+    # draws one more market, which the budget must still allow
+    initial = tiny_truth(internal_noise=0.6, n=600)
+    targets = TableTargets(
+        initial=initial,
+        cells=(
+            CellTarget("value", "a", 60, 6.1, 5.4, 113),
+            CellTarget("value", "b", 40, 5.1, 5.6, 91),
+        ),
+        nodes=(NodeTarget("value", 5.7, 5.5, 104),),
+    )
+    reference = truth_records(calibrate_to_tables(targets, max_rounds=120))
+    assert truth_records(calibrate_to_tables(targets, max_rounds=12)) == reference
+    with pytest.raises(CalibrationError):
+        calibrate_to_tables(targets, max_rounds=11)
 
 
 def test_contradictory_relative_is_rejected():

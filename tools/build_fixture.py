@@ -23,20 +23,22 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from cvmkit.analytics import profile_table
-from cvmkit.cli import main as cli_main
-from cvmkit.datasets import automobile_tree
-from cvmkit.regression import fit_hierarchy
-from cvmkit.rendering import render_profile_table
-from cvmkit.simulate import (
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))  # the checkout's package, installed or not
+
+from cvmkit.analytics import profile_table  # noqa: E402
+from cvmkit.cli import main as cli_main  # noqa: E402
+from cvmkit.datasets import automobile_tree  # noqa: E402
+from cvmkit.regression import fit_hierarchy  # noqa: E402
+from cvmkit.rendering import render_profile_table  # noqa: E402
+from cvmkit.simulate import (  # noqa: E402
     calibrate_to_tables,
     canonical_targets,
     generate_market,
     save_truth,
 )
-from cvmkit.survey import split_by_supplier, write_survey
+from cvmkit.survey import split_by_supplier, write_survey  # noqa: E402
 
-REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "src" / "cvmkit" / "data"
 GOLDEN = REPO / "tests" / "golden"
 
