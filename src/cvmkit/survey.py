@@ -23,6 +23,16 @@ through the functions below.  :class:`Respondent` rows are a view
 (``sample.respondents``) and a constructor (``SurveySample(tree, rows,
 own)``), which rejects values the missing codes would hide.
 
+Ingest reads the file in chunks of a fixed number of rows, so its memory
+does not grow with the file beyond the store itself.  A chunk whose rows all
+have the header's width, whose labels pass their checks, whose ids are new,
+and whose value cells are all canonical tokens (``""`` and ``"1"``-``"10"``
+for ratings, ``""`` and ``"0"``-``"10"`` for outcomes) is converted a column
+at a time through a token table.  Any other chunk goes through the row
+loop, which strips cells, parses integers and raises the first row-numbered
+diagnostic; it accepts and rejects exactly what a row loop over the whole
+file would, so the table is only a shortcut.
+
 Means come with a spreadsheet-style 95% half-width (1.96 * sd / sqrt(n)).
 Survey *sourcing* — panel design, who counts as a decision maker, response
 weighting — is out of scope; samples are taken as given.
@@ -32,8 +42,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -272,6 +283,28 @@ def _csv_rows(stream: IO[str]) -> Iterator[list[str]]:
         raise SurveyFormatError(f"malformed CSV: {exc}", reader.line_num) from None
 
 
+#: Rows read and converted at a time.  A chunk's token lists are the largest
+#: transient of ingest, so a bounded chunk keeps peak memory independent of the
+#: file's length.
+_CHUNK_ROWS = 8192
+
+# The canonical tokens of the two value columns.  Any other token, even one
+# the row loop accepts (" 7", "07", "+7"), is a miss that hands the chunk over.
+_RATING_CODES = {"": 0, **{str(v): v for v in range(RATING_MIN, RATING_MAX + 1)}}
+_OUTCOME_CODES = {"": -1, **{str(v): v for v in range(OUTCOME_MIN, OUTCOME_MAX + 1)}}
+
+
+@dataclass
+class _Layout:
+    """Where a file's columns go: its width and the value columns' targets."""
+
+    width: int
+    n_nodes: int
+    # file column -> (matrix column, name for diagnostics)
+    node_cols: dict[int, tuple[int, str]] = field(default_factory=dict)
+    outcome_cols: dict[int, tuple[int, str]] = field(default_factory=dict)
+
+
 def _ingest_stream(stream: IO[str], tree: ValueTree, own_supplier: str) -> SurveySample:
     reader = _csv_rows(stream)
     try:
@@ -287,18 +320,16 @@ def _ingest_stream(stream: IO[str], tree: ValueTree, own_supplier: str) -> Surve
         )
     outcome_by_column = {kind.column: k for k, kind in enumerate(_OUTCOMES)}
     position = _positions(tree)
-    # file column -> (matrix column, name for diagnostics)
-    node_cols: dict[int, tuple[int, str]] = {}
-    outcome_cols: dict[int, tuple[int, str]] = {}
+    layout = _Layout(len(header), len(position))
     seen: set[str] = set()
     for idx, name in enumerate(header[len(fixed) :], start=len(fixed)):
         if name in seen:
             raise SurveyFormatError(f"duplicate column {name!r}", row=1)
         seen.add(name)
         if name in outcome_by_column:
-            outcome_cols[idx] = (outcome_by_column[name], name)
+            layout.outcome_cols[idx] = (outcome_by_column[name], name)
         elif name in position:
-            node_cols[idx] = (position[name], f"rating for {name!r}")
+            layout.node_cols[idx] = (position[name], f"rating for {name!r}")
         else:
             raise SurveyFormatError(
                 f"unknown column {name!r}: not a node of tree {tree.name!r} "
@@ -306,16 +337,83 @@ def _ingest_stream(stream: IO[str], tree: ValueTree, own_supplier: str) -> Surve
                 row=1,
             )
 
+    # Rows go through in chunks of _CHUNK_ROWS.  A chunk is converted a
+    # column at a time through the token tables (_table_chunk); a chunk the
+    # tables cannot take goes through the row loop (_row_chunk), which
+    # accepts and diagnoses exactly as a whole-file row loop would, because
+    # both share ``first_row`` and absolute row numbers.  When reading a
+    # chunk fails part-way (malformed CSV, undecodable bytes), the rows read
+    # so far are checked first, so an earlier bad cell is still the one named.
+    first_row: dict[str, int] = {}
+    row_number = 2
+    # the empty chunk gives a file without respondent rows its column shapes
+    parts = [_row_chunk([], row_number, layout, first_row)]
+    while True:
+        chunk: list[list[str]] = []
+        try:
+            for row in itertools.islice(reader, _CHUNK_ROWS):
+                chunk.append(row)
+        except (SurveyFormatError, UnicodeDecodeError):
+            _row_chunk(chunk, row_number, layout, first_row)
+            raise
+        if not chunk:
+            break
+        parts.append(
+            _table_chunk(chunk, row_number, layout, first_row)
+            or _row_chunk(chunk, row_number, layout, first_row)
+        )
+        row_number += len(chunk)
+
+    labels, ratings, outcomes = (np.concatenate(column) for column in zip(*parts))
+    if not len(labels):
+        warnings.warn("survey has a header but no respondent rows", stacklevel=3)
+    return SurveySample.from_columns(tree, own_supplier, labels, ratings, outcomes)
+
+
+def _table_chunk(
+    chunk: list[list[str]], start: int, layout: _Layout, first_row: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Convert a chunk a column at a time, or return None if it needs the row loop.
+
+    None means some row is short, long or blank, a label fails its check,
+    an id repeats, or a value token is not canonical; ``first_row`` is then
+    left as it was.
+    """
+    n = len(chunk)
+    if set(map(len, chunk)) != {layout.width}:
+        return None
+    columns = list(zip(*chunk))
+    ids, roles, suppliers = (list(map(str.strip, columns[k])) for k in range(3))
+    if "" in ids or "" in suppliers or not set(roles).issubset(ROLES):
+        return None
+    if len(set(ids)) != n or not first_row.keys().isdisjoint(ids):
+        return None
+    ratings = np.zeros((n, layout.n_nodes), dtype=np.int8)
+    outcomes = np.full((n, len(_OUTCOMES)), -1, dtype=np.int8)
+    try:
+        for idx, (j, _) in layout.node_cols.items():
+            ratings[:, j] = np.fromiter(map(_RATING_CODES.__getitem__, columns[idx]), np.int8, n)
+        for idx, (k, _) in layout.outcome_cols.items():
+            outcomes[:, k] = np.fromiter(map(_OUTCOME_CODES.__getitem__, columns[idx]), np.int8, n)
+    except KeyError:
+        return None
+    first_row.update(zip(ids, range(start, start + n)))
+    return np.array((ids, roles, suppliers), dtype=str).T, ratings, outcomes
+
+
+def _row_chunk(
+    chunk: list[list[str]], start: int, layout: _Layout, first_row: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check and convert a chunk row by row; the first bad row raises, naming itself."""
     labels: list[tuple[str, str, str]] = []
     rating_rows: list[list[int]] = []
     outcome_rows: list[list[int]] = []
-    first_row: dict[str, int] = {}
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in enumerate(chunk, start=start):
         if not row or all(not cell.strip() for cell in row):
             continue
-        if len(row) != len(header):
+        if len(row) != layout.width:
             raise SurveyFormatError(
-                f"expected {len(header)} fields, got {len(row)}", row_number
+                f"expected {layout.width} fields, got {len(row)}", row_number
             )
         respondent_id = row[0].strip()
         role = row[1].strip()
@@ -333,38 +431,43 @@ def _ingest_stream(stream: IO[str], tree: ValueTree, own_supplier: str) -> Surve
             )
         if not supplier:
             raise SurveyFormatError("empty supplier", row_number)
-        ratings = [0] * len(position)
-        for idx, (j, what) in node_cols.items():
+        ratings = [0] * layout.n_nodes
+        for idx, (j, what) in layout.node_cols.items():
             token = row[idx].strip()
             if token:
                 ratings[j] = _parse_int(token, RATING_MIN, RATING_MAX, what, row_number)
         outcomes = [-1] * len(_OUTCOMES)
-        for idx, (k, what) in outcome_cols.items():
+        for idx, (k, what) in layout.outcome_cols.items():
             token = row[idx].strip()
             if token:
                 outcomes[k] = _parse_int(token, OUTCOME_MIN, OUTCOME_MAX, what, row_number)
         labels.append((respondent_id, role, supplier))
         rating_rows.append(ratings)
         outcome_rows.append(outcomes)
+    n = len(labels)
+    return (
+        np.array(labels, dtype=str).reshape(n, 3),
+        np.array(rating_rows, dtype=np.int8).reshape(n, layout.n_nodes),
+        np.array(outcome_rows, dtype=np.int8).reshape(n, len(_OUTCOMES)),
+    )
 
-    if not labels:
-        warnings.warn("survey has a header but no respondent rows", stacklevel=3)
-    ratings = np.array(rating_rows, dtype=np.int8).reshape(len(labels), len(position))
-    outcomes = np.array(outcome_rows, dtype=np.int8).reshape(len(labels), len(_OUTCOMES))
-    return SurveySample.from_columns(tree, own_supplier, labels, ratings, outcomes)
+
+# Cell text of each stored code: a rating code v is _RATING_TEXT[v] and an
+# outcome code v is _OUTCOME_TEXT[v], so the missing outcome -1 reads the last
+# entry, "".
+_RATING_TEXT = ["", *map(str, range(RATING_MIN, RATING_MAX + 1))]
+_OUTCOME_TEXT = [*map(str, range(OUTCOME_MIN, OUTCOME_MAX + 1)), ""]
 
 
 def survey_text(sample: SurveySample) -> str:
     """Canonical CSV text for ``sample`` (the exact ingest round-trip form)."""
+    columns = [sample.labels[:, k].tolist() for k in range(3)]
+    columns += [list(map(_RATING_TEXT.__getitem__, c)) for c in sample.ratings.T.tolist()]
+    columns += [list(map(_OUTCOME_TEXT.__getitem__, c)) for c in sample.outcomes.T.tolist()]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(survey_columns(sample.tree))
-    for label, ratings, outcomes in zip(sample.labels, sample.ratings, sample.outcomes):
-        writer.writerow(
-            label.tolist()
-            + [v or "" for v in ratings.tolist()]
-            + [v if v >= 0 else "" for v in outcomes.tolist()]
-        )
+    writer.writerows(zip(*columns))
     return buffer.getvalue()
 
 

@@ -3,12 +3,15 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvmkit import survey
+from cvmkit.datasets import fixture_text
 from cvmkit.survey import (
     ROLES,
     NoRatingsError,
@@ -295,3 +298,129 @@ def test_store_arrays_are_read_only():
     for column in (sample.labels, sample.ratings, sample.outcomes):
         with pytest.raises(ValueError):
             column[0, 0] = column[0, 1]
+
+
+# --- chunked ingest: the token-table path against the row loop
+
+
+@pytest.mark.parametrize("late_fault", ["field limit", "undecodable byte"])
+def test_a_bad_cell_is_named_before_a_later_unreadable_row(tmp_path, tree, late_fault):
+    lines = fixture_text("market_survey.csv").splitlines(keepends=True)
+    assert lines[0].split(",")[3] == "worth_what_paid_for"
+    cells = lines[3].split(",")
+    cells[3] = "11"
+    lines[3] = ",".join(cells)
+    if late_fault == "field limit":
+        # csv.Error "field larger than field limit" on row 41
+        lines = lines[:51]
+        lines[40] = lines[40].replace(",", ',"' + "x" * 200_000 + '",', 1)
+    else:
+        # past the text decoder's first block, so rows before it are read
+        lines = lines[:301]
+        lines[290] = lines[290].replace(",", ",\udcff,", 1)
+    data = "".join(lines).encode("utf-8", "surrogateescape")
+    path = tmp_path / "survey.csv"
+    path.write_bytes(data)
+    sources = [path]
+    if late_fault == "field limit":
+        sources.append(io.StringIO(data.decode()))
+    for source in sources:
+        with pytest.raises(SurveyFormatError) as err:
+            ingest_responses(source, tree, "our_co")
+        assert err.value.row == 4
+        assert str(err.value) == "row 4: rating for 'worth_what_paid_for': 11 outside [1, 10]"
+
+
+_WIDTH = len(survey_columns(TINY_TREE))
+_RATINGS = ["", *map(str, range(1, 11))]
+_OUTCOMES = ["", *map(str, range(11))]
+# Per field: tokens the row loop reads like a canonical one or rejects.  The
+# ids repeat those of rows 1, 2 and 4, within a chunk of 3 or across chunks.
+_ODD = (
+    ["", "r1", "r2", "r4", " r1", "r2 "],
+    [" user", "user ", "buyer", ""],
+    [" us", "them ", ""],
+    *[["0", "11", " 7", "07", "+7", "7.0", "x", "-1"]] * 3,
+    *[["11", " 7", "07", "+7", "7.0", "x", "-1"]] * 2,
+)
+
+
+@st.composite
+def _survey_texts(draw):
+    """Canonical rows, a quarter of them with one odd field, and blank,
+    whitespace-only, short and empty rows mixed in, so many chunks take the
+    token tables."""
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "short", "empty"]))
+        if kind == "row":
+            rows.append([
+                f"r{len(rows) + 1}",
+                draw(st.sampled_from(ROLES)),
+                draw(st.sampled_from(["us", "them"])),
+                *draw(st.lists(st.sampled_from(_RATINGS), min_size=3, max_size=3)),
+                *draw(st.lists(st.sampled_from(_OUTCOMES), min_size=2, max_size=2)),
+            ])
+            if draw(st.integers(0, 3)) == 0:
+                k = draw(st.integers(0, _WIDTH - 1))
+                rows[-1][k] = draw(st.sampled_from(_ODD[k]))
+        elif kind == "blank":
+            rows.append([draw(st.sampled_from(["", "   "]))])
+        elif kind == "short":
+            rows.append(["r9", "user", "us", "5"])
+        else:
+            rows.append([""] * _WIDTH)
+    return _csv_text(rows)
+
+
+def _csv_text(rows):
+    return "".join(",".join(line) + "\n" for line in [survey_columns(TINY_TREE), *rows])
+
+
+def _ingest_or_diagnostic(text):
+    try:
+        return ingest_responses(io.StringIO(text), TINY_TREE, "us")
+    except SurveyFormatError as exc:
+        return str(exc), exc.row
+
+
+def _both_paths(text):
+    """Ingest ``text`` in chunks of 3 rows, then again with the token tables
+    declining every chunk; each result is a sample or (message, row)."""
+    with warnings.catch_warnings(), mock.patch.object(survey, "_CHUNK_ROWS", 3):
+        warnings.simplefilter("ignore")  # a file without respondent rows warns
+        chunked = _ingest_or_diagnostic(text)
+        with mock.patch.object(survey, "_table_chunk", lambda *args: None):
+            return chunked, _ingest_or_diagnostic(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_survey_texts())
+def test_table_path_and_row_loop_agree(text):
+    chunked, row_by_row = _both_paths(text)
+    assert type(chunked) is type(row_by_row)
+    assert chunked == row_by_row
+
+
+def test_each_odd_field_is_read_as_the_row_loop_reads_it():
+    rows = [[f"r{i}", "user", "us", "1", "5", "10", "0", "10"] for i in range(1, 6)]
+    for at in (1, 4):  # in the first chunk of 3 rows, and in the second
+        for k, tokens in enumerate(_ODD):
+            for token in tokens:
+                odd = [list(row) for row in rows]
+                odd[at][k] = token
+                chunked, row_by_row = _both_paths(_csv_text(odd))
+                assert type(chunked) is type(row_by_row), (at, k, token)
+                assert chunked == row_by_row, (at, k, token)
+
+
+def test_canonical_chunks_bypass_the_row_loop(tree):
+    text = fixture_text("market_survey.csv")
+    with mock.patch.object(survey, "_CHUNK_ROWS", 300):
+        with mock.patch.object(survey, "_row_chunk", wraps=survey._row_chunk) as row_loop:
+            by_column = ingest_responses(io.StringIO(text), tree, "our_co")
+        with mock.patch.object(survey, "_table_chunk", lambda *args: None):
+            by_row = ingest_responses(io.StringIO(text), tree, "our_co")
+    assert [call.args[0] for call in row_loop.call_args_list] == [[]]
+    assert len(by_column) == 2000
+    assert by_column == by_row
