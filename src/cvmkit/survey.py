@@ -33,7 +33,10 @@ loop, which strips cells, parses integers and raises the first row-numbered
 diagnostic; it accepts and rejects exactly what a row loop over the whole
 file would, so the table is only a shortcut.
 
-Means come with a spreadsheet-style 95% half-width (1.96 * sd / sqrt(n)).
+A mean is the exact integer sum of a column's present ratings over their
+count, so no summation order can change it.  :func:`node_mean` adds a
+spreadsheet-style 95% half-width (1.96 * sd / sqrt(n)); :func:`node_means`
+gives every node's mean from one pass over the rating matrix.
 Survey *sourcing* — panel design, who counts as a decision maker, response
 weighting — is out of scope; samples are taken as given.
 """
@@ -51,7 +54,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CvmError, decode_utf8
+from .errors import CvmError
 from .tree import ValueTree
 
 __all__ = [
@@ -68,6 +71,7 @@ __all__ = [
     "write_survey",
     "split_by_supplier",
     "node_mean",
+    "node_means",
     "outcome_values",
     "root_outcome_pairs",
     "complete_cases",
@@ -270,8 +274,17 @@ def ingest_responses(
             return _ingest_stream(handle, tree, own_supplier)
     except UnicodeDecodeError:
         # The decoder reads ahead in blocks, so its error cannot name the
-        # row; decoding the whole file again can.
-        decode_utf8(Path(source).read_bytes(), SurveyFormatError)
+        # row; decoding the whole file again finds the byte, and the CSV
+        # records before it give the row, counted as every diagnostic counts.
+        data = Path(source).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the sentinel makes a record-ending prefix count the next record
+            prefix = io.StringIO(data[: exc.start].decode("utf-8") + "x")
+            row = sum(1 for _ in _csv_rows(prefix))
+            message = f"byte 0x{data[exc.start]:02x} is not valid UTF-8"
+            raise SurveyFormatError(message, row) from None
         raise
 
 
@@ -493,6 +506,19 @@ def split_by_supplier(
     return part(mine), part(~mine)
 
 
+def _column_means(ratings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, count) of each column's present ratings; NaN where the count is 0.
+
+    The mean is the exact integer sum over the count.  A float64 sum of
+    integers below 2**53 is exact in any order, and the one division rounds
+    the same way, so this equals the float64 ``mean()`` of the present values
+    bit for bit.
+    """
+    counts = np.count_nonzero(ratings, axis=0)
+    with np.errstate(invalid="ignore"):
+        return ratings.sum(axis=0, dtype=np.int64) / counts, counts
+
+
 def node_mean(sample: SurveySample, node_id: str) -> MeanWithHalfWidth:
     """Mean rating for one node over the respondents who rated it.
 
@@ -500,17 +526,29 @@ def node_mean(sample: SurveySample, node_id: str) -> MeanWithHalfWidth:
     deviation; a single rating or a constant column gives half-width 0.
     Raises :class:`NoRatingsError` when nobody rated the node.
     """
-    column = sample.ratings[:, sample._column(node_id)]
-    data = column[column > 0].astype(np.float64)
-    if not data.size:
+    column = sample.ratings[:, [sample._column(node_id)]]
+    (mean,), (n,) = _column_means(column)
+    if not n:
         raise NoRatingsError(f"no ratings for node {node_id!r}")
-    mean = float(data.mean())
-    if data.size < 2:
-        half = 0.0
-    else:
-        sd = float(data.std(ddof=1))
-        half = CONFIDENCE_MULTIPLIER * sd / float(np.sqrt(data.size))
-    return MeanWithHalfWidth(mean=mean, half_width=half, n=int(data.size))
+    half = 0.0
+    if n >= 2:
+        sd = float(column[column > 0].astype(np.float64).std(ddof=1))
+        half = CONFIDENCE_MULTIPLIER * sd / float(np.sqrt(n))
+    return MeanWithHalfWidth(mean=float(mean), half_width=half, n=int(n))
+
+
+def node_means(sample: SurveySample) -> dict[str, float]:
+    """Every node's mean rating, from one pass over the rating matrix.
+
+    Each value equals ``node_mean(sample, node).mean`` bit for bit, without
+    the standard deviation.  Raises :class:`NoRatingsError` for the first
+    node, in preorder, that nobody rated.
+    """
+    means, counts = _column_means(sample.ratings)
+    for node, n in zip(sample._position, counts):
+        if not n:
+            raise NoRatingsError(f"no ratings for node {node!r}")
+    return dict(zip(sample._position, means.tolist()))
 
 
 def outcome_values(sample: SurveySample, outcome: OutcomeKind) -> list[int]:

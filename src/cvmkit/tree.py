@@ -21,8 +21,9 @@ One ``node:`` line per node with four ``|``-separated fields: id, display
 label, kind, and whitespace-separated child ids (empty for leaves).  Kinds are
 closed: ``root``, ``driver``, ``subprocess``, ``attribute``; ``attribute``
 means leaf and only leaves may be attributes.  ``parse_tree_spec`` admits only
-structurally valid trees; ``validate_tree`` exposes the same rule set for
-programmatically built trees.
+structurally valid trees; ``validate_tree`` exposes its structural rules
+(root, references, parents, reachability, leaf kinds) for programmatically
+built trees.
 """
 
 from __future__ import annotations
@@ -227,29 +228,14 @@ def serialize_tree(tree: ValueTree) -> str:
 def validate_tree(tree: ValueTree) -> list[Violation]:
     """Structural rule check; the empty list means the tree is valid.
 
-    Rules: ids are consistent and unique; the root directive names an existing
-    node of kind ``root`` and no other node has that kind; every child
-    reference resolves; every node has at most one parent; all nodes are
-    reachable from the root and no cycle exists; ``attribute`` nodes are
-    exactly the leaves; internal nodes have at least two children (a driver
-    model needs two regressors to say anything).
+    Rules: the root directive names an existing node of kind ``root`` and no
+    other node has that kind; every child reference resolves; every node has
+    at most one parent; all nodes are reachable from the root and no cycle
+    exists; ``attribute`` nodes are exactly the leaves; internal nodes have at
+    least two children (a driver model needs two regressors to say anything).
+    Unique ids and known kinds are the parser's checks, made with line numbers.
     """
     out: list[Violation] = []
-
-    seen_ids: set[str] = set()
-    for key, node in tree.nodes.items():
-        if node.id != key:
-            out.append(
-                Violation(
-                    "id-mismatch", key, f"map key {key!r} holds node with id {node.id!r}"
-                )
-            )
-        if node.id in seen_ids:
-            out.append(Violation("duplicate-id", node.id, f"id {node.id!r} declared twice"))
-        seen_ids.add(node.id)
-        if node.kind not in NODE_KINDS:
-            out.append(Violation("unknown-kind", key, f"kind {node.kind!r} is not recognised"))
-
     if tree.root not in tree.nodes:
         out.append(
             Violation("missing-root", None, f"root pointer {tree.root!r} names no node")

@@ -1,12 +1,18 @@
 import dataclasses
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvmkit import datasets
+from cvmkit import datasets, simulate
 from cvmkit.errors import CvmError
 from cvmkit.regression import fit_hierarchy
+from cvmkit.rng import RandomStream
 from cvmkit.simulate import (
     CalibrationError,
     CellTarget,
@@ -290,3 +296,111 @@ def test_bundled_truth_matches_its_survey_statistics(halves):
     truth = datasets.market_truth()
     assert truth.n_per_supplier == {"our_co": 1000, "comp_a": 500, "comp_b": 500}
     assert node_mean(own, truth.tree.root).mean == pytest.approx(7.297, abs=1e-12)
+
+
+# --- the cached draw
+
+
+def test_a_canonical_calibration_draws_its_noise_once(monkeypatch):
+    # generate_market is patched the way cvmbench/worker.py counts its calls
+    generate_calls, normals_calls = [], []
+    generate, normals = simulate.generate_market, RandomStream.normals
+
+    def counted_generate(truth):
+        generate_calls.append(truth.seed)
+        return generate(truth)
+
+    def counted_normals(self, n):
+        normals_calls.append(n)
+        return normals(self, n)
+
+    monkeypatch.setattr(simulate, "generate_market", counted_generate)
+    monkeypatch.setattr(RandomStream, "normals", counted_normals)
+    simulate._draw.cache_clear()
+    truth = simulate.calibrate_to_tables(canonical_targets(datasets.automobile_tree()))
+    assert len(generate_calls) == 99
+    assert normals_calls == [2000, 2000 * 20, 2000 * 7]
+    assert truth_records(truth) == json.loads(datasets.fixture_text("market_truth.json"))
+
+
+def test_cached_draw_blocks_are_read_only():
+    for block in simulate._draw(7, 4, 2, 1):
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0] = block[-1]
+
+
+def test_returning_to_a_seed_gives_its_first_sample_again():
+    first = generate_market(tiny_truth(seed=1))
+    second = generate_market(tiny_truth(seed=2))
+    assert generate_market(tiny_truth(seed=1)) == first
+    assert second != first
+
+
+def test_truths_differing_only_in_planted_parameters_consume_identical_noise(monkeypatch):
+    drawn = []
+    for method in ("normals", "uniforms"):
+        original = getattr(RandomStream, method)
+
+        def recorded(self, n, original=original):
+            out = original(self, n)
+            drawn[-1].append(out)
+            return out
+
+        monkeypatch.setattr(RandomStream, method, recorded)
+    planted = tiny_truth()
+    moved = tiny_truth(internal_noise=0.3, leaf_noise=0.7)
+    moved.leaf_means["us"]["a"] = 8.5
+    moved.coefficients["value"] = {"a": 0.2, "b": 0.9}
+    moved.halo_sd, moved.decision_maker_share = 0.9, 0.4
+    moved.willingness_link = {r: 0.1 for r in range(1, 11)}
+    samples = []
+    for truth in (planted, moved):
+        simulate._draw.cache_clear()
+        drawn.append([])
+        samples.append(generate_market(truth))
+    assert samples[0] != samples[1]
+    assert drawn[0]
+    for first, second in zip(*drawn, strict=True):
+        assert np.array_equal(first, second)
+
+
+# --- the bundled survey under every SIMD level numpy dispatches to on this host
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+_HOST_DISPATCH = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+_REGENERATE = """\
+import hashlib
+from cvmkit import datasets
+from cvmkit.simulate import generate_market
+from cvmkit.survey import survey_text
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(" ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)))
+print(hashlib.sha256(survey_text(generate_market(datasets.market_truth())).encode()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not _HOST_DISPATCH, reason="numpy lists no dispatch targets on this host")
+def test_bundled_survey_regenerates_at_every_cpu_dispatch_level():
+    # Level k keeps the first k dispatch targets and disables the rest, so
+    # the normals' SIMD log/cos/sin run on every kernel numpy can pick here.
+    src = Path(simulate.__file__).resolve().parents[1]
+    want = hashlib.sha256(datasets.fixture_text("market_survey.csv").encode()).hexdigest()
+    for k in range(len(_HOST_DISPATCH) + 1):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_HOST_DISPATCH[k:]))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _REGENERATE], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        enabled, digest = result.stdout.split("\n")[:2]
+        assert enabled.split() == _HOST_DISPATCH[:k]
+        assert digest == want, f"survey differs with only {_HOST_DISPATCH[:k]} enabled"

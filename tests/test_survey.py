@@ -22,6 +22,7 @@ from cvmkit.survey import (
     complete_cases,
     ingest_responses,
     node_mean,
+    node_means,
     outcome_values,
     split_by_supplier,
     survey_columns,
@@ -424,3 +425,54 @@ def test_canonical_chunks_bypass_the_row_loop(tree):
     assert [call.args[0] for call in row_loop.call_args_list] == [[]]
     assert len(by_column) == 2000
     assert by_column == by_row
+
+
+# --- means from one column pass
+
+
+def _with_blank_cells(sample, share, seed):
+    rng = np.random.default_rng(seed)
+    ratings = np.where(rng.random(sample.ratings.shape) < share, 0, sample.ratings)
+    return SurveySample.from_columns(
+        sample.tree, sample.own_supplier, sample.labels, ratings.astype(np.int8), sample.outcomes
+    )
+
+
+def test_column_pass_means_equal_node_mean_bit_for_bit(sample, halves):
+    blank = _with_blank_cells(sample, 0.3, seed=5)
+    assert (blank.ratings == 0).any(axis=0).all()
+    for part in (sample, *halves, blank, *split_by_supplier(blank)):
+        means = node_means(part)
+        assert list(means) == list(part.tree.preorder())
+        for node, mean in means.items():
+            assert mean.hex() == node_mean(part, node).mean.hex(), node
+
+
+def test_column_pass_refuses_a_node_nobody_rated():
+    sample = ingest_responses(io.StringIO(TINY_CSV), TINY_TREE, "us")
+    own, _ = split_by_supplier(sample)
+    assert node_means(own) == {"value": 7.5, "a": 8.0, "b": 7.0}
+    ratings = sample.ratings.copy()
+    ratings[:, 2] = 0
+    blank_b = SurveySample.from_columns(TINY_TREE, "us", sample.labels, ratings, sample.outcomes)
+    with pytest.raises(NoRatingsError, match="'b'"):
+        node_means(blank_b)
+    with pytest.raises(NoRatingsError, match="'b'"):
+        node_mean(blank_b, "b")
+
+
+# --- every ingest diagnostic counts CSV records
+
+
+@pytest.mark.parametrize("fault", [b"caf\xff", b"us,11"])
+def test_a_quoted_newline_shifts_no_diagnostic_off_its_record(tmp_path, fault):
+    # record 2 spans two lines, so record 5 starts on line 6
+    text = TINY_CSV.replace("r1,", '"r\n1",', 1) + "r4,user,them,6,5,7,5,5\n"
+    data = text.encode().replace(b"r4,user,them,6", b"r4,user," + fault, 1)
+    path = tmp_path / "survey.csv"
+    path.write_bytes(data)
+    with pytest.raises(SurveyFormatError) as err:
+        ingest_responses(path, TINY_TREE, "us")
+    assert err.value.row == 5
+    if fault == b"caf\xff":
+        assert str(err.value) == "row 5: byte 0xff is not valid UTF-8"
