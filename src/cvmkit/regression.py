@@ -3,15 +3,21 @@
 Each internal tree node gets an ordinary least-squares model of its rating on
 its children's ratings (intercept always included).  The solver works the
 normal equations in exact arithmetic.  Every rating is an integer from 1 to
-10, so the Gram matrix ``[1 X y]'[1 X y]`` is exact in int64 for any panel
-size; other finite doubles are exact binary rationals and take the same route
-through Python integers.  Fraction-free elimination then solves the system
-without rounding; each coefficient, ``r_squared`` and ``SSE/(n-p)`` is rounded
-to float once, and ``residual_sd`` is the square root of the last.  The usual case against the normal equations, that
-squaring the design matrix squares its condition number (Golub & Van Loan,
-*Matrix Computations*, 5.3), concerns floating-point solves and does not
-apply here.  Nothing is summed in floating point, so a fit depends neither on
-the order of the rows nor on the BLAS or the CPU it runs on.
+10.  For integer data with ``max|x|**2 * n < 2**53`` (ratings up to about
+9e13 rows) every product and partial sum of the Gram matrix ``[1 X y]'[1 X y]``
+is an integer below 2**53, which float64 holds exactly, so float64 matrix
+products form it exactly in any order, with or without fused multiply-add,
+on any BLAS kernel and thread split (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., ch. 2 and 4).  Other finite doubles are
+exact binary rationals and go through Python integers.  Fraction-free
+elimination then solves the system without rounding; each coefficient,
+``r_squared`` and ``SSE/(n-p)`` is rounded to float once, and
+``residual_sd`` is the square root of the last.  The usual case against the
+normal equations, that squaring the design matrix squares its condition
+number (Golub & Van Loan, *Matrix Computations*, 5.3), concerns
+floating-point solves and does not apply here.  Nothing is rounded before
+those last steps, so a fit depends neither on the order of the rows nor on
+the BLAS or the CPU it runs on.
 
 Exact linear dependence (duplicated or constant columns) shows as an exact
 zero pivot when the columns are eliminated in order, intercept first, and is
@@ -177,7 +183,18 @@ def fit_linear(y: Sequence[float], columns: Mapping[str, Sequence[float]]) -> Li
         raise InsufficientDataError(
             f"{n} observations for {k} regressors; need at least {k + 2}"
         )
+    return _solve(data, names)
 
+
+def _solve(data: np.ndarray, names: Sequence[str]) -> LinearFit:
+    """The exact fit of ``data`` = ``[1, columns..., y]``, checked by the caller.
+
+    ``data`` is a finite float64 or integer matrix with ``len(names) + 2``
+    columns and at least that many rows.
+    """
+    n = data.shape[0]
+    k = len(names)
+    labels = ["intercept", *names]
     gram, shifts = _exact_gram(data)
     numerators, determinant = _solve_normal_equations(gram, labels)
 
@@ -206,21 +223,33 @@ def fit_linear(y: Sequence[float], columns: Mapping[str, Sequence[float]]) -> Li
     )
 
 
+#: Rows cast to float64 at a time for the Gram product.  Bounded blocks keep
+#: a large panel's fit from making full-size float64 copies, which the heap
+#: may keep after they are freed.
+_GRAM_ROWS = 16384
+
+
 def _exact_gram(data: np.ndarray) -> tuple[list[list[int]], list[int]]:
     """Integer Gram matrix of ``data`` rescaled column by column, exactly.
 
     Returns ``gram`` and ``shifts`` with ``data[:, j] == z_j * 2**shifts[j]``
     for integer vectors ``z_j`` and ``gram[i][j] == z_i . z_j``.  Integer
-    data whose products sum safely below 2**63 (every survey fit) takes
-    shift 0 and an int64 product, whose sums are exact in any order; other
-    doubles go through their exact integer ratios in Python integers.
+    data with ``max|x|**2 * n < 2**53`` (every survey fit) takes shift 0 and
+    float64 products over blocks of rows, summed in float64: exact, because
+    each product and partial sum is an integer below 2**53.  All other
+    values go through their exact integer ratios in Python integers.
     """
     n, width = data.shape
-    max_abs = int(np.abs(data).max())
-    if max_abs * max_abs * n < 2**63:
-        ints = data.astype(np.int64)
-        if np.array_equal(ints, data):
-            return np.einsum("ni,nj->ij", ints, ints).tolist(), [0] * width
+    max_abs = max(int(data.max()), -int(data.min()))
+    if max_abs * max_abs * n < 2**53:
+        gram = np.zeros((width, width))
+        for start in range(0, n, _GRAM_ROWS):
+            block = data[start : start + _GRAM_ROWS].astype(np.float64, copy=False)
+            if not np.array_equal(np.trunc(block), block):
+                break
+            gram += block.T @ block
+        else:
+            return gram.astype(np.int64).tolist(), [0] * width
     scaled = []
     shifts = []
     for j in range(width):
@@ -299,12 +328,20 @@ def fit_node_model(sample: SurveySample, tree: ValueTree, node_id: str) -> NodeM
     if not children:
         raise ValueError(f"{node_id!r} is a leaf; only internal nodes have driver models")
     y, columns = complete_cases(sample, node_id, children)
-    if y.shape[0] < len(children) + 2:
+    n = y.shape[0]
+    if n < len(children) + 2:
         raise InsufficientDataError(
-            f"node {node_id!r}: {y.shape[0]} complete cases for "
+            f"node {node_id!r}: {n} complete cases for "
             f"{len(children)} children; need at least {len(children) + 2}"
         )
-    fit = fit_linear(y, columns)
+    # Stored ratings are integers 1-10, so fit_linear's NaN and shape checks
+    # cannot fail; the int8 columns go straight into an int8 design matrix.
+    data = np.empty((n, len(children) + 2), dtype=np.int8)
+    data[:, 0] = 1
+    for j, child in enumerate(children):
+        data[:, j + 1] = columns[child]
+    data[:, -1] = y
+    fit = _solve(data, children)
     weights = {c: round_half_away(100.0 * fit.coefficients[c]) for c in children}
     flags = tuple(
         f"negative coefficient for {c} ({fit.coefficients[c]:.3f})"

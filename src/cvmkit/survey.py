@@ -265,10 +265,18 @@ def ingest_responses(
     ratings are then missing for everyone), but unknown names are an error —
     that is what catches a typo'd header.  Any bad cell aborts ingest with the
     offending row number; a header-only file yields an empty sample and a
-    warning.  A path is read as UTF-8, with or without a byte-order mark.
+    warning.  A path is read as UTF-8, with or without a byte-order mark.  A
+    byte that is not UTF-8 is an error naming its row when ``source`` is a
+    path, and naming no row when it is a stream.
     """
     if hasattr(source, "read"):
-        return _ingest_stream(source, tree, own_supplier)  # type: ignore[arg-type]
+        try:
+            return _ingest_stream(source, tree, own_supplier)  # type: ignore[arg-type]
+        except UnicodeDecodeError as exc:
+            # A stream cannot be read again to find the row, and its decoder
+            # reads ahead, so the rows parsed so far do not give it either.
+            message = f"byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
+            raise SurveyFormatError(message) from None
     try:
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return _ingest_stream(handle, tree, own_supplier)
@@ -573,8 +581,10 @@ def complete_cases(
     """Ratings of ``node_id`` and of each child, over the respondents who rated all.
 
     This is listwise deletion: the response vector and one regressor column
-    per child, all of the same length.
+    per child, all of the same length, as int8 views of one block.
     """
     block = sample.ratings[:, [sample._column(n) for n in (node_id, *children)]]
-    data = block[(block > 0).all(axis=1)].astype(np.float64)
-    return data[:, 0], {c: data[:, i + 1] for i, c in enumerate(children)}
+    complete = (block > 0).all(axis=1)
+    if not complete.all():
+        block = block[complete]
+    return block[:, 0], {c: block[:, i + 1] for i, c in enumerate(children)}

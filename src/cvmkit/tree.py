@@ -29,6 +29,7 @@ built trees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .errors import CvmError
@@ -106,8 +107,14 @@ class ValueTree:
     def is_leaf(self, node_id: str) -> bool:
         return not self.node(node_id).children
 
-    def preorder(self) -> Iterator[str]:
-        """Depth-first ids from the root, children in declared order."""
+    @cached_property
+    def _walk(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+        """(preorder, internal nodes, leaves) from the tree's one walk.
+
+        ``cached_property`` writes the instance ``__dict__``, which the frozen
+        dataclass's ``__setattr__`` does not guard.
+        """
+        order: list[str] = []
         seen: set[str] = set()
         stack = [self.root]
         while stack:
@@ -115,14 +122,21 @@ class ValueTree:
             if node_id in seen or node_id not in self.nodes:
                 continue
             seen.add(node_id)
-            yield node_id
+            order.append(node_id)
             stack.extend(reversed(self.nodes[node_id].children))
+        internal = tuple(n for n in order if self.nodes[n].children)
+        leaves = tuple(n for n in order if not self.nodes[n].children)
+        return tuple(order), internal, leaves
+
+    def preorder(self) -> Iterator[str]:
+        """Depth-first ids from the root, children in declared order."""
+        return iter(self._walk[0])
 
     def internal_nodes(self) -> list[str]:
-        return [n for n in self.preorder() if self.nodes[n].children]
+        return list(self._walk[1])
 
     def leaves(self) -> list[str]:
-        return [n for n in self.preorder() if not self.nodes[n].children]
+        return list(self._walk[2])
 
     def parent_map(self) -> dict[str, str]:
         """child id -> parent id (first declared parent wins on broken trees)."""

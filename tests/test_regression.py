@@ -1,11 +1,20 @@
 import io
 import json
+import math
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvmkit import regression
+from cvmkit.datasets import automobile_tree
 from cvmkit.regression import (
     InsufficientDataError,
     SingularMatrixError,
@@ -18,7 +27,8 @@ from cvmkit.regression import (
     load_hierarchy,
     save_hierarchy,
 )
-from cvmkit.survey import ingest_responses
+from cvmkit.rounding import round_half_away
+from cvmkit.survey import SurveySample, ingest_responses
 from cvmkit.tree import parse_tree_spec
 
 
@@ -271,3 +281,137 @@ def test_fixture_impact_weights(hierarchy):
     }
     assert hierarchy.models["delivery_process"].impact_weights["billing"] == 40
     assert hierarchy.unfit == {}
+
+
+# --- the node-model path against fit_linear, and the float64 Gram product
+
+
+def python_gram(data):
+    """Gram matrix of an integer-valued matrix, summed in Python integers."""
+    columns = [[int(v) for v in data[:, j]] for j in range(data.shape[1])]
+    return [[sum(a * b for a, b in zip(ci, cj)) for cj in columns] for ci in columns]
+
+
+def float_complete_case_fit(sample, tree, node):
+    """fit_linear on one node's float64 complete cases, selected without complete_cases.
+
+    Too few cases raise the message a node model records for them.
+    """
+    children = tree.children_of(node)
+    order = list(tree.preorder())
+    block = sample.ratings[:, [order.index(c) for c in (node, *children)]].astype(np.float64)
+    block = block[(block > 0).all(axis=1)]
+    k = len(children)
+    if block.shape[0] < k + 2:
+        raise InsufficientDataError(
+            f"node {node!r}: {block.shape[0]} complete cases for {k} children; "
+            f"need at least {k + 2}"
+        )
+    return fit_linear(block[:, 0], {c: block[:, j + 1] for j, c in enumerate(children)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tree=st.sampled_from([TREE, automobile_tree()]),
+    n=st.integers(3, 60),
+    top=st.integers(1, 10),
+    blank_share=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_node_models_equal_fit_linear_on_float_complete_cases(tree, n, top, blank_share, seed):
+    # ``top`` narrows the ratings to 1..top, so constant and collinear columns occur
+    rng = np.random.default_rng(seed)
+    ratings = rng.integers(1, top + 1, size=(n, len(tree.nodes)), dtype=np.int8)
+    ratings[rng.random(ratings.shape) < blank_share] = 0
+    labels = [(f"r{i}", "user", "us") for i in range(n)]
+    outcomes = np.full((n, 2), -1, dtype=np.int8)
+    sample = SurveySample.from_columns(tree, "us", labels, ratings, outcomes)
+    hierarchy = fit_hierarchy(sample, tree)
+    for node in tree.internal_nodes():
+        try:
+            expected = float_complete_case_fit(sample, tree, node)
+        except (InsufficientDataError, SingularMatrixError) as exc:
+            assert node not in hierarchy.models
+            assert hierarchy.unfit[node] == str(exc)
+            continue
+        assert node not in hierarchy.unfit
+        model = hierarchy.models[node]
+        assert fit_bits(model.fit) == fit_bits(expected)
+        assert list(model.fit.coefficients) == list(expected.coefficients)
+        assert model.fit.n == expected.n
+        children = tree.children_of(node)
+        assert model.impact_weights == {
+            c: round_half_away(100.0 * expected.coefficients[c]) for c in children
+        }
+        assert model.flags == tuple(
+            f"negative coefficient for {c} ({expected.coefficients[c]:.3f})"
+            for c in children
+            if expected.coefficients[c] < 0.0
+        )
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.isqrt((2**53 - 1) // 3), 2**26 + 1],
+    ids=["just below 2**53", "just above 2**53"],
+)
+def test_exact_gram_is_the_python_integer_gram_at_the_float64_edge(value):
+    # three rows, so the largest Gram entry is 3 * value**2
+    data = np.array(
+        [[1.0, value, -value], [1.0, value, value - 1], [1.0, -value, value]]
+    )
+    if 3 * value * value >= 2**53:
+        # the float64 product cannot hold this sum, whatever its order
+        assert int((data.T @ data)[1, 1]) != 3 * value * value
+    assert regression._exact_gram(data) == (python_gram(data), [0, 0, 0])
+
+
+
+@pytest.mark.parametrize("half_at", [None, -1], ids=["integers", "a half in the last block"])
+def test_exact_gram_sums_blocks_of_rows_exactly(half_at):
+    rng = np.random.default_rng(3)
+    data = rng.integers(-10, 11, size=(regression._GRAM_ROWS + 5, 3)).astype(np.float64)
+    if half_at is not None:
+        data[half_at, 1] = 0.5
+    gram, shifts = regression._exact_gram(data)
+    doubled = python_gram(2 * data)  # four times the exact Gram, in integers
+    for i in range(3):
+        for j in range(3):
+            assert Fraction(gram[i][j]) * Fraction(2) ** (shifts[i] + shifts[j]) * 4 == doubled[i][j]
+
+_REFIT = """\
+import json, sys
+from cvmkit import datasets
+from cvmkit.regression import fit_hierarchy, hierarchy_records
+fit = fit_hierarchy(datasets.market_survey(), datasets.automobile_tree())
+sys.stdout.write(json.dumps(hierarchy_records(fit)))
+"""
+
+#: (OPENBLAS_CORETYPE, OPENBLAS_NUM_THREADS); None keeps the detected core
+_BLAS_SETTINGS = [
+    *((core, 1) for core in ("Prescott", "Nehalem", "Sandybridge", "Haswell", "SkylakeX")),
+    (None, 2),
+]
+
+
+def test_fixture_fit_is_the_same_under_every_openblas_kernel(hierarchy):
+    want = json.dumps(hierarchy_records(hierarchy))
+    src = Path(regression.__file__).resolve().parents[1]
+    cores, outputs = set(), {}
+    for core, threads in _BLAS_SETTINGS:
+        env = dict(os.environ, OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS=str(threads))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _REFIT], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        cores.update(re.findall(r"^Core: (\S+)", result.stderr, re.MULTILINE))
+        outputs[core, threads] = result.stdout
+    if len(cores) < 2:
+        pytest.skip(f"OpenBLAS reports cores {sorted(cores)}: no kernels to compare")
+    for (core, threads), output in outputs.items():
+        assert output == want, f"fit differs with core {core}, {threads} threads"

@@ -29,7 +29,7 @@ from cvmkit.simulate import (
     truth_records,
 )
 from cvmkit.survey import node_mean, survey_text
-from cvmkit.tree import parse_tree_spec
+from cvmkit.tree import ValueTree, parse_tree_spec
 
 TREE = parse_tree_spec(
     """\
@@ -321,6 +321,27 @@ def test_a_canonical_calibration_draws_its_noise_once(monkeypatch):
     assert len(generate_calls) == 99
     assert normals_calls == [2000, 2000 * 20, 2000 * 7]
     assert truth_records(truth) == json.loads(datasets.fixture_text("market_truth.json"))
+
+
+class _CountingNodes(dict):
+    """A node table that counts membership tests: a preorder walk makes one per node."""
+
+    membership_tests = 0
+
+    def __contains__(self, node_id):
+        self.membership_tests += 1
+        return super().__contains__(node_id)
+
+
+def test_a_canonical_calibration_walks_its_tree_a_bounded_number_of_times():
+    base = datasets.automobile_tree()
+    nodes = _CountingNodes(base.nodes)
+    tree = ValueTree(base.name, base.root, nodes)
+    truth = simulate.calibrate_to_tables(canonical_targets(tree))
+    assert truth.tree is tree
+    # one walk of the 27 nodes makes 27 tests; walking again on every
+    # preorder() call made about 24,000 over the 99 rounds
+    assert nodes.membership_tests <= 5 * len(nodes)
 
 
 def test_cached_draw_blocks_are_read_only():

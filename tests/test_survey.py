@@ -476,3 +476,13 @@ def test_a_quoted_newline_shifts_no_diagnostic_off_its_record(tmp_path, fault):
     assert err.value.row == 5
     if fault == b"caf\xff":
         assert str(err.value) == "row 5: byte 0xff is not valid UTF-8"
+
+
+def test_an_undecodable_byte_in_a_stream_is_a_diagnostic_without_a_row(tmp_path):
+    path = tmp_path / "survey.csv"
+    path.write_bytes(TINY_CSV.encode().replace(b"them", b"th\xffem"))
+    with open(path, encoding="utf-8", newline="") as stream:
+        with pytest.raises(SurveyFormatError) as err:
+            ingest_responses(stream, TINY_TREE, "us")
+    assert err.value.row is None
+    assert str(err.value) == "byte 0xff is not valid UTF-8"
