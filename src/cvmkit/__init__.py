@@ -97,7 +97,6 @@ from .survey import (
     MeanWithHalfWidth,
     NoRatingsError,
     OutcomeKind,
-    Respondent,
     SurveyFormatError,
     SurveySample,
     ingest_responses,
@@ -147,7 +146,6 @@ __all__ = [
     "path_to_root",
     # surveys
     "OutcomeKind",
-    "Respondent",
     "SurveySample",
     "MeanWithHalfWidth",
     "ingest_responses",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 import sys
 import tempfile
@@ -120,6 +121,13 @@ def _load_sample(survey_path: str, tree, own: str):
     return ingest_responses(survey_path, tree, own)
 
 
+def _finite(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
+    """Refuse nan and infinity, which click's float ranges let through."""
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 def _flag_aliases(command: click.Command) -> dict[str, str]:
     """Accepted config keys (flag or parameter spelling) -> parameter name."""
     aliases: dict[str, str] = {}
@@ -158,11 +166,14 @@ def main(ctx: click.Context, config_path: str | None) -> None:
         sections = {name: dict(data) for name in _SUBCOMMANDS}
     default_map: dict[str, dict] = {}
     for name, values in sections.items():
+        null = [key for key, value in values.items() if value is None]
+        if null:
+            _fail(f"config key {null[0]!r} is null; give a value or leave the key out")
         aliases = _flag_aliases(main.commands[name])
-        # keys that fit the subcommand become its defaults; a flat config's
-        # other keys simply belong to other subcommands
+        # keys that fit the subcommand become its defaults, read as command-line
+        # text (so 2.5 is no integer); a flat config's other keys are for others
         default_map[name] = {
-            aliases[key.replace("-", "_")]: value
+            aliases[key.replace("-", "_")]: value if isinstance(value, str) else json.dumps(value)
             for key, value in values.items()
             if key.replace("-", "_") in aliases
         }
@@ -288,11 +299,13 @@ def _supplier_value_points(sample, tree) -> list[tuple[str, float, float]]:
 @click.option("--own", "own_label", required=True, metavar="LABEL")
 @click.option("--hierarchy", "hierarchy_path", default=None, metavar="FILE",
               help="reuse a saved fit instead of refitting")
-@click.option("--loyalty-threshold", default=8, show_default=True,
+@click.option("--loyalty-threshold", default=8, show_default=True, type=click.IntRange(1, 10),
               help="outcome rating that counts as 'very willing'")
-@click.option("--target-loyalty", default=None, type=float,
+@click.option("--target-loyalty", default=None, callback=_finite,
+              type=click.FloatRange(0, 1, min_open=True),
               help="also report the value score this willing-share requires")
-@click.option("--band", default=3.0, show_default=True,
+@click.option("--band", default=3.0, show_default=True, callback=_finite,
+              type=click.FloatRange(0),
               help="half-width of the fair-value band on the value map")
 @click.option("--outcome", default="recommend", show_default=True,
               type=click.Choice(["recommend", "repurchase"]),
@@ -340,29 +353,21 @@ def report(
         outcome_kind = OutcomeKind(outcome)
         try:
             curve = loyalty_curve(own_sample, outcome_kind, loyalty_threshold)
-        except (NoRatingsError, ValueError) as exc:
+        except NoRatingsError as exc:
             _warn(f"loyalty curve unavailable: {exc}")
 
         target_line = None
         if target_loyalty is not None and curve is not None:
             required = value_target_for_loyalty(curve, target_loyalty)
+            shown = "beyond the observed curve" if required is None else format_rating(required)
             pct = format_score(100.0 * target_loyalty, 1)
-            if required is None:
-                target_line = (
-                    f"required value score for {pct}% willingness: "
-                    "beyond the observed curve"
-                )
-            else:
-                target_line = (
-                    f"required value score for {pct}% willingness: "
-                    f"{format_rating(required)}"
-                )
+            target_line = f"required value score for {pct}% willingness: {shown}"
 
         map_points = []
         if len(tree.children_of(tree.root)) == 2 and len(sample.suppliers()) > 1:
             try:
                 map_points = value_map(_supplier_value_points(sample, tree), band)
-            except (NoRatingsError, CvmError) as exc:
+            except CvmError as exc:
                 _warn(f"value map unavailable: {exc}")
         elif len(tree.children_of(tree.root)) != 2:
             _warn("value map needs a two-driver root (quality/price); skipped")

@@ -294,7 +294,7 @@ def generate_market(truth: GroundTruth) -> SurveySample:
 
     roles = np.where(role_u < truth.decision_maker_share, "decision_maker", "user")
     labels = np.column_stack([ids, roles, np.asarray(suppliers, dtype=str)[block_of]])
-    return SurveySample.from_columns(tree, truth.own_supplier, labels, ratings, outcomes)
+    return SurveySample(tree, truth.own_supplier, labels, ratings, outcomes)
 
 
 def truth_records(truth: GroundTruth) -> dict:

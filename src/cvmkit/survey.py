@@ -4,7 +4,7 @@ A survey row is one respondent: who they are (id, role, supplier whose
 product they rated) plus a 1-10 rating for each value-tree node they answered
 and 0-10 willingness outcomes (would recommend / would repurchase).  Ratings
 may be missing per node; every present value is range-checked on ingest and
-rejects name the offending file row.  Respondent ids are unique: a repeated
+rejects name the offending file row.  Each respondent id is unique: a repeated
 id is an ingest error naming both rows, since it would count one respondent
 twice in every mean and fit.
 
@@ -19,9 +19,8 @@ in tree preorder with 0 for a missing rating, and an ``(n, 2)`` int8 outcome
 matrix in :class:`OutcomeKind` order with -1 for a missing answer.  Supplier
 splits are row masks; node means, outcome lists, root/outcome pairs and
 complete cases are column slices.  Other modules read the store only
-through the functions below.  :class:`Respondent` rows are a view
-(``sample.respondents``) and a constructor (``SurveySample(tree, rows,
-own)``), which rejects values the missing codes would hide.
+through the functions below.  The class constructor takes the three columns
+as given and checks no value; ingest is where a file's values are checked.
 
 Ingest reads the file in chunks of a fixed number of rows, so its memory
 does not grow with the file beyond the store itself.  A chunk whose rows all
@@ -29,9 +28,10 @@ have the header's width, whose labels pass their checks, whose ids are new,
 and whose value cells are all canonical tokens (``""`` and ``"1"``-``"10"``
 for ratings, ``""`` and ``"0"``-``"10"`` for outcomes) is converted a column
 at a time through a token table.  Any other chunk goes through the row
-loop, which strips cells, parses integers and raises the first row-numbered
-diagnostic; it accepts and rejects exactly what a row loop over the whole
-file would, so the table is only a shortcut.
+loop, which strips cells, parses ASCII integers (digits after an optional
+sign) and raises the first row-numbered diagnostic; it accepts and rejects
+exactly what a row loop over the whole file would, so the table is only a
+shortcut.
 
 A mean is the exact integer sum of a column's present ratings over their
 count, so no summation order can change it.  :func:`node_mean` adds a
@@ -46,11 +46,12 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -60,7 +61,6 @@ from .tree import ValueTree
 __all__ = [
     "ROLES",
     "OutcomeKind",
-    "Respondent",
     "SurveySample",
     "MeanWithHalfWidth",
     "SurveyFormatError",
@@ -114,24 +114,15 @@ class NoRatingsError(CvmError):
     """No respondent carries the rating(s) a computation needs."""
 
 
-@dataclass(frozen=True)
-class Respondent:
-    id: str
-    role: str
-    supplier: str
-    node_ratings: Mapping[str, int]
-    outcome_ratings: Mapping[OutcomeKind, int]
-
-
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class SurveySample:
     """An immutable batch of respondents tied to one value tree, held by column.
 
     ``labels`` is an ``(n, 3)`` string array of (id, role, supplier);
     ``ratings`` an ``(n, nodes)`` int8 matrix in tree preorder, 0 where a
     rating is missing; ``outcomes`` an ``(n, 2)`` int8 matrix in
-    :class:`OutcomeKind` order, -1 where an answer is missing.  All three are
-    read-only.
+    :class:`OutcomeKind` order, -1 where an answer is missing.  The
+    constructor takes the columns as given and makes all three read-only.
     """
 
     tree: ValueTree
@@ -140,44 +131,12 @@ class SurveySample:
     ratings: np.ndarray
     outcomes: np.ndarray
 
-    def __init__(self, tree: ValueTree, respondents: Iterable[Respondent], own_supplier: str):
-        """A sample from :class:`Respondent` rows.
-
-        An unknown node id, a rating outside 1-10 or an outcome outside 0-10
-        raises ``ValueError``: stored, it would read as a missing value.
-        """
-        rows = tuple(respondents)
-        position = _positions(tree)
-        ratings = np.zeros((len(rows), len(position)), dtype=np.int8)
-        outcomes = np.full((len(rows), len(_OUTCOMES)), -1, dtype=np.int8)
-        for i, r in enumerate(rows):
-            for node, value in r.node_ratings.items():
-                if node not in position:
-                    raise ValueError(f"respondent {r.id!r}: {node!r} is not a node of the tree")
-                ratings[i, position[node]] = _checked(value, RATING_MIN, RATING_MAX, r.id)
-            for kind, value in r.outcome_ratings.items():
-                k = _OUTCOMES.index(OutcomeKind(kind))
-                outcomes[i, k] = _checked(value, OUTCOME_MIN, OUTCOME_MAX, r.id)
-        labels = [(r.id, r.role, r.supplier) for r in rows]
-        self._store(tree, own_supplier, labels, ratings, outcomes)
-
-    @classmethod
-    def from_columns(
-        cls, tree: ValueTree, own_supplier: str, labels, ratings: np.ndarray, outcomes: np.ndarray
-    ) -> SurveySample:
-        """A sample from its columns (int8 matrices as in the class doc), taken as given."""
-        sample = object.__new__(cls)
-        sample._store(tree, own_supplier, labels, ratings, outcomes)
-        return sample
-
-    def _store(self, tree, own_supplier, labels, ratings, outcomes) -> None:
-        labels = np.asarray(labels, dtype=str).reshape(-1, 3)
-        for column in (labels, ratings, outcomes):
+    def __post_init__(self) -> None:
+        labels = np.asarray(self.labels, dtype=str).reshape(-1, 3)
+        for column in (labels, self.ratings, self.outcomes):
             column.flags.writeable = False
-        for name, value in zip(("tree", "own_supplier", "labels", "ratings", "outcomes"),
-                               (tree, own_supplier, labels, ratings, outcomes)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_position", _positions(tree))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_position", _positions(self.tree))
 
     def _column(self, node_id: str) -> int:
         """Position of ``node_id`` in the rating matrix."""
@@ -198,27 +157,9 @@ class SurveySample:
             and np.array_equal(self.outcomes, other.outcomes)
         )
 
-    @property
-    def respondents(self) -> tuple[Respondent, ...]:
-        """The rows as :class:`Respondent` records; missing values are left out."""
-        return tuple(
-            Respondent(
-                *label.tolist(),
-                {node: v for node, v in zip(self._position, ratings.tolist()) if v},
-                {kind: v for kind, v in zip(_OUTCOMES, outcomes.tolist()) if v >= 0},
-            )
-            for label, ratings, outcomes in zip(self.labels, self.ratings, self.outcomes)
-        )
-
     def suppliers(self) -> list[str]:
         """Distinct supplier labels in first-appearance order."""
         return list(dict.fromkeys(self.labels[:, 2].tolist()))
-
-
-def _checked(value: int, lo: int, hi: int, respondent_id: str) -> int:
-    if not lo <= value <= hi or value != int(value):
-        raise ValueError(f"respondent {respondent_id!r}: {value!r} not an integer in [{lo}, {hi}]")
-    return value
 
 
 def _positions(tree: ValueTree) -> dict[str, int]:
@@ -244,11 +185,13 @@ def survey_columns(tree: ValueTree) -> list[str]:
     )
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # int() alone also takes "1_0" and non-ASCII digits
+
+
 def _parse_int(token: str, lo: int, hi: int, what: str, row: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise SurveyFormatError(f"{what}: {token!r} is not an integer", row) from None
+    if not _INTEGER.fullmatch(token):
+        raise SurveyFormatError(f"{what}: {token!r} is not an integer", row)
+    value = int(token)
     if not lo <= value <= hi:
         raise SurveyFormatError(f"{what}: {value} outside [{lo}, {hi}]", row)
     return value
@@ -388,7 +331,7 @@ def _ingest_stream(stream: IO[str], tree: ValueTree, own_supplier: str) -> Surve
     labels, ratings, outcomes = (np.concatenate(column) for column in zip(*parts))
     if not len(labels):
         warnings.warn("survey has a header but no respondent rows", stacklevel=3)
-    return SurveySample.from_columns(tree, own_supplier, labels, ratings, outcomes)
+    return SurveySample(tree, own_supplier, labels, ratings, outcomes)
 
 
 def _table_chunk(
@@ -506,7 +449,7 @@ def split_by_supplier(
     mine = sample.labels[:, 2] == (sample.own_supplier if supplier is None else supplier)
 
     def part(mask: np.ndarray) -> SurveySample:
-        return SurveySample.from_columns(
+        return SurveySample(
             sample.tree, sample.own_supplier,
             sample.labels[mask], sample.ratings[mask], sample.outcomes[mask],
         )

@@ -3,7 +3,7 @@
 A value tree is the question hierarchy behind a customer-value survey: one
 root ("worth what paid for"), driver nodes beneath it (quality, price, and
 optionally others such as brand image), sub-process nodes beneath those, and
-rated leaf attributes at the bottom.  Respondents score every node 1-10;
+rated leaf attributes at the bottom.  Each respondent scores every node 1-10;
 every internal node later gets its own driver regression, so the tree is the
 spine that the survey store, the model fitter, and all reporting share.
 
@@ -80,7 +80,7 @@ class Violation:
     node: str | None
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
+    def __str__(self) -> str:
         return f"{self.rule}: {self.message}"
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from cvmkit.analytics import (
     value_target_for_loyalty,
     what_if,
 )
-from cvmkit.survey import NoRatingsError, OutcomeKind, SurveySample
+from cvmkit.survey import NoRatingsError, OutcomeKind
 
 # Per-bin willing shares of the bundled survey's own half (threshold 8),
 # tallied by hand from the CSV: bins 4..10 with counts 2, 20, 148, 413,
@@ -30,9 +31,14 @@ FIXTURE_COUNTS = (2, 20, 148, 413, 345, 70, 2)
 FIXTURE_RAW = (0.0, 5 / 20, 50 / 148, 219 / 413, 300 / 345, 68 / 70, 1.0)
 
 
-def keep(sample, predicate):
-    kept = tuple(r for r in sample.respondents if predicate(r))
-    return SurveySample(tree=sample.tree, respondents=kept, own_supplier=sample.own_supplier)
+def keep(sample, rows):
+    """``sample`` cut to the rows a boolean mask selects."""
+    return dataclasses.replace(
+        sample,
+        labels=sample.labels[rows],
+        ratings=sample.ratings[rows],
+        outcomes=sample.outcomes[rows],
+    )
 
 
 def test_relative_rating_of_published_pairs():
@@ -81,7 +87,7 @@ def test_root_profile_table(hierarchy, halves):
 
 def test_profile_table_without_competitors(hierarchy, halves):
     own, _ = halves
-    empty = keep(own, lambda r: False)
+    empty = keep(own, np.zeros(len(own), dtype=bool))
     table = profile_table(hierarchy, own, empty, "worth_what_paid_for")
     assert table.parent_competitor is None
     assert table.parent_relative is None
@@ -103,7 +109,7 @@ def test_cva_is_root_relative(hierarchy, halves):
 def test_cva_requires_competitors(hierarchy, halves):
     own, _ = halves
     with pytest.raises(NoRatingsError):
-        cva(hierarchy, own, keep(own, lambda r: False))
+        cva(hierarchy, own, keep(own, np.zeros(len(own), dtype=bool)))
 
 
 def test_what_if_uses_full_precision_path_slope(hierarchy):
@@ -230,7 +236,7 @@ def test_loyalty_curve_validation(halves):
     own, _ = halves
     with pytest.raises(ValueError):
         loyalty_curve(own, threshold=0)
-    silent = keep(own, lambda r: not r.outcome_ratings)
+    silent = keep(own, (own.outcomes < 0).all(axis=1))  # -1 codes a blank answer
     with pytest.raises(NoRatingsError):
         loyalty_curve(silent)
 

@@ -194,6 +194,40 @@ def test_report_unknown_own_supplier_fails():
     assert "nobody" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--target-loyalty", "1.5"),
+        ("--target-loyalty", "0"),
+        ("--target-loyalty", "nan"),
+        ("--band", "-1"),
+        ("--band", "nan"),
+    ],
+)
+def test_report_refuses_a_flag_value_out_of_its_range(flag, value):
+    result = invoke("report", "--tree", TREE, "--survey", SURVEY, *OWN, flag, value)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"Invalid value for '{flag}'" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"band": None}, "error: config key 'band' is null"),
+        ({"loyalty_threshold": 2.5}, "Invalid value for '--loyalty-threshold'"),
+    ],
+    ids=["band null", "threshold 2.5"],
+)
+def test_report_refuses_a_config_value_its_flag_would_refuse(tmp_path, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = invoke("--config", str(path), "report", "--tree", TREE, "--survey", SURVEY, *OWN)
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.stderr
+
+
 def test_nps_text_output():
     result = invoke("nps", "--tree", TREE, "--survey", SURVEY, *OWN)
     assert result.exit_code == 0

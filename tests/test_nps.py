@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from cvmkit.nps import (
     nps,
     nps_vs_cva_report,
 )
-from cvmkit.survey import OutcomeKind, SurveySample
+from cvmkit.survey import OutcomeKind
 
 ratings_lists = st.lists(st.integers(0, 10), min_size=1, max_size=200)
 
@@ -55,11 +56,8 @@ def test_nps_rejects_out_of_scale():
 
 def test_fixture_recommend_score(halves):
     own, _ = halves
-    ratings = [
-        r.outcome_ratings[OutcomeKind.RECOMMEND]
-        for r in own.respondents
-        if OutcomeKind.RECOMMEND in r.outcome_ratings
-    ]
+    recommend = own.outcomes[:, list(OutcomeKind).index(OutcomeKind.RECOMMEND)]
+    ratings = recommend[recommend >= 0].tolist()  # -1 codes a blank answer
     result = nps(ratings)
     assert result.n == 1000
     assert result.pct_promoters == pytest.approx(31.8)
@@ -143,12 +141,6 @@ def test_nps_vs_cva_needs_own_customers(hierarchy, halves):
 
 def test_nps_vs_cva_needs_recommend_outcomes(hierarchy, halves):
     own, competitors = halves
-    silenced = SurveySample(
-        tree=own.tree,
-        respondents=tuple(
-            dataclasses.replace(r, outcome_ratings={}) for r in own.respondents
-        ),
-        own_supplier=own.own_supplier,
-    )
+    silenced = dataclasses.replace(own, outcomes=np.full_like(own.outcomes, -1))
     with pytest.raises(CvmError, match="recommend"):
         nps_vs_cva_report(silenced, hierarchy, competitors)

@@ -325,7 +325,7 @@ def test_node_models_equal_fit_linear_on_float_complete_cases(tree, n, top, blan
     ratings[rng.random(ratings.shape) < blank_share] = 0
     labels = [(f"r{i}", "user", "us") for i in range(n)]
     outcomes = np.full((n, 2), -1, dtype=np.int8)
-    sample = SurveySample.from_columns(tree, "us", labels, ratings, outcomes)
+    sample = SurveySample(tree, "us", labels, ratings, outcomes)
     hierarchy = fit_hierarchy(sample, tree)
     for node in tree.internal_nodes():
         try:

@@ -40,6 +40,7 @@ node: a | A | attribute |
 node: b | B | attribute |
 """
 )
+NODES = list(TREE.preorder())  # rating-matrix columns
 
 
 def tiny_truth(seed=99, internal_noise=0.8, leaf_noise=1.5, n=400):
@@ -61,31 +62,30 @@ def test_generation_is_deterministic():
     truth = tiny_truth()
     first = generate_market(truth)
     second = generate_market(truth)
-    assert first.respondents == second.respondents
+    assert first == second
     reseeded = generate_market(dataclasses.replace(truth, seed=truth.seed + 1))
-    assert reseeded.respondents != first.respondents
+    assert reseeded != first
 
 
 def test_sample_shape_and_ranges():
     sample = generate_market(tiny_truth(n=50))
     assert len(sample) == 100
     assert sample.suppliers() == ["us", "them"]
-    ids = [r.id for r in sample.respondents]
+    ids = sample.labels[:, 0].tolist()
     assert len(set(ids)) == len(ids)
-    for r in sample.respondents:
-        for node, rating in r.node_ratings.items():
-            assert 1 <= rating <= 10, (node, rating)
-        for rating in r.outcome_ratings.values():
-            assert 0 <= rating <= 10
-        assert r.role == "decision_maker"  # default share is 1.0
+    ratings = sample.ratings[sample.ratings != 0]  # 0 codes a missing rating
+    assert ((1 <= ratings) & (ratings <= 10)).all()
+    answers = sample.outcomes[sample.outcomes >= 0]  # -1 codes a missing answer
+    assert (answers <= 10).all()
+    assert (sample.labels[:, 1] == "decision_maker").all()  # default share is 1.0
 
 
 def test_decision_maker_share_mixes_roles():
     truth = dataclasses.replace(tiny_truth(n=200), decision_maker_share=0.5)
     sample = generate_market(truth)
-    roles = {r.role for r in sample.respondents}
-    assert roles == {"decision_maker", "user"}
-    share = sum(r.role == "decision_maker" for r in sample.respondents) / len(sample)
+    roles = sample.labels[:, 1]
+    assert set(roles.tolist()) == {"decision_maker", "user"}
+    share = np.count_nonzero(roles == "decision_maker") / len(sample)
     assert 0.4 < share < 0.6
 
 
@@ -103,10 +103,10 @@ def test_class_shift_moves_internal_means():
     shifted.class_shift = {"us": {"value": 0.8}}
     lifted = generate_market(shifted)
     plain = generate_market(base)
-    own_ids = {r.id for r in lifted.respondents if r.supplier == "us"}
-    keep = lambda s: [r for r in s.respondents if r.id in own_ids]
-    lifted_mean = np.mean([r.node_ratings["value"] for r in keep(lifted)])
-    plain_mean = np.mean([r.node_ratings["value"] for r in keep(plain)])
+    own_ids = lifted.labels[lifted.labels[:, 2] == "us", 0]
+    keep = lambda s: s.ratings[np.isin(s.labels[:, 0], own_ids), NODES.index("value")]
+    lifted_mean = np.mean(keep(lifted))
+    plain_mean = np.mean(keep(plain))
     assert lifted_mean - plain_mean == pytest.approx(0.8, abs=0.15)
 
 
@@ -123,7 +123,7 @@ def test_each_supplier_block_takes_its_class_profile():
     truth.intercepts = {"value": 0.3}
     truth.noise_sd = {"value": 0.0, "a": 0.0, "b": 0.0}
     sample = generate_market(truth)
-    assert [r.id for r in sample.respondents] == [f"r{i:05d}" for i in range(1, 10)]
+    assert sample.labels[:, 0].tolist() == [f"r{i:05d}" for i in range(1, 10)]
     planted = {
         # supplier: (a, b, value), value = 0.3 + shift + 0.6 a + 0.4 b
         "us": (6, 5, 6),  # 0.3 + 3.6 + 2.0 = 5.9
@@ -131,11 +131,9 @@ def test_each_supplier_block_takes_its_class_profile():
         "other": (3, 2, 4),  # 0.3 + 1.5 + 1.8 + 0.8 = 4.4, competitors profile
     }
     expected = [planted[s] for s, n in truth.n_per_supplier.items() for _ in range(n)]
-    assert [r.supplier for r in sample.respondents] == ["us"] * 3 + ["rival"] * 2 + ["other"] * 4
-    assert [
-        (r.node_ratings["a"], r.node_ratings["b"], r.node_ratings["value"])
-        for r in sample.respondents
-    ] == expected
+    assert sample.labels[:, 2].tolist() == ["us"] * 3 + ["rival"] * 2 + ["other"] * 4
+    columns = [NODES.index(n) for n in ("a", "b", "value")]
+    assert list(map(tuple, sample.ratings[:, columns].tolist())) == expected
 
 
 def test_validate_catches_structural_mistakes():
@@ -171,14 +169,14 @@ def test_truth_records_round_trip(tmp_path):
     assert restored.willingness_link == truth.willingness_link
     assert restored.class_shift == truth.class_shift
     assert restored.halo_sd == truth.halo_sd
-    assert generate_market(restored).respondents == generate_market(truth).respondents
+    assert generate_market(restored) == generate_market(truth)
 
     path = tmp_path / "truth.json"
     save_truth(truth, path)
     first_bytes = path.read_bytes()
     save_truth(truth, path)
     assert path.read_bytes() == first_bytes
-    assert generate_market(load_truth(path)).respondents == generate_market(truth).respondents
+    assert generate_market(load_truth(path)) == generate_market(truth)
 
 
 def test_rounding_is_the_only_error_in_a_noiseless_market():
@@ -201,11 +199,7 @@ def test_planted_coefficients_recovered_within_three_standard_errors():
         sample = generate_market(truth)
         fit = fit_hierarchy(sample, TREE).models["value"].fit
         # classical standard errors, recomputed here from the raw columns
-        rows = [
-            (r.node_ratings["value"], r.node_ratings["a"], r.node_ratings["b"])
-            for r in sample.respondents
-        ]
-        data = np.asarray(rows, dtype=float)
+        data = sample.ratings[:, [NODES.index(n) for n in ("value", "a", "b")]].astype(float)
         x = np.column_stack([np.ones(len(data)), data[:, 1], data[:, 2]])
         xtx_inv = np.linalg.inv(x.T @ x)
         se = np.sqrt(fit.residual_sd**2 * np.diag(xtx_inv))
@@ -227,11 +221,10 @@ def test_calibration_nudges_a_nearby_market_onto_its_targets():
     )
     truth = calibrate_to_tables(targets, max_rounds=120)
     sample = generate_market(truth)
-    own = [r for r in sample.respondents if r.supplier == "us"]
-    comp = [r for r in sample.respondents if r.supplier != "us"]
+    own = sample.labels[:, 2] == "us"
     for node, want_own, want_comp in (("a", 6.1, 5.4), ("b", 5.1, 5.6), ("value", 5.7, 5.5)):
-        own_mean = np.mean([r.node_ratings[node] for r in own])
-        comp_mean = np.mean([r.node_ratings[node] for r in comp])
+        own_mean = np.mean(sample.ratings[own, NODES.index(node)])
+        comp_mean = np.mean(sample.ratings[~own, NODES.index(node)])
         assert round(own_mean, 1) == want_own
         assert round(comp_mean, 1) == want_comp
     weights = fit_hierarchy(sample, TREE).models["value"].impact_weights

@@ -16,7 +16,6 @@ from cvmkit.survey import (
     ROLES,
     NoRatingsError,
     OutcomeKind,
-    Respondent,
     SurveyFormatError,
     SurveySample,
     complete_cases,
@@ -46,6 +45,7 @@ r1,decision_maker,us,8,9,7,9,8
 r2,user,them,6,5,7,5,
 r3,decision_maker,us,7,7,,8,8
 """
+_NODES = list(TINY_TREE.preorder())
 
 
 def test_survey_columns_order():
@@ -59,12 +59,12 @@ def test_survey_columns_order():
 def test_ingest_stream_and_fields():
     sample = ingest_responses(io.StringIO(TINY_CSV), TINY_TREE, "us")
     assert len(sample) == 3
-    r1, r2, r3 = sample.respondents
-    assert r1.id == "r1" and r1.role == "decision_maker" and r1.supplier == "us"
-    assert r1.node_ratings == {"value": 8, "a": 9, "b": 7}
-    assert r1.outcome_ratings[OutcomeKind.RECOMMEND] == 9
-    assert OutcomeKind.REPURCHASE not in r2.outcome_ratings  # blank cell
-    assert "b" not in r3.node_ratings
+    recommend, repurchase = 0, 1  # outcome columns in OutcomeKind order
+    assert sample.labels[0].tolist() == ["r1", "decision_maker", "us"]
+    assert sample.ratings[0].tolist() == [8, 9, 7]  # value, a, b in preorder
+    assert sample.outcomes[0, recommend] == 9
+    assert sample.outcomes[1, repurchase] == -1  # blank cell
+    assert sample.ratings[2, _NODES.index("b")] == 0  # blank cell
 
 
 def test_round_trip_text():
@@ -90,6 +90,22 @@ def test_non_integer_rating_names_row():
         ingest_responses(io.StringIO(bad), TINY_TREE, "us")
     assert "row 4" in str(err.value)
     assert "seven" in str(err.value)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\uff17", "\u0667"])  # fullwidth 7, Arabic-Indic 7
+@pytest.mark.parametrize(
+    "column, what", [(4, "rating for 'a'"), (6, "outcome_recommend")], ids=["rating", "outcome"]
+)
+def test_only_ascii_digits_are_read_as_an_integer(tmp_path, token, column, what):
+    lines = [line.split(",") for line in TINY_CSV.splitlines()]
+    lines[2][column] = token
+    text = "".join(",".join(line) + "\n" for line in lines)
+    path = tmp_path / "survey.csv"
+    path.write_text(text, encoding="utf-8")
+    for source in (path, io.StringIO(text)):
+        with pytest.raises(SurveyFormatError) as err:
+            ingest_responses(source, TINY_TREE, "us")
+        assert str(err.value) == f"row 3: {what}: {token!r} is not an integer"
 
 
 def test_unknown_column_rejected():
@@ -155,8 +171,8 @@ def test_arbitrary_bytes_after_the_header_ingest_or_raise_survey_format_error(bo
 def test_split_by_supplier():
     sample = ingest_responses(io.StringIO(TINY_CSV), TINY_TREE, "us")
     own, rest = split_by_supplier(sample)
-    assert [r.id for r in own.respondents] == ["r1", "r3"]
-    assert [r.id for r in rest.respondents] == ["r2"]
+    assert own.labels[:, 0].tolist() == ["r1", "r3"]
+    assert rest.labels[:, 0].tolist() == ["r2"]
 
 
 def test_node_mean_small():
@@ -200,9 +216,7 @@ def test_fixture_means_match_hand_computation(halves):
 
 
 def test_fixture_roles_lean_decision_maker(sample):
-    decision_makers = sum(
-        1 for r in sample.respondents if r.role == "decision_maker"
-    )
+    decision_makers = np.count_nonzero(sample.labels[:, 1] == "decision_maker")
     assert decision_makers == 1604  # share parameter is 0.8
 
 
@@ -214,16 +228,15 @@ def test_duplicate_respondent_id_is_an_error_naming_both_rows():
     assert str(err.value) == "row 4: duplicate respondent_id 'r1' (first on row 2)"
 
 
-# --- the columnar store against a direct computation over Respondent rows
-
-_NODES = list(TINY_TREE.preorder())
+# --- the columnar store against a direct computation over plain rows of
+# (id, role, supplier, {node: rating}, {outcome kind: answer})
 
 
 @st.composite
 def _respondent_rows(draw):
     ids = draw(st.lists(st.text("abr019", min_size=1, max_size=3), unique=True, max_size=8))
     return [
-        Respondent(
+        (
             respondent_id,
             draw(st.sampled_from(ROLES)),
             draw(st.sampled_from(["us", "them"])),
@@ -234,20 +247,46 @@ def _respondent_rows(draw):
     ]
 
 
+def _rows_text(rows):
+    """Survey CSV text of plain rows; a missing rating or answer is a blank cell."""
+    return _csv_text(
+        [
+            respondent_id, role, supplier,
+            *(str(ratings.get(n, "")) for n in _NODES),
+            *(str(answers.get(k, "")) for k in OutcomeKind),
+        ]
+        for respondent_id, role, supplier, ratings, answers in rows
+    )
+
+
+def _store_of(rows):
+    """The (labels, ratings, outcomes) of plain rows as lists, one row at a time."""
+    return (
+        [[respondent_id, role, supplier] for respondent_id, role, supplier, _, _ in rows],
+        [[ratings.get(n, 0) for n in _NODES] for *_, ratings, _ in rows],
+        [[answers.get(k, -1) for k in OutcomeKind] for *_, answers in rows],
+    )
+
+
+def _lists(sample):
+    return sample.labels.tolist(), sample.ratings.tolist(), sample.outcomes.tolist()
+
+
 @settings(max_examples=200, deadline=None)
 @given(_respondent_rows())
 def test_store_matches_a_per_row_computation(rows):
-    sample = SurveySample(TINY_TREE, rows, "us")
-    assert sample.respondents == tuple(rows)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty sample warns
+        sample = ingest_responses(io.StringIO(_rows_text(rows)), TINY_TREE, "us")
         assert ingest_responses(io.StringIO(survey_text(sample)), TINY_TREE, "us") == sample
+    assert _lists(sample) == _store_of(rows)
     own, rest = split_by_supplier(sample)
-    assert own.respondents == tuple(r for r in rows if r.supplier == "us")
-    assert rest.respondents == tuple(r for r in rows if r.supplier != "us")
+    supplier = 2
+    assert _lists(own) == _store_of([r for r in rows if r[supplier] == "us"])
+    assert _lists(rest) == _store_of([r for r in rows if r[supplier] != "us"])
 
     for node in _NODES:
-        values = [r.node_ratings[node] for r in rows if node in r.node_ratings]
+        values = [ratings[node] for *_, ratings, _ in rows if node in ratings]
         if not values:
             with pytest.raises(NoRatingsError):
                 node_mean(sample, node)
@@ -260,38 +299,17 @@ def test_store_matches_a_per_row_computation(rows):
                 1.96 * np.std(values, ddof=1) / math.sqrt(len(values))
             )
     for kind in OutcomeKind:
-        assert outcome_values(sample, kind) == [
-            r.outcome_ratings[kind] for r in rows if kind in r.outcome_ratings
-        ]
+        assert outcome_values(sample, kind) == [a[kind] for *_, a in rows if kind in a]
     wanted = ("value", "a", "b")
     complete = [
-        [r.node_ratings[w] for w in wanted]
-        for r in rows
-        if all(w in r.node_ratings for w in wanted)
+        [ratings[w] for w in wanted]
+        for *_, ratings, _ in rows
+        if all(w in ratings for w in wanted)
     ]
     y, columns = complete_cases(sample, "value", ("a", "b"))
     assert y.tolist() == [c[0] for c in complete]
     assert columns["a"].tolist() == [c[1] for c in complete]
     assert columns["b"].tolist() == [c[2] for c in complete]
-
-
-@pytest.mark.parametrize(
-    "node_ratings, outcome_ratings",
-    [
-        ({"a": 0}, {}),
-        ({"a": 11}, {}),
-        ({}, {OutcomeKind.RECOMMEND: -1}),
-        ({}, {OutcomeKind.REPURCHASE: 11}),
-        ({"mood": 5}, {}),
-    ],
-    ids=["rating 0", "rating 11", "outcome -1", "outcome 11", "unknown node"],
-)
-def test_row_constructor_rejects_values_the_store_would_read_as_missing(
-    node_ratings, outcome_ratings
-):
-    row = Respondent("r1", "user", "us", node_ratings, outcome_ratings)
-    with pytest.raises(ValueError):
-        SurveySample(tree=TINY_TREE, respondents=(row,), own_supplier="us")
 
 
 def test_store_arrays_are_read_only():
@@ -433,7 +451,7 @@ def test_canonical_chunks_bypass_the_row_loop(tree):
 def _with_blank_cells(sample, share, seed):
     rng = np.random.default_rng(seed)
     ratings = np.where(rng.random(sample.ratings.shape) < share, 0, sample.ratings)
-    return SurveySample.from_columns(
+    return SurveySample(
         sample.tree, sample.own_supplier, sample.labels, ratings.astype(np.int8), sample.outcomes
     )
 
@@ -454,7 +472,7 @@ def test_column_pass_refuses_a_node_nobody_rated():
     assert node_means(own) == {"value": 7.5, "a": 8.0, "b": 7.0}
     ratings = sample.ratings.copy()
     ratings[:, 2] = 0
-    blank_b = SurveySample.from_columns(TINY_TREE, "us", sample.labels, ratings, sample.outcomes)
+    blank_b = SurveySample(TINY_TREE, "us", sample.labels, ratings, sample.outcomes)
     with pytest.raises(NoRatingsError, match="'b'"):
         node_means(blank_b)
     with pytest.raises(NoRatingsError, match="'b'"):
