@@ -38,6 +38,7 @@ from .analytics import (
     rank_priorities,
     relative_rating,
     retention_projection,
+    supplier_value_points,
     top_box_rate,
     value_map,
     value_target_for_loyalty,
@@ -181,6 +182,7 @@ __all__ = [
     "value_target_for_loyalty",
     "VALUE_ZONES",
     "ValueMapPoint",
+    "supplier_value_points",
     "value_map",
     "retention_projection",
     "top_box_rate",

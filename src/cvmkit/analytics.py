@@ -41,6 +41,7 @@ from .survey import (
     SurveySample,
     node_mean,
     root_outcome_pairs,
+    split_by_supplier,
 )
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
     "value_target_for_loyalty",
     "ValueMapPoint",
     "VALUE_ZONES",
+    "supplier_value_points",
     "value_map",
     "retention_projection",
     "DEFAULT_CATEGORIES",
@@ -387,6 +389,24 @@ class ValueMapPoint:
     relative_quality: float
     relative_price: float
     zone: str
+
+
+def supplier_value_points(sample: SurveySample) -> list[tuple[str, float, float]]:
+    """Each supplier's (relative quality, relative price) versus the rest of the market.
+
+    The axes are the root's two children, in tree order (another root shape
+    raises ``ValueError``); a supplier alone in the sample is left out.
+    """
+    axes = sample.tree.children_of(sample.tree.root)
+    if len(axes) != 2:
+        raise ValueError(f"the value map needs a two-driver root, not {len(axes)} drivers")
+    points = []
+    for supplier in sample.suppliers():
+        mine, rest = split_by_supplier(sample, supplier)
+        if len(rest):
+            means = [(node_mean(mine, a).mean, node_mean(rest, a).mean) for a in axes]
+            points.append((supplier, *(float(relative_rating(*m)) for m in means)))
+    return points
 
 
 def value_map(

@@ -17,6 +17,7 @@ The file maps either subcommand names to flag dicts, or flag names directly
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import json
 import math
@@ -31,7 +32,7 @@ from .analytics import (
     loyalty_curve,
     profile_table,
     rank_priorities,
-    relative_rating,
+    supplier_value_points,
     value_map,
     value_target_for_loyalty,
 )
@@ -81,9 +82,11 @@ def _require_file(path: str, what: str) -> Path:
 
 
 def _write_atomic(path: str | Path, text: str) -> None:
+    """Write through a temp file and a rename; a path it cannot write is an error."""
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         # mkstemp creates the file 0600; give it the mode open() would
@@ -91,8 +94,11 @@ def _write_atomic(path: str | Path, text: str) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            _fail(f"cannot write {target}: {exc.strerror or exc}")
         raise
 
 
@@ -247,9 +253,7 @@ def fit(tree_path: str, survey_path: str, own_label: str, out_path: str | None) 
 
 def _table_records(table) -> dict:
     def mean_records(m):
-        return None if m is None else {
-            "mean": m.mean, "half_width": m.half_width, "n": m.n
-        }
+        return None if m is None else dataclasses.asdict(m)
 
     return {
         "parent": table.parent,
@@ -271,26 +275,6 @@ def _table_records(table) -> dict:
             for row in table.rows
         ],
     }
-
-
-def _supplier_value_points(sample, tree) -> list[tuple[str, float, float]]:
-    """Each supplier's (relative quality, relative price) versus the rest.
-
-    Uses the root's two driver children as the map axes; trees with a
-    different top-level shape have no canonical quality/price split, so the
-    caller skips the map.
-    """
-    points = []
-    for supplier in sample.suppliers():
-        mine, rest = split_by_supplier(sample, supplier)
-        if not len(rest):
-            continue
-        relatives = [
-            float(relative_rating(node_mean(mine, node).mean, node_mean(rest, node).mean))
-            for node in tree.children_of(tree.root)
-        ]
-        points.append((supplier, *relatives))
-    return points
 
 
 @main.command()
@@ -364,13 +348,13 @@ def report(
             target_line = f"required value score for {pct}% willingness: {shown}"
 
         map_points = []
-        if len(tree.children_of(tree.root)) == 2 and len(sample.suppliers()) > 1:
+        if len(tree.children_of(tree.root)) != 2:
+            _warn("value map needs a two-driver root (quality/price); skipped")
+        else:
             try:
-                map_points = value_map(_supplier_value_points(sample, tree), band)
+                map_points = value_map(supplier_value_points(sample), band)
             except CvmError as exc:
                 _warn(f"value map unavailable: {exc}")
-        elif len(tree.children_of(tree.root)) != 2:
-            _warn("value map needs a two-driver root (quality/price); skipped")
 
         if fmt == "plotdata":
             if out_path is None:
@@ -387,17 +371,7 @@ def report(
                 "n_respondents": len(sample),
                 "tables": [_table_records(t) for t in tables],
                 "cva": next((t.parent_relative for t in tables if t.is_root), None),
-                "priorities": [
-                    {
-                        "node": e.node,
-                        "score": e.score,
-                        "path_slope": e.path_slope,
-                        "gap": e.gap,
-                        "own_mean": e.own_mean,
-                        "competitor_mean": e.competitor_mean,
-                    }
-                    for e in ranking
-                ],
+                "priorities": [dataclasses.asdict(e) for e in ranking],
                 "priorities_excluded": dict(sorted(ranking.excluded.items())),
                 "loyalty_curve": None if curve is None else {
                     "outcome": curve.outcome.value,
@@ -410,15 +384,7 @@ def report(
                     "target": target_loyalty,
                     "required_value_score": value_target_for_loyalty(curve, target_loyalty),
                 },
-                "value_map": [
-                    {
-                        "supplier": p.supplier,
-                        "relative_quality": p.relative_quality,
-                        "relative_price": p.relative_price,
-                        "zone": p.zone,
-                    }
-                    for p in map_points
-                ],
+                "value_map": [dataclasses.asdict(p) for p in map_points],
             }
             _emit(json.dumps(document, indent=2) + "\n", out_path, "report")
             return

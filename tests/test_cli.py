@@ -1,12 +1,20 @@
 import csv
+import dataclasses
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from cvmkit.cli import main
-from cvmkit.datasets import fixture_text
+from cvmkit.datasets import fixture_text, market_truth
+from cvmkit.simulate import generate_market
+from cvmkit.survey import SurveySample, survey_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = Path(__file__).resolve().parent.parent / "src" / "cvmkit" / "data"
@@ -362,3 +370,92 @@ def test_seed_config_without_a_tree_names_the_missing_field(tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"error: ground truth {config}: missing field 'tree_text'" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("fit", ["--tree", TREE, "--survey", SURVEY, *OWN]),
+        ("report", ["--tree", TREE, "--survey", SURVEY, *OWN]),
+        ("nps", ["--tree", TREE, "--survey", SURVEY, *OWN]),
+        ("simulate", ["--seed-config", TRUTH]),
+    ],
+)
+def test_an_out_path_in_a_missing_directory_is_an_error(tmp_path, command, args):
+    out = tmp_path / "missing" / "out"
+    result = invoke(command, *args, "--out", str(out))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: cannot write {out}: No such file or directory\n"
+
+
+def test_an_out_path_naming_a_directory_is_an_error_and_leaves_no_temp_file(tmp_path):
+    out = tmp_path / "existing"
+    out.mkdir()
+    result = invoke("nps", "--tree", TREE, "--survey", SURVEY, *OWN, "--out", str(out))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: cannot write {out}: Is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+    assert list(out.iterdir()) == []
+
+
+# --- no artifact depends on the order of the survey's rows
+
+
+def _artifacts(survey: Path, out: Path) -> dict:
+    """Every output of validate, fit, report and nps on ``survey``, by name."""
+    common = ["--tree", TREE, "--survey", str(survey), *OWN]
+    runs = {
+        "validate": ["validate", *common],
+        "fit": ["fit", *common, "--out", str(out / "fit.json")],
+        "report": ["report", *common, "--target-loyalty", "0.80"],
+        "records": ["report", *common, "--format", "records", "--target-loyalty", "0.80"],
+        "plotdata": ["report", *common, "--format", "plotdata", "--out", str(out / "plot")],
+        "nps": ["nps", *common, "--format", "records"],
+    }
+    artifacts = {}
+    for name, args in runs.items():
+        result = invoke(*args)
+        assert result.exit_code == 0, result.stderr
+        artifacts[name] = (result.stdout, result.stderr)
+    for path in sorted(out.iterdir()):
+        if path.suffix != ".log":  # the sidecar holds a timestamp
+            artifacts[path.name] = path.read_bytes()
+    return artifacts
+
+
+# No shrink phase: each example runs 12 CLI commands, and shrinking a failure
+# took minutes; the unshrunk example is already small.
+@settings(max_examples=15, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.tuples(st.integers(30, 60), st.integers(5, 40), st.integers(5, 40)),
+    blank_share=st.sampled_from([0.0, 0.05]),
+    order=st.randoms(use_true_random=False),
+)
+def test_every_artifact_is_independent_of_row_order(seed, sizes, blank_share, order):
+    truth = market_truth()
+    truth = dataclasses.replace(
+        truth, seed=seed, n_per_supplier=dict(zip(truth.n_per_supplier, sizes))
+    )
+    sample = generate_market(truth)
+    rng = np.random.default_rng(seed)
+    blank = rng.random(sample.ratings.shape) < blank_share
+    sample = SurveySample(
+        sample.tree, sample.own_supplier, sample.labels,
+        np.where(blank, 0, sample.ratings).astype(np.int8), sample.outcomes,
+    )
+    header, *rows = survey_text(sample).splitlines(keepends=True)
+    shuffled = rows[:]
+    order.shuffle(shuffled)
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        survey = Path(tmp) / "survey.csv"  # one path for both, since diagnostics name it
+        for lines in (rows, shuffled):
+            survey.write_text(header + "".join(lines))
+            out = Path(tmp) / "out"
+            shutil.rmtree(out, ignore_errors=True)
+            out.mkdir()
+            outputs.append(_artifacts(survey, out))
+    assert outputs[0] == outputs[1]

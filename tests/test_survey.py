@@ -2,6 +2,7 @@ import io
 import math
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -215,6 +216,13 @@ def test_fixture_means_match_hand_computation(halves):
     assert node_mean(comp, "billing").mean == pytest.approx(7.500, abs=1e-12)
 
 
+def test_fixture_half_widths_equal_the_exact_oracle(halves):
+    for part in halves:
+        for j, node in enumerate(part.tree.preorder()):
+            column = part.ratings[:, j]
+            assert node_mean(part, node).half_width == _exact_half_width(column[column > 0].tolist())
+
+
 def test_fixture_roles_lean_decision_maker(sample):
     decision_makers = np.count_nonzero(sample.labels[:, 1] == "decision_maker")
     assert decision_makers == 1604  # share parameter is 0.8
@@ -272,6 +280,16 @@ def _lists(sample):
     return sample.labels.tolist(), sample.ratings.tolist(), sample.outcomes.tolist()
 
 
+def _exact_half_width(values):
+    """1.96 * sd / sqrt(n), with the sample variance an exact fraction rounded once."""
+    n = len(values)
+    if n < 2:
+        return 0.0
+    mean = Fraction(sum(values), n)
+    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+    return 1.96 * math.sqrt(variance) / math.sqrt(n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_respondent_rows())
 def test_store_matches_a_per_row_computation(rows):
@@ -298,6 +316,7 @@ def test_store_matches_a_per_row_computation(rows):
             assert stat.half_width == pytest.approx(
                 1.96 * np.std(values, ddof=1) / math.sqrt(len(values))
             )
+        assert stat.half_width == _exact_half_width(values)
     for kind in OutcomeKind:
         assert outcome_values(sample, kind) == [a[kind] for *_, a in rows if kind in a]
     wanted = ("value", "a", "b")
