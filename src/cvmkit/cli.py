@@ -57,6 +57,7 @@ from .survey import (
     ingest_responses,
     node_mean,
     outcome_values,
+    sample_counts,
     split_by_supplier,
     survey_text,
 )
@@ -200,10 +201,19 @@ def validate(tree_path: str, survey_path: str | None, own_label: str | None) -> 
         )
         if survey_path is not None:
             sample = _load_sample(survey_path, tree, own_label or "")
+            counts = sample_counts(sample)
             click.echo(
                 f"survey ok: {len(sample)} respondents, "
-                f"suppliers: {', '.join(sample.suppliers())}"
+                f"suppliers: {', '.join(counts.suppliers)}"
             )
+            missing = {column: n for column, n in counts.missing.items() if n}
+            for title, tally in (
+                ("respondents per supplier", counts.suppliers),
+                ("roles", counts.roles),
+                ("missing cells", missing),
+            ):
+                listed = ", ".join(f"{name} {n}" for name, n in tally.items())
+                click.echo(f"{title}: {listed or 'none'}")
     except CvmError as exc:
         _fail(str(exc))
 

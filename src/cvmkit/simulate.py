@@ -48,7 +48,13 @@ from .errors import CvmError, read_json
 from .regression import FittedHierarchy, fit_hierarchy
 from .rng import RandomStream
 from .rounding import format_rating, round_half_away
-from .survey import OutcomeKind, SurveySample, node_means, split_by_supplier
+from .survey import (
+    OutcomeKind,
+    SurveySample,
+    _supplier_codes,
+    node_means,
+    split_by_supplier,
+)
 from .tree import ValueTree, parse_tree_spec, serialize_tree
 
 __all__ = [
@@ -292,9 +298,11 @@ def generate_market(truth: GroundTruth) -> SurveySample:
         low_pick = low_values[_band_pick(low_size, low_weights, band_u[:, k])]
         outcomes[:, k] = np.where(willing, high_pick, low_pick)
 
-    roles = np.where(role_u < truth.decision_maker_share, "decision_maker", "user")
-    labels = np.column_stack([ids, roles, np.asarray(suppliers, dtype=str)[block_of]])
-    return SurveySample(tree, truth.own_supplier, labels, ratings, outcomes)
+    roles = (role_u >= truth.decision_maker_share).astype(np.int8)  # ROLES: decision maker, user
+    names, codes = _supplier_codes(suppliers, truth.own_supplier)
+    return SurveySample(
+        tree, truth.own_supplier, ids, roles, names, codes[block_of], ratings, outcomes
+    )
 
 
 def truth_records(truth: GroundTruth) -> dict:
@@ -434,6 +442,12 @@ _TOL_LOYALTY = 0.004
 # with period 2 instead of converging.  Half-steps make a slope in (0, 2]
 # strictly contracting (multiplier 1 - lambda*g in [0, 1)).
 _DAMP = 0.5
+# Rounding also makes a fitted slope a step function of the planted one, so a
+# fixed gain can circle that noise floor for good.  After the first
+# _DAMP_ROUNDS rounds the gain falls as 1/round (Robbins-Monro: the gains sum
+# to infinity, their squares do not), which settles it.  A calibration that
+# converges within those rounds takes the same path as with a fixed gain.
+_DAMP_ROUNDS = 100
 
 
 def _check_targets(targets: TableTargets) -> None:
@@ -551,15 +565,16 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
         if check_only:
             break
         worst = {"mean": 0.0, "coef": 0.0, "r2": 0.0, "loyalty": 0.0}
+        gain = _DAMP * min(1.0, _DAMP_ROUNDS / (round_index + 1))
 
         for (node, cls), target in mean_targets.items():
             err = target - means[node, cls]
             worst["mean"] = max(worst["mean"], abs(err))
             if node in leaves:
-                truth.leaf_means[cls][node] += _DAMP * err
+                truth.leaf_means[cls][node] += gain * err
             else:
                 truth.class_shift[cls][node] = (
-                    truth.class_shift[cls].get(node, 0.0) + _DAMP * err
+                    truth.class_shift[cls].get(node, 0.0) + gain * err
                 )
 
         sample_means = node_means(sample)
@@ -567,7 +582,7 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
             realized = hierarchy.models[parent].fit.coefficients[child]
             err = target - realized
             worst["coef"] = max(worst["coef"], abs(err))
-            step = _DAMP * err
+            step = gain * err
             truth.coefficients[parent][child] += step
             # Keep the update mean-neutral: a slope change of `step` moves the
             # parent's mean by step * mean(child), which would send the mean
@@ -593,7 +608,7 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
                 for rating, share in ((low_bin, 1.0 - frac), (high_bin, frac)):
                     if 1 <= rating <= 10 and share > 0.0:
                         link[rating] = min(
-                            0.99, max(0.01, link[rating] + _DAMP * share * err)
+                            0.99, max(0.01, link[rating] + gain * share * err)
                         )
             anchor_bins = sorted(
                 {b for s, _ in anchors for b in (math.floor(s), math.ceil(s)) if 1 <= b <= 10}

@@ -13,25 +13,33 @@ tree node (canonical preorder) and the two outcome columns::
 
     respondent_id,role,supplier,<node ids...>,outcome_recommend,outcome_repurchase
 
-In memory a :class:`SurveySample` is one columnar store: an ``(n, 3)``
-string array of (id, role, supplier), an ``(n, nodes)`` int8 rating matrix
-in tree preorder with 0 for a missing rating, and an ``(n, 2)`` int8 outcome
-matrix in :class:`OutcomeKind` order with -1 for a missing answer.  Supplier
-splits are row masks; outcome lists, root/outcome pairs and complete cases
-are column slices.  Other modules read the store only
-through the functions below.  The class constructor takes the three columns
-as given and checks no value; ingest is where a file's values are checked.
+In memory a :class:`SurveySample` is one columnar store: a string array of
+ids, int8 role codes into :data:`ROLES`, unsigned supplier codes into a
+per-sample table of names in canonical order (own first, the rest sorted),
+an ``(n, nodes)`` int8 rating matrix in tree preorder with 0 for a missing
+rating, and an ``(n, 2)`` int8 outcome matrix in :class:`OutcomeKind` order
+with -1 for a missing answer.  Supplier splits compare codes and keep the
+table; outcome lists, root/outcome pairs and complete cases are column
+slices.  Other modules read the store only through the functions below.
+The class constructor takes the columns as given and checks no value;
+ingest is where a file's values are checked.
 
-Ingest reads the file in chunks of a fixed number of rows, so its memory
-does not grow with the file beyond the store itself.  A chunk whose rows all
-have the header's width, whose labels pass their checks, whose ids are new,
-and whose value cells are all canonical tokens (``""`` and ``"1"``-``"10"``
-for ratings, ``""`` and ``"0"``-``"10"`` for outcomes) is converted a column
-at a time through a token table.  Any other chunk goes through the row
-loop, which strips cells, parses ASCII integers (digits after an optional
-sign) and raises the first row-numbered diagnostic; it accepts and rejects
-exactly what a row loop over the whole file would, so the table is only a
-shortcut.
+Ingest reads the file in chunks of a fixed number of bytes (a text stream's
+text is encoded back to UTF-8 first), so its memory does not grow with the
+file beyond the store itself.  While the file is plain (ASCII, no quote, no
+CR but in CRLF, which reads as LF), a chunk of whole lines in which every
+line has the header's comma count, every label is non-empty and unpadded,
+every role is in :data:`ROLES` and every value cell is canonical (blank or
+``1``-``10``, and ``0`` for outcomes) is parsed straight from its bytes:
+delimiters found with one array scan, each value cell decoded from its
+first two bytes, labels gathered as fixed-width bytes.  Any other chunk
+goes through the row loop, which strips cells, parses ASCII integers
+(digits after an optional sign) and raises the first row-numbered
+diagnostic; from the first chunk that is not plain, ``csv.reader`` reads
+the rest of the file for it.  The row loop accepts and rejects exactly what
+a row loop over the whole file would, so the byte parser is only a
+shortcut.  Repeated ids are looked for once, over the whole sample, unless
+a row loop needs the earlier ids first.
 
 Every node mean and half-width is read from one histogram pass over the
 rating matrix, made once per sample and kept on it, which gives each
@@ -47,6 +55,7 @@ weighting — is out of scope; samples are taken as given.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import io
@@ -69,6 +78,7 @@ __all__ = [
     "OutcomeKind",
     "SurveySample",
     "MeanWithHalfWidth",
+    "SampleCounts",
     "SurveyFormatError",
     "NoRatingsError",
     "survey_columns",
@@ -78,6 +88,7 @@ __all__ = [
     "split_by_supplier",
     "node_mean",
     "node_means",
+    "sample_counts",
     "outcome_values",
     "root_outcome_pairs",
     "complete_cases",
@@ -124,24 +135,31 @@ class NoRatingsError(CvmError):
 class SurveySample:
     """An immutable batch of respondents tied to one value tree, held by column.
 
-    ``labels`` is an ``(n, 3)`` string array of (id, role, supplier);
-    ``ratings`` an ``(n, nodes)`` int8 matrix in tree preorder, 0 where a
-    rating is missing; ``outcomes`` an ``(n, 2)`` int8 matrix in
-    :class:`OutcomeKind` order, -1 where an answer is missing.  The
-    constructor takes the columns as given and makes all three read-only.
+    ``ids`` is a string array; ``role_codes`` int8 codes into :data:`ROLES`;
+    ``supplier_codes`` unsigned codes into ``supplier_names``, a table of
+    distinct names in canonical order (the own supplier first, the rest
+    sorted) that may name suppliers no row has; ``ratings`` an ``(n, nodes)``
+    int8 matrix in tree preorder, 0 where a rating is missing; ``outcomes``
+    an ``(n, 2)`` int8 matrix in :class:`OutcomeKind` order, -1 where an
+    answer is missing.  The constructor takes the columns as given and makes
+    them read-only.
     """
 
     tree: ValueTree
     own_supplier: str
-    labels: np.ndarray
+    ids: np.ndarray
+    role_codes: np.ndarray
+    supplier_names: tuple[str, ...]
+    supplier_codes: np.ndarray
     ratings: np.ndarray
     outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=str).reshape(-1, 3)
-        for column in (labels, self.ratings, self.outcomes):
+        ids = np.asarray(self.ids, dtype=str)
+        for column in (ids, self.role_codes, self.supplier_codes, self.ratings, self.outcomes):
             column.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "supplier_names", tuple(self.supplier_names))
         object.__setattr__(self, "_position", _positions(self.tree))
 
     def _column(self, node_id: str) -> int:
@@ -149,8 +167,12 @@ class SurveySample:
         self.tree.node(node_id)  # raises UnknownNodeError for foreign ids
         return self._position[node_id]
 
+    def _supplier_column(self) -> list[str]:
+        """Each row's supplier name."""
+        return list(map(self.supplier_names.__getitem__, self.supplier_codes.tolist()))
+
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SurveySample):
@@ -158,16 +180,17 @@ class SurveySample:
         return (
             self.tree == other.tree
             and self.own_supplier == other.own_supplier
-            and np.array_equal(self.labels, other.labels)
+            and np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.role_codes, other.role_codes)
+            and self._supplier_column() == other._supplier_column()
             and np.array_equal(self.ratings, other.ratings)
             and np.array_equal(self.outcomes, other.outcomes)
         )
 
     def suppliers(self) -> list[str]:
         """Distinct supplier labels: the own supplier (when present) first, then sorted."""
-        others = set(self.labels[:, 2].tolist())
-        own = [self.own_supplier] if self.own_supplier in others else []
-        return own + sorted(others - {self.own_supplier})
+        counts = np.bincount(self.supplier_codes, minlength=len(self.supplier_names))
+        return [self.supplier_names[k] for k in np.flatnonzero(counts)]
 
     @functools.cached_property
     def _moments(self) -> np.ndarray:
@@ -226,20 +249,26 @@ def ingest_responses(
     path, and naming no row when it is a stream.
     """
     if hasattr(source, "read"):
+        # surrogatepass lets any str make the round trip through bytes
+        read = functools.partial(source.read, _CHUNK_BYTES)  # type: ignore[union-attr]
+        blocks = (text.encode("utf-8", "surrogatepass") for text in iter(read, ""))
         try:
-            return _ingest_stream(source, tree, own_supplier)  # type: ignore[arg-type]
+            return _ingest(blocks, "surrogatepass", tree, own_supplier)
         except UnicodeDecodeError as exc:
             # A stream cannot be read again to find the row, and its decoder
             # reads ahead, so the rows parsed so far do not give it either.
             message = f"byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
             raise SurveyFormatError(message) from None
     try:
-        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            return _ingest_stream(handle, tree, own_supplier)
+        with open(source, "rb") as handle:
+            if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+                handle.seek(0)
+            blocks = iter(functools.partial(handle.read, _CHUNK_BYTES), b"")
+            return _ingest(blocks, "strict", tree, own_supplier)
     except UnicodeDecodeError:
-        # The decoder reads ahead in blocks, so its error cannot name the
-        # row; decoding the whole file again finds the byte, and the CSV
-        # records before it give the row, counted as every diagnostic counts.
+        # The error of a chunk or of the text decoder cannot name the row;
+        # decoding the whole file again finds the byte, and the CSV records
+        # before it give the row, counted as every diagnostic counts.
         data = Path(source).read_bytes()
         try:
             data.decode("utf-8")
@@ -260,15 +289,11 @@ def _csv_rows(stream: IO[str]) -> Iterator[list[str]]:
         raise SurveyFormatError(f"malformed CSV: {exc}", reader.line_num) from None
 
 
-#: Rows read and converted at a time.  A chunk's token lists are the largest
-#: transient of ingest, so a bounded chunk keeps peak memory independent of the
-#: file's length.
+#: Bytes read at a time.  A chunk's index arrays are the largest transient of
+#: ingest, so a bounded chunk keeps peak memory independent of the file's length.
+_CHUNK_BYTES = 1 << 20
+#: Rows read at a time once ``csv.reader`` reads the file.
 _CHUNK_ROWS = 8192
-
-# The canonical tokens of the two value columns.  Any other token, even one
-# the row loop accepts (" 7", "07", "+7"), is a miss that hands the chunk over.
-_RATING_CODES = {"": 0, **{str(v): v for v in range(RATING_MIN, RATING_MAX + 1)}}
-_OUTCOME_CODES = {"": -1, **{str(v): v for v in range(OUTCOME_MIN, OUTCOME_MAX + 1)}}
 
 
 @dataclass
@@ -282,12 +307,18 @@ class _Layout:
     outcome_cols: dict[int, tuple[int, str]] = field(default_factory=dict)
 
 
-def _ingest_stream(stream: IO[str], tree: ValueTree, own_supplier: str) -> SurveySample:
-    reader = _csv_rows(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SurveyFormatError("empty file: no header row") from None
+def _ingest(
+    blocks: Iterator[bytes], errors: str, tree: ValueTree, own_supplier: str
+) -> SurveySample:
+    records = _records(blocks, errors)
+    first = next(records, [])
+    if isinstance(first, bytes):
+        line, _, first = first.partition(b"\n")
+        header = _split_lines(line.decode("ascii") + "\n")[0]
+    elif first:
+        header, first = first[0], first[1:]
+    else:
+        raise SurveyFormatError("empty file: no header row")
     header = [h.strip() for h in header]
 
     fixed = ["respondent_id", "role", "supplier"]
@@ -314,75 +345,222 @@ def _ingest_stream(stream: IO[str], tree: ValueTree, own_supplier: str) -> Surve
                 row=1,
             )
 
-    # Rows go through in chunks of _CHUNK_ROWS.  A chunk is converted a
-    # column at a time through the token tables (_table_chunk); a chunk the
-    # tables cannot take goes through the row loop (_row_chunk), which
-    # accepts and diagnoses exactly as a whole-file row loop would, because
-    # both share ``first_row`` and absolute row numbers.  When reading a
-    # chunk fails part-way (malformed CSV, undecodable bytes), the rows read
-    # so far are checked first, so an earlier bad cell is still the one named.
+    # A chunk of bytes is parsed straight from them (_parse_bytes); any other
+    # chunk goes through the row loop (_row_chunk), which accepts and
+    # diagnoses exactly as a whole-file row loop would: it gets absolute row
+    # numbers, and ``first_row`` gets the id of every row before it.  Ids of
+    # byte chunks wait in ``unnoted`` until a row loop needs them, or a
+    # repeat in the whole sample is to be named.  Suppliers are coded in
+    # order of first appearance (``supplier_code``); the canonical table
+    # comes last.
     first_row: dict[str, int] = {}
+    unnoted: list[tuple[np.ndarray, int]] = []
+    supplier_code: dict[str, int] = {}
     row_number = 2
     # the empty chunk gives a file without respondent rows its column shapes
-    parts = [_row_chunk([], row_number, layout, first_row)]
+    parts = [_row_chunk([], row_number, layout, first_row, supplier_code)]
+    for piece in itertools.chain([first], records):
+        if not piece:
+            continue
+        part = None
+        if isinstance(piece, bytes):
+            part = _parse_bytes(piece, layout, supplier_code)
+            if part is None:
+                piece = _split_lines(piece.decode("ascii"))
+            else:
+                unnoted.append((part[0], row_number))
+        if part is None:
+            _note_ids(first_row, unnoted)
+            part = _row_chunk(piece, row_number, layout, first_row, supplier_code)
+        parts.append(part)
+        row_number += len(part[0]) if isinstance(piece, bytes) else len(piece)
+
+    ids, roles, suppliers, ratings, outcomes = (np.concatenate(column) for column in zip(*parts))
+    ordered = np.sort(ids, kind="stable")  # fast on ids that come in order
+    if (ordered[1:] == ordered[:-1]).any():
+        _note_ids(first_row, unnoted)  # raises, naming the first repeat
+    if not len(ids):
+        warnings.warn("survey has a header but no respondent rows", stacklevel=3)
+    names, codes = _supplier_codes(list(supplier_code), own_supplier)
+    return SurveySample(tree, own_supplier, ids, roles, names, codes[suppliers], ratings, outcomes)
+
+
+def _supplier_codes(names: Sequence[str], own_supplier: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The canonical table of the distinct ``names`` and the code of each of ``names`` in it.
+
+    The table lists ``own_supplier`` first (when present), then the rest
+    sorted; the codes take the smallest unsigned dtype that holds them all.
+    """
+    table = tuple(sorted(set(names), key=lambda name: (name != own_supplier, name)))
+    code = {name: k for k, name in enumerate(table)}
+    dtype = np.min_scalar_type(max(len(table) - 1, 0))
+    return table, np.array([code[name] for name in names], dtype=dtype)
+
+
+def _note_ids(first_row: dict[str, int], unnoted: list[tuple[np.ndarray, int]]) -> None:
+    """Move the ids of byte chunks, each with its chunk's first row, into ``first_row``."""
+    for ids, start in unnoted:
+        for row, respondent_id in enumerate(ids.tolist(), start):
+            _note_id(first_row, respondent_id, row)
+    unnoted.clear()
+
+
+def _note_id(first_row: dict[str, int], respondent_id: str, row: int) -> None:
+    first = first_row.setdefault(respondent_id, row)
+    if first != row:
+        raise SurveyFormatError(
+            f"duplicate respondent_id {respondent_id!r} (first on row {first})", row
+        )
+
+
+def _records(blocks: Iterator[bytes], errors: str) -> Iterator[bytes | list[list[str]]]:
+    """The file's records in chunks of whole lines.
+
+    While the file is plain (ASCII, no quote, no CR but in CRLF, which reads
+    as LF), a chunk comes as its bytes, and each line is a record whose
+    fields are split at every comma.  From the first chunk that is not
+    plain, ``csv.reader`` reads the rest of the file in lists of rows.
+    """
+    pending = b""
+    for block in itertools.chain(blocks, [b""]):  # the empty block ends the file
+        data = pending + block
+        cut = data.rfind(b"\n") + 1 if block else len(data)
+        chunk, pending = data[:cut], data[cut:]
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n")
+        if b'"' in chunk or b"\r" in chunk or not chunk.isascii():
+            yield from _csv_records(itertools.chain([data], blocks), errors)
+            return
+        if chunk:
+            yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
+
+
+def _csv_records(blocks: Iterator[bytes], errors: str) -> Iterator[list[list[str]]]:
+    """Rows of ``csv.reader`` in lists; when reading fails, the rows before the fault come first."""
+    reader = _csv_rows(io.TextIOWrapper(_BlockStream(blocks), "utf-8", errors, newline=""))
     while True:
-        chunk: list[list[str]] = []
+        rows: list[list[str]] = []
         try:
             for row in itertools.islice(reader, _CHUNK_ROWS):
-                chunk.append(row)
+                rows.append(row)
         except (SurveyFormatError, UnicodeDecodeError):
-            _row_chunk(chunk, row_number, layout, first_row)
+            if rows:
+                yield rows
             raise
-        if not chunk:
-            break
-        parts.append(
-            _table_chunk(chunk, row_number, layout, first_row)
-            or _row_chunk(chunk, row_number, layout, first_row)
-        )
-        row_number += len(chunk)
-
-    labels, ratings, outcomes = (np.concatenate(column) for column in zip(*parts))
-    if not len(labels):
-        warnings.warn("survey has a header but no respondent rows", stacklevel=3)
-    return SurveySample(tree, own_supplier, labels, ratings, outcomes)
+        if not rows:
+            return
+        yield rows
 
 
-def _table_chunk(
-    chunk: list[list[str]], start: int, layout: _Layout, first_row: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Convert a chunk a column at a time, or return None if it needs the row loop.
+class _BlockStream(io.BufferedIOBase):
+    """A readable binary stream over an iterator of byte blocks."""
 
-    None means some row is short, long or blank, a label fails its check,
-    an id repeats, or a value token is not canonical; ``first_row`` is then
-    left as it was.
+    def __init__(self, blocks: Iterator[bytes]):
+        self._blocks, self._block = blocks, memoryview(b"")
+
+    def readable(self) -> bool:
+        return True
+
+    def read1(self, size: int = -1) -> bytes:
+        self._block = self._block or memoryview(next(self._blocks, b""))
+        end = len(self._block) if size < 0 else size
+        data, self._block = self._block[:end], self._block[end:]
+        return bytes(data)
+
+
+def _split_lines(text: str) -> list[list[str]]:
+    """The CSV rows of whole lines that hold no quote and no CR."""
+    return [line.split(",") if line else [] for line in text.split("\n")[:-1]]
+
+
+_COMMA, _NEWLINE, _BAD = ord(","), ord("\n"), -128
+#: bytes that ``str.strip`` removes, which no label of a parsed chunk may start or end with
+_STRIPPED = np.array([chr(b).isspace() for b in range(256)])
+
+
+def _cell_codes(low: int, missing: int) -> np.ndarray:
+    """Each value cell's code by its first two bytes, ``first + 256 * second``.
+
+    An empty cell starts with its delimiter and a one-byte cell is followed
+    by one, so two bytes tell every cell of at most two bytes apart.  Text
+    other than blank, ``low``-``9`` and ``10`` maps to ``_BAD``.
     """
-    n = len(chunk)
-    if set(map(len, chunk)) != {layout.width}:
+    table = np.full((256, 256), _BAD, dtype=np.int8)  # [second, first]
+    table[:, [_COMMA, _NEWLINE]] = missing
+    for value in range(low, 10):
+        table[[_COMMA, _NEWLINE], ord("0") + value] = value
+    table[ord("0"), ord("1")] = 10
+    return table.ravel()
+
+
+# the rating table, then the outcome table
+_CELL_CODES = np.concatenate([_cell_codes(RATING_MIN, 0), _cell_codes(OUTCOME_MIN, -1)])
+
+
+def _parse_bytes(
+    chunk: bytes, layout: _Layout, supplier_code: dict[str, int]
+) -> tuple[np.ndarray, ...] | None:
+    """Parse whole ASCII lines from their bytes, or return None if the row loop must.
+
+    None means some line has another field count than the header, a label
+    is empty or starts or ends with whitespace, a role is not in
+    :data:`ROLES`, or a value cell is not canonical (blank or ``1``-``10``,
+    and ``0`` for outcomes); ``supplier_code`` is then left as it was.
+    """
+    # the extra byte completes the two bytes of an empty last cell
+    buf = np.frombuffer(chunk + b"\n", dtype=np.uint8)
+    newline = buf[:-1] == _NEWLINE
+    ends = np.flatnonzero(newline | (buf[:-1] == _COMMA))
+    n, width = np.count_nonzero(newline), layout.width
+    if len(ends) != n * width or (buf[ends[width - 1 :: width]] != _NEWLINE).any():
         return None
-    columns = list(zip(*chunk))
-    ids, roles, suppliers = (list(map(str.strip, columns[k])) for k in range(3))
-    if "" in ids or "" in suppliers or not set(roles).issubset(ROLES):
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    starts, ends = starts.reshape(n, width), ends.reshape(n, width)
+    lengths = ends - starts
+    labels = np.s_[:, :3]
+    if not lengths[labels].all() or (lengths[:, 3:] > 2).any():
         return None
-    if len(set(ids)) != n or not first_row.keys().isdisjoint(ids):
+    if _STRIPPED[buf.take(starts[labels])].any() or _STRIPPED[buf.take(ends[labels] - 1)].any():
         return None
+    pairs = np.ndarray((len(chunk),), dtype="<u2", buffer=buf, strides=(1,))
+    table = np.isin(range(3, width), list(layout.outcome_cols)) * (len(_CELL_CODES) // 2)
+    codes = _CELL_CODES.take(pairs.take(starts[:, 3:]) + table)
+    if (codes == _BAD).any():
+        return None
+
+    ids, roles, suppliers = (_fixed_width(buf, starts[:, k], lengths[:, k]) for k in range(3))
+    role_codes = np.full(n, -1, dtype=np.int8)
+    for code, role in enumerate(ROLES):
+        role_codes[roles == role.encode()] = code
+    if (role_codes < 0).any():
+        return None
+    # an ASCII byte is its own code point
+    ids = ids.view(np.uint8).reshape(n, -1).astype(np.uint32).view(f"U{ids.itemsize}").ravel()
+    names, suppliers = np.unique(suppliers, return_inverse=True)
+    codes_of = [supplier_code.setdefault(s, len(supplier_code)) for s in names.astype(str).tolist()]
     ratings = np.zeros((n, layout.n_nodes), dtype=np.int8)
     outcomes = np.full((n, len(_OUTCOMES)), -1, dtype=np.int8)
-    try:
-        for idx, (j, _) in layout.node_cols.items():
-            ratings[:, j] = np.fromiter(map(_RATING_CODES.__getitem__, columns[idx]), np.int8, n)
-        for idx, (k, _) in layout.outcome_cols.items():
-            outcomes[:, k] = np.fromiter(map(_OUTCOME_CODES.__getitem__, columns[idx]), np.int8, n)
-    except KeyError:
-        return None
-    first_row.update(zip(ids, range(start, start + n)))
-    return np.array((ids, roles, suppliers), dtype=str).T, ratings, outcomes
+    for matrix, columns in ((ratings, layout.node_cols), (outcomes, layout.outcome_cols)):
+        matrix[:, [j for j, _ in columns.values()]] = codes[:, [idx - 3 for idx in columns]]
+    return ids, role_codes, np.array(codes_of)[suppliers], ratings, outcomes
+
+
+def _fixed_width(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The bytes at ``starts`` of ``lengths``, as one zero-padded fixed-width bytes array."""
+    offsets = np.arange(lengths.max())
+    chars = buf.take(starts[:, None] + offsets, mode="clip")
+    chars[offsets >= lengths[:, None]] = 0
+    return chars.view(f"S{len(offsets)}").ravel()
 
 
 def _row_chunk(
-    chunk: list[list[str]], start: int, layout: _Layout, first_row: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    chunk: list[list[str]], start: int, layout: _Layout, first_row: dict[str, int],
+    supplier_code: dict[str, int],
+) -> tuple[np.ndarray, ...]:
     """Check and convert a chunk row by row; the first bad row raises, naming itself."""
-    labels: list[tuple[str, str, str]] = []
+    labels: list[tuple[str, int, int]] = []
     rating_rows: list[list[int]] = []
     outcome_rows: list[list[int]] = []
     for row_number, row in enumerate(chunk, start=start):
@@ -397,11 +575,7 @@ def _row_chunk(
         supplier = row[2].strip()
         if not respondent_id:
             raise SurveyFormatError("empty respondent_id", row_number)
-        first = first_row.setdefault(respondent_id, row_number)
-        if first != row_number:
-            raise SurveyFormatError(
-                f"duplicate respondent_id {respondent_id!r} (first on row {first})", row_number
-            )
+        _note_id(first_row, respondent_id, row_number)
         if role not in ROLES:
             raise SurveyFormatError(
                 f"unknown role {role!r} (expected one of {', '.join(ROLES)})", row_number
@@ -418,12 +592,16 @@ def _row_chunk(
             token = row[idx].strip()
             if token:
                 outcomes[k] = _parse_int(token, OUTCOME_MIN, OUTCOME_MAX, what, row_number)
-        labels.append((respondent_id, role, supplier))
+        code = supplier_code.setdefault(supplier, len(supplier_code))
+        labels.append((respondent_id, ROLES.index(role), code))
         rating_rows.append(ratings)
         outcome_rows.append(outcomes)
     n = len(labels)
+    ids, roles, suppliers = zip(*labels) if labels else ((), (), ())
     return (
-        np.array(labels, dtype=str).reshape(n, 3),
+        np.array(ids, dtype=str),
+        np.array(roles, dtype=np.int8),
+        np.array(suppliers, dtype=np.intp),
         np.array(rating_rows, dtype=np.int8).reshape(n, layout.n_nodes),
         np.array(outcome_rows, dtype=np.int8).reshape(n, len(_OUTCOMES)),
     )
@@ -438,7 +616,11 @@ _OUTCOME_TEXT = [*map(str, range(OUTCOME_MIN, OUTCOME_MAX + 1)), ""]
 
 def survey_text(sample: SurveySample) -> str:
     """Canonical CSV text for ``sample`` (the exact ingest round-trip form)."""
-    columns = [sample.labels[:, k].tolist() for k in range(3)]
+    columns = [
+        sample.ids.tolist(),
+        list(map(ROLES.__getitem__, sample.role_codes.tolist())),
+        sample._supplier_column(),
+    ]
     columns += [list(map(_RATING_TEXT.__getitem__, c)) for c in sample.ratings.T.tolist()]
     columns += [list(map(_OUTCOME_TEXT.__getitem__, c)) for c in sample.outcomes.T.tolist()]
     buffer = io.StringIO()
@@ -459,12 +641,17 @@ def split_by_supplier(
 
     ``supplier`` defaults to the sample's own supplier.
     """
-    mine = sample.labels[:, 2] == (sample.own_supplier if supplier is None else supplier)
+    name = sample.own_supplier if supplier is None else supplier
+    names = sample.supplier_names
+    if name in names:
+        mine = sample.supplier_codes == names.index(name)
+    else:
+        mine = np.zeros(len(sample), dtype=bool)
 
     def part(mask: np.ndarray) -> SurveySample:
         return SurveySample(
-            sample.tree, sample.own_supplier,
-            sample.labels[mask], sample.ratings[mask], sample.outcomes[mask],
+            sample.tree, sample.own_supplier, sample.ids[mask], sample.role_codes[mask],
+            names, sample.supplier_codes[mask], sample.ratings[mask], sample.outcomes[mask],
         )
 
     return part(mine), part(~mine)
@@ -526,6 +713,30 @@ def node_means(sample: SurveySample) -> dict[str, float]:
         if not n:
             raise NoRatingsError(f"no ratings for node {node!r}")
     return dict(zip(sample._position, (sums / counts).tolist()))
+
+
+@dataclass(frozen=True)
+class SampleCounts:
+    """What a sample holds: respondents per supplier (canonical order, present
+    suppliers only) and per role (:data:`ROLES` order), and blank cells per
+    rating and outcome column (CSV order)."""
+
+    suppliers: dict[str, int]
+    roles: dict[str, int]
+    missing: dict[str, int]
+
+
+def sample_counts(sample: SurveySample) -> SampleCounts:
+    """Count ``sample``'s respondents and blank cells from its codes."""
+    per_supplier = np.bincount(sample.supplier_codes, minlength=len(sample.supplier_names))
+    per_role = np.bincount(sample.role_codes, minlength=len(ROLES))
+    blank = np.concatenate([len(sample) - sample._moments[0], (sample.outcomes < 0).sum(axis=0)])
+    columns = [*sample._position, *(kind.column for kind in _OUTCOMES)]
+    return SampleCounts(
+        suppliers={s: n for s, n in zip(sample.supplier_names, per_supplier.tolist()) if n},
+        roles=dict(zip(ROLES, per_role.tolist())),
+        missing=dict(zip(columns, blank.tolist())),
+    )
 
 
 def outcome_values(sample: SurveySample, outcome: OutcomeKind) -> list[int]:

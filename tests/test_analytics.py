@@ -35,7 +35,9 @@ def keep(sample, rows):
     """``sample`` cut to the rows a boolean mask selects."""
     return dataclasses.replace(
         sample,
-        labels=sample.labels[rows],
+        ids=sample.ids[rows],
+        role_codes=sample.role_codes[rows],
+        supplier_codes=sample.supplier_codes[rows],
         ratings=sample.ratings[rows],
         outcomes=sample.outcomes[rows],
     )

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cvmkit.cli import main
 from cvmkit.datasets import fixture_text, market_truth
 from cvmkit.simulate import generate_market
-from cvmkit.survey import SurveySample, survey_text
+from cvmkit.survey import survey_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = Path(__file__).resolve().parent.parent / "src" / "cvmkit" / "data"
@@ -40,6 +40,30 @@ def test_validate_with_survey():
     assert result.exit_code == 0
     assert "survey ok: 2000 respondents" in result.stdout
     assert "our_co, comp_a, comp_b" in result.stdout
+
+
+def test_validate_counts_suppliers_roles_and_blank_cells(tmp_path):
+    result = invoke("validate", "--tree", TREE, "--survey", SURVEY, *OWN)
+    assert result.stdout.splitlines()[2:] == [
+        "respondents per supplier: our_co 1000, comp_a 500, comp_b 500",
+        "roles: decision_maker 1604, user 396",  # as test_fixture_roles_lean_decision_maker
+        "missing cells: none",
+    ]
+    header, *rows = list(csv.reader(fixture_text("market_survey.csv").splitlines()))[:4]
+    rows[1][2] = "comp_a"
+    for row, column in ((0, "quality"), (1, "quality"), (2, "outcome_recommend")):
+        rows[row][header.index(column)] = ""
+    survey = tmp_path / "blanks.csv"
+    survey.write_text("".join(",".join(line) + "\n" for line in [header, *rows]))
+    result = invoke("validate", "--tree", TREE, "--survey", str(survey), *OWN)
+    assert result.exit_code == 0
+    roles = [row[1] for row in rows]
+    assert result.stdout.splitlines()[1:] == [
+        "survey ok: 3 respondents, suppliers: our_co, comp_a",
+        "respondents per supplier: our_co 2, comp_a 1",
+        f"roles: decision_maker {roles.count('decision_maker')}, user {roles.count('user')}",
+        "missing cells: quality 2, outcome_recommend 1",
+    ]
 
 
 def test_validate_names_the_row_of_a_non_utf8_byte(tmp_path):
@@ -442,10 +466,7 @@ def test_every_artifact_is_independent_of_row_order(seed, sizes, blank_share, or
     sample = generate_market(truth)
     rng = np.random.default_rng(seed)
     blank = rng.random(sample.ratings.shape) < blank_share
-    sample = SurveySample(
-        sample.tree, sample.own_supplier, sample.labels,
-        np.where(blank, 0, sample.ratings).astype(np.int8), sample.outcomes,
-    )
+    sample = dataclasses.replace(sample, ratings=np.where(blank, 0, sample.ratings).astype(np.int8))
     header, *rows = survey_text(sample).splitlines(keepends=True)
     shuffled = rows[:]
     order.shuffle(shuffled)

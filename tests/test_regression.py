@@ -323,9 +323,10 @@ def test_node_models_equal_fit_linear_on_float_complete_cases(tree, n, top, blan
     rng = np.random.default_rng(seed)
     ratings = rng.integers(1, top + 1, size=(n, len(tree.nodes)), dtype=np.int8)
     ratings[rng.random(ratings.shape) < blank_share] = 0
-    labels = [(f"r{i}", "user", "us") for i in range(n)]
+    ids = [f"r{i}" for i in range(n)]
+    roles, suppliers = np.ones(n, dtype=np.int8), np.zeros(n, dtype=np.uint8)  # user, us
     outcomes = np.full((n, 2), -1, dtype=np.int8)
-    sample = SurveySample(tree, "us", labels, ratings, outcomes)
+    sample = SurveySample(tree, "us", ids, roles, ("us",), suppliers, ratings, outcomes)
     hierarchy = fit_hierarchy(sample, tree)
     for node in tree.internal_nodes():
         try:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import tempfile
@@ -61,7 +62,7 @@ def test_ingest_stream_and_fields():
     sample = ingest_responses(io.StringIO(TINY_CSV), TINY_TREE, "us")
     assert len(sample) == 3
     recommend, repurchase = 0, 1  # outcome columns in OutcomeKind order
-    assert sample.labels[0].tolist() == ["r1", "decision_maker", "us"]
+    assert _labels(sample)[0] == ["r1", "decision_maker", "us"]
     assert sample.ratings[0].tolist() == [8, 9, 7]  # value, a, b in preorder
     assert sample.outcomes[0, recommend] == 9
     assert sample.outcomes[1, repurchase] == -1  # blank cell
@@ -172,8 +173,8 @@ def test_arbitrary_bytes_after_the_header_ingest_or_raise_survey_format_error(bo
 def test_split_by_supplier():
     sample = ingest_responses(io.StringIO(TINY_CSV), TINY_TREE, "us")
     own, rest = split_by_supplier(sample)
-    assert own.labels[:, 0].tolist() == ["r1", "r3"]
-    assert rest.labels[:, 0].tolist() == ["r2"]
+    assert own.ids.tolist() == ["r1", "r3"]
+    assert rest.ids.tolist() == ["r2"]
 
 
 def test_node_mean_small():
@@ -224,7 +225,7 @@ def test_fixture_half_widths_equal_the_exact_oracle(halves):
 
 
 def test_fixture_roles_lean_decision_maker(sample):
-    decision_makers = np.count_nonzero(sample.labels[:, 1] == "decision_maker")
+    decision_makers = np.count_nonzero(sample.role_codes == ROLES.index("decision_maker"))
     assert decision_makers == 1604  # share parameter is 0.8
 
 
@@ -276,8 +277,15 @@ def _store_of(rows):
     )
 
 
+def _labels(sample):
+    """Each row's [id, role, supplier], decoded from the store."""
+    roles = [ROLES[k] for k in sample.role_codes]
+    suppliers = [sample.supplier_names[k] for k in sample.supplier_codes]
+    return [list(row) for row in zip(sample.ids.tolist(), roles, suppliers)]
+
+
 def _lists(sample):
-    return sample.labels.tolist(), sample.ratings.tolist(), sample.outcomes.tolist()
+    return _labels(sample), sample.ratings.tolist(), sample.outcomes.tolist()
 
 
 def _exact_half_width(values):
@@ -333,12 +341,15 @@ def test_store_matches_a_per_row_computation(rows):
 
 def test_store_arrays_are_read_only():
     sample = ingest_responses(io.StringIO(TINY_CSV), TINY_TREE, "us")
-    for column in (sample.labels, sample.ratings, sample.outcomes):
+    for column in (sample.ids, sample.role_codes, sample.supplier_codes):
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+    for column in (sample.ratings, sample.outcomes):
         with pytest.raises(ValueError):
             column[0, 0] = column[0, 1]
 
 
-# --- chunked ingest: the token-table path against the row loop
+# --- chunked ingest: the byte parser against the row loop
 
 
 @pytest.mark.parametrize("late_fault", ["field limit", "undecodable byte"])
@@ -373,13 +384,16 @@ _WIDTH = len(survey_columns(TINY_TREE))
 _RATINGS = ["", *map(str, range(1, 11))]
 _OUTCOMES = ["", *map(str, range(11))]
 # Per field: tokens the row loop reads like a canonical one or rejects.  The
-# ids repeat those of rows 1, 2 and 4, within a chunk of 3 or across chunks.
+# ids repeat those of rows 1, 2 and 4, within a chunk or across chunks.
+# Labels are padded with bytes str.strip removes, and some are not ASCII;
+# a quoted field, with or without a newline in it, a lone CR or a non-ASCII
+# byte hands the rest of the file to csv.reader.
 _ODD = (
-    ["", "r1", "r2", "r4", " r1", "r2 "],
-    [" user", "user ", "buyer", ""],
-    [" us", "them ", ""],
-    *[["0", "11", " 7", "07", "+7", "7.0", "x", "-1"]] * 3,
-    *[["11", " 7", "07", "+7", "7.0", "x", "-1"]] * 2,
+    ["", "r1", "r2", "r4", " r1", "r2 ", "\tr9", "r9\x0b", "\x1fr9", "r\u00e99", '"r9"', '"r\n9"'],
+    [" user", "user ", "buyer", "", "\tuser", "user\x0b", "\x1fuser", '"user"'],
+    [" us", "them ", "", "\tus", "them\x1f", "\x0bus", "th\u00e9m", '"us"', '"u\ns"'],
+    *[["0", "11", "100", "10 ", " 7", "07", "+7", "7.0", "x", "-1", '"7"', "7\r"]] * 3,
+    *[["11", "100", "10 ", " 7", "07", "+7", "7.0", "x", "-1", '"7"', "7\r"]] * 2,
 )
 
 
@@ -387,7 +401,8 @@ _ODD = (
 def _survey_texts(draw):
     """Canonical rows, a quarter of them with one odd field, and blank,
     whitespace-only, short and empty rows mixed in, so many chunks take the
-    token tables."""
+    byte parser; the lines end in LF or CRLF, and the file may start with a
+    byte-order mark."""
     rows = []
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(["row"] * 8 + ["blank", "short", "empty"]))
@@ -408,60 +423,95 @@ def _survey_texts(draw):
             rows.append(["r9", "user", "us", "5"])
         else:
             rows.append([""] * _WIDTH)
-    return _csv_text(rows)
+    text = _csv_text(rows, ending=draw(st.sampled_from(["\n", "\r\n"])))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
 
 
-def _csv_text(rows):
-    return "".join(",".join(line) + "\n" for line in [survey_columns(TINY_TREE), *rows])
+def _csv_text(rows, ending="\n"):
+    return "".join(",".join(line) + ending for line in [survey_columns(TINY_TREE), *rows])
 
 
-def _ingest_or_diagnostic(text):
+def _ingest_or_diagnostic(source):
     try:
-        return ingest_responses(io.StringIO(text), TINY_TREE, "us")
+        return ingest_responses(source, TINY_TREE, "us")
     except SurveyFormatError as exc:
         return str(exc), exc.row
 
 
+def _ingest_each_source(text, path):
+    """Ingest ``text`` from a stream and from ``path``: each a sample or (message, row)."""
+    path.write_bytes(text.encode("utf-8"))
+    return _ingest_or_diagnostic(io.StringIO(text)), _ingest_or_diagnostic(path)
+
+
 def _both_paths(text):
-    """Ingest ``text`` in chunks of 3 rows, then again with the token tables
-    declining every chunk; each result is a sample or (message, row)."""
-    with warnings.catch_warnings(), mock.patch.object(survey, "_CHUNK_ROWS", 3):
+    """Ingest ``text`` in chunks of 40 bytes (3 rows once csv.reader reads),
+    then again with csv.reader reading every record and the byte parser
+    declining every chunk, so that only the row loop converts them."""
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(survey, "_CHUNK_BYTES", 40), \
+            mock.patch.object(survey, "_CHUNK_ROWS", 3):
         warnings.simplefilter("ignore")  # a file without respondent rows warns
-        chunked = _ingest_or_diagnostic(text)
-        with mock.patch.object(survey, "_table_chunk", lambda *args: None):
-            return chunked, _ingest_or_diagnostic(text)
+        path = Path(tmp) / "survey.csv"
+        chunked = _ingest_each_source(text, path)
+        with mock.patch.object(survey, "_parse_bytes", lambda *args: None), \
+                mock.patch.object(survey, "_records", survey._csv_records):
+            return chunked, _ingest_each_source(text, path)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_survey_texts())
 def test_table_path_and_row_loop_agree(text):
     chunked, row_by_row = _both_paths(text)
-    assert type(chunked) is type(row_by_row)
-    assert chunked == row_by_row
+    for by_bytes, by_row in zip(chunked, row_by_row):
+        assert type(by_bytes) is type(by_row)
+        assert by_bytes == by_row
 
 
 def test_each_odd_field_is_read_as_the_row_loop_reads_it():
     rows = [[f"r{i}", "user", "us", "1", "5", "10", "0", "10"] for i in range(1, 6)]
-    for at in (1, 4):  # in the first chunk of 3 rows, and in the second
+    for at in (1, 4):  # in the first chunk of 40 bytes, and in a later one
         for k, tokens in enumerate(_ODD):
             for token in tokens:
                 odd = [list(row) for row in rows]
                 odd[at][k] = token
-                chunked, row_by_row = _both_paths(_csv_text(odd))
-                assert type(chunked) is type(row_by_row), (at, k, token)
-                assert chunked == row_by_row, (at, k, token)
+                for ending in ("\n", "\r\n"):
+                    chunked, row_by_row = _both_paths(_csv_text(odd, ending))
+                    for by_bytes, by_row in zip(chunked, row_by_row):
+                        assert type(by_bytes) is type(by_row), (at, k, token)
+                        assert by_bytes == by_row, (at, k, token)
 
 
 def test_canonical_chunks_bypass_the_row_loop(tree):
     text = fixture_text("market_survey.csv")
-    with mock.patch.object(survey, "_CHUNK_ROWS", 300):
+    with mock.patch.object(survey, "_CHUNK_BYTES", 20_000):
         with mock.patch.object(survey, "_row_chunk", wraps=survey._row_chunk) as row_loop:
-            by_column = ingest_responses(io.StringIO(text), tree, "our_co")
-        with mock.patch.object(survey, "_table_chunk", lambda *args: None):
+            by_bytes = ingest_responses(io.StringIO(text), tree, "our_co")
+        with mock.patch.object(survey, "_parse_bytes", lambda *args: None):
             by_row = ingest_responses(io.StringIO(text), tree, "our_co")
     assert [call.args[0] for call in row_loop.call_args_list] == [[]]
-    assert len(by_column) == 2000
-    assert by_column == by_row
+    assert len(by_bytes) == 2000
+    assert by_bytes == by_row
+
+
+def test_three_hundred_suppliers_keep_distinct_codes():
+    # more suppliers than an int8 code can tell apart
+    names = [f"s{k:03d}" for k in range(300)]
+    rows = [[f"r{i}", "user", names[i * 7 % 300], "5", "5", "5", "5", "5"] for i in range(900)]
+    text = _csv_text(rows)
+    samples = [ingest_responses(io.StringIO(text), TINY_TREE, "s150")]
+    with mock.patch.object(survey, "_CHUNK_BYTES", 1000):  # codes merged across chunks
+        samples.append(ingest_responses(io.StringIO(text), TINY_TREE, "s150"))
+    with mock.patch.object(survey, "_parse_bytes", lambda *args: None):
+        samples.append(ingest_responses(io.StringIO(text), TINY_TREE, "s150"))
+    for sample in samples:
+        assert sample == samples[-1]
+        assert _labels(sample) == [row[:3] for row in rows]
+        assert sample.suppliers() == ["s150", *(name for name in names if name != "s150")]
+        for name in ("s150", "s000", "s299"):
+            mine, rest = split_by_supplier(sample, name)
+            assert mine.ids.tolist() == [row[0] for row in rows if row[2] == name]
+            assert len(mine) == 3 and len(rest) == len(rows) - 3
 
 
 # --- means from one column pass
@@ -470,9 +520,7 @@ def test_canonical_chunks_bypass_the_row_loop(tree):
 def _with_blank_cells(sample, share, seed):
     rng = np.random.default_rng(seed)
     ratings = np.where(rng.random(sample.ratings.shape) < share, 0, sample.ratings)
-    return SurveySample(
-        sample.tree, sample.own_supplier, sample.labels, ratings.astype(np.int8), sample.outcomes
-    )
+    return dataclasses.replace(sample, ratings=ratings.astype(np.int8))
 
 
 def test_column_pass_means_equal_node_mean_bit_for_bit(sample, halves):
@@ -491,7 +539,7 @@ def test_column_pass_refuses_a_node_nobody_rated():
     assert node_means(own) == {"value": 7.5, "a": 8.0, "b": 7.0}
     ratings = sample.ratings.copy()
     ratings[:, 2] = 0
-    blank_b = SurveySample(TINY_TREE, "us", sample.labels, ratings, sample.outcomes)
+    blank_b = dataclasses.replace(sample, ratings=ratings)
     with pytest.raises(NoRatingsError, match="'b'"):
         node_means(blank_b)
     with pytest.raises(NoRatingsError, match="'b'"):
