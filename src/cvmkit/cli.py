@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import click
@@ -125,7 +126,12 @@ def _load_tree(path: str):
 
 def _load_sample(survey_path: str, tree, own: str):
     _require_file(survey_path, "survey")
-    return ingest_responses(survey_path, tree, own)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sample = ingest_responses(survey_path, tree, own)
+    for warning in caught:
+        _warn(str(warning.message))
+    return sample
 
 
 def _finite(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
@@ -321,6 +327,8 @@ def report(
     out_path: str | None,
 ) -> None:
     """The full competitive report: profile tables, CVA, priorities, loyalty, value map."""
+    if fmt == "plotdata" and out_path is None:
+        _fail("--format plotdata needs --out STEM to name its files")
     try:
         tree = _load_tree(tree_path)
         sample = _load_sample(survey_path, tree, own_label)
@@ -367,8 +375,6 @@ def report(
                 _warn(f"value map unavailable: {exc}")
 
         if fmt == "plotdata":
-            if out_path is None:
-                _fail("--format plotdata needs --out STEM to name its files")
             if curve is not None:
                 _emit(loyalty_plot_csv(curve), f"{out_path}_loyalty_curve.csv", "report")
             if map_points:

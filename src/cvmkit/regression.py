@@ -394,8 +394,17 @@ def hierarchy_from_records(records: Mapping, tree: ValueTree) -> FittedHierarchy
             f"hierarchy was fitted for root {records.get('root')!r}, "
             f"tree has root {tree.root!r}"
         )
+    internal = set(tree.internal_nodes())
     models = {}
     for node_id, rec in records["models"].items():
+        if node_id not in internal:
+            raise ValueError(f"model for {node_id!r}, not an internal node of tree {tree.name!r}")
+        children = sorted(tree.children_of(node_id))
+        for key in ("coefficients", "impact_weights"):
+            if sorted(rec[key]) != children:
+                raise ValueError(
+                    f"{key} of {node_id!r} name {sorted(rec[key])}, not its children {children}"
+                )
         fit = LinearFit(
             intercept=float(rec["intercept"]),
             coefficients={k: float(v) for k, v in rec["coefficients"].items()},

@@ -24,22 +24,25 @@ slices.  Other modules read the store only through the functions below.
 The class constructor takes the columns as given and checks no value;
 ingest is where a file's values are checked.
 
-Ingest reads the file in chunks of a fixed number of bytes (a text stream's
-text is encoded back to UTF-8 first), so its memory does not grow with the
-file beyond the store itself.  While the file is plain (ASCII, no quote, no
-CR but in CRLF, which reads as LF), a chunk of whole lines in which every
-line has the header's comma count, every label is non-empty and unpadded,
-every role is in :data:`ROLES` and every value cell is canonical (blank or
-``1``-``10``, and ``0`` for outcomes) is parsed straight from its bytes:
-delimiters found with one array scan, each value cell decoded from its
-first two bytes, labels gathered as fixed-width bytes.  Any other chunk
-goes through the row loop, which strips cells, parses ASCII integers
-(digits after an optional sign) and raises the first row-numbered
-diagnostic; from the first chunk that is not plain, ``csv.reader`` reads
-the rest of the file for it.  The row loop accepts and rejects exactly what
-a row loop over the whole file would, so the byte parser is only a
-shortcut.  Repeated ids are looked for once, over the whole sample, unless
-a row loop needs the earlier ids first.
+Ingest reads a path through one binary file handle, in chunks of a fixed
+number of bytes each taken on to the end of its last line, so its memory
+does not grow with the file beyond the store itself; a text stream is read
+whole and encoded back to UTF-8 into an in-memory handle.  While the file
+is plain (ASCII, no quote, no CR but in CRLF, which reads as LF), a chunk
+of whole lines in which every line has the header's comma count, every
+label is non-empty and unpadded, every role is in :data:`ROLES` and every
+value cell is canonical (blank or ``1``-``10``, and ``0`` for outcomes) is
+parsed straight from its bytes: delimiters found with one array scan, each
+value cell decoded from its first two bytes, labels gathered as fixed-width
+bytes.  Any other chunk goes through the row loop, which strips cells,
+parses ASCII integers (digits after an optional sign) and raises the first
+row-numbered diagnostic; from the first chunk that is not plain,
+``csv.reader`` reads the rest of the file for it, with each byte that is
+not UTF-8 read as one character U+DC80-U+DCFF (``surrogateescape``), which
+the row loop names as its row's first fault.  The row loop accepts and
+rejects exactly what a row loop over the whole file would, so the byte
+parser is only a shortcut.  Repeated ids are looked for once, over the
+whole sample, unless a row loop needs the earlier ids first.
 
 Every node mean and half-width is read from one histogram pass over the
 rating matrix, made once per sample and kept on it, which gives each
@@ -244,49 +247,24 @@ def ingest_responses(
     ratings are then missing for everyone), but unknown names are an error —
     that is what catches a typo'd header.  Any bad cell aborts ingest with the
     offending row number; a header-only file yields an empty sample and a
-    warning.  A path is read as UTF-8, with or without a byte-order mark.  A
-    byte that is not UTF-8 is an error naming its row when ``source`` is a
-    path, and naming no row when it is a stream.
+    warning.  A path is read as UTF-8, with or without a byte-order mark, in
+    chunks of a bounded number of bytes; a stream is read whole.  A byte that
+    is not UTF-8, or a lone surrogate in a stream's text, is an error naming
+    its row; only a stream whose own decoder fails gives an error naming no
+    row.
     """
     if hasattr(source, "read"):
-        # surrogatepass lets any str make the round trip through bytes
-        read = functools.partial(source.read, _CHUNK_BYTES)  # type: ignore[union-attr]
-        blocks = (text.encode("utf-8", "surrogatepass") for text in iter(read, ""))
         try:
-            return _ingest(blocks, "surrogatepass", tree, own_supplier)
+            text = source.read()  # type: ignore[union-attr]
         except UnicodeDecodeError as exc:
-            # A stream cannot be read again to find the row, and its decoder
-            # reads ahead, so the rows parsed so far do not give it either.
             message = f"byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
             raise SurveyFormatError(message) from None
-    try:
-        with open(source, "rb") as handle:
-            if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-                handle.seek(0)
-            blocks = iter(functools.partial(handle.read, _CHUNK_BYTES), b"")
-            return _ingest(blocks, "strict", tree, own_supplier)
-    except UnicodeDecodeError:
-        # The error of a chunk or of the text decoder cannot name the row;
-        # decoding the whole file again finds the byte, and the CSV records
-        # before it give the row, counted as every diagnostic counts.
-        data = Path(source).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # the sentinel makes a record-ending prefix count the next record
-            prefix = io.StringIO(data[: exc.start].decode("utf-8") + "x")
-            row = sum(1 for _ in _csv_rows(prefix))
-            message = f"byte 0x{data[exc.start]:02x} is not valid UTF-8"
-            raise SurveyFormatError(message, row) from None
-        raise
-
-
-def _csv_rows(stream: IO[str]) -> Iterator[list[str]]:
-    reader = csv.reader(stream)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise SurveyFormatError(f"malformed CSV: {exc}", reader.line_num) from None
+        # surrogatepass lets any str make the round trip through bytes
+        return _ingest(io.BytesIO(text.encode("utf-8", "surrogatepass")), tree, own_supplier)
+    with open(source, "rb") as handle:
+        if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            handle.seek(0)
+        return _ingest(handle, tree, own_supplier)
 
 
 #: Bytes read at a time.  A chunk's index arrays are the largest transient of
@@ -307,73 +285,76 @@ class _Layout:
     outcome_cols: dict[int, tuple[int, str]] = field(default_factory=dict)
 
 
-def _ingest(
-    blocks: Iterator[bytes], errors: str, tree: ValueTree, own_supplier: str
-) -> SurveySample:
-    records = _records(blocks, errors)
-    first = next(records, [])
-    if isinstance(first, bytes):
-        line, _, first = first.partition(b"\n")
-        header = _split_lines(line.decode("ascii") + "\n")[0]
-    elif first:
-        header, first = first[0], first[1:]
-    else:
-        raise SurveyFormatError("empty file: no header row")
-    header = [h.strip() for h in header]
-
-    fixed = ["respondent_id", "role", "supplier"]
-    if header[: len(fixed)] != fixed:
-        raise SurveyFormatError(
-            f"header must start with {', '.join(fixed)}; got {header[:3]}", row=1
-        )
-    outcome_by_column = {kind.column: k for k, kind in enumerate(_OUTCOMES)}
-    position = _positions(tree)
-    layout = _Layout(len(header), len(position))
-    seen: set[str] = set()
-    for idx, name in enumerate(header[len(fixed) :], start=len(fixed)):
-        if name in seen:
-            raise SurveyFormatError(f"duplicate column {name!r}", row=1)
-        seen.add(name)
-        if name in outcome_by_column:
-            layout.outcome_cols[idx] = (outcome_by_column[name], name)
-        elif name in position:
-            layout.node_cols[idx] = (position[name], f"rating for {name!r}")
+def _ingest(handle: IO[bytes], tree: ValueTree, own_supplier: str) -> SurveySample:
+    records = _records(handle)
+    row_number = 1  # of the record being read, which a csv.Error names
+    try:
+        first = next(records, [])
+        if isinstance(first, bytes):
+            line, _, first = first.partition(b"\n")
+            header = _split_lines(line.decode("ascii") + "\n")[0]
+        elif first:
+            header, first = first[0], first[1:]
         else:
-            raise SurveyFormatError(
-                f"unknown column {name!r}: not a node of tree {tree.name!r} "
-                "and not an outcome column",
-                row=1,
-            )
+            raise SurveyFormatError("empty file: no header row")
+        _refuse_undecodable(header, 1)
+        header = [h.strip() for h in header]
 
-    # A chunk of bytes is parsed straight from them (_parse_bytes); any other
-    # chunk goes through the row loop (_row_chunk), which accepts and
-    # diagnoses exactly as a whole-file row loop would: it gets absolute row
-    # numbers, and ``first_row`` gets the id of every row before it.  Ids of
-    # byte chunks wait in ``unnoted`` until a row loop needs them, or a
-    # repeat in the whole sample is to be named.  Suppliers are coded in
-    # order of first appearance (``supplier_code``); the canonical table
-    # comes last.
-    first_row: dict[str, int] = {}
-    unnoted: list[tuple[np.ndarray, int]] = []
-    supplier_code: dict[str, int] = {}
-    row_number = 2
-    # the empty chunk gives a file without respondent rows its column shapes
-    parts = [_row_chunk([], row_number, layout, first_row, supplier_code)]
-    for piece in itertools.chain([first], records):
-        if not piece:
-            continue
-        part = None
-        if isinstance(piece, bytes):
-            part = _parse_bytes(piece, layout, supplier_code)
-            if part is None:
-                piece = _split_lines(piece.decode("ascii"))
+        fixed = ["respondent_id", "role", "supplier"]
+        if header[: len(fixed)] != fixed:
+            raise SurveyFormatError(
+                f"header must start with {', '.join(fixed)}; got {header[:3]}", row=1
+            )
+        outcome_by_column = {kind.column: k for k, kind in enumerate(_OUTCOMES)}
+        position = _positions(tree)
+        layout = _Layout(len(header), len(position))
+        seen: set[str] = set()
+        for idx, name in enumerate(header[len(fixed) :], start=len(fixed)):
+            if name in seen:
+                raise SurveyFormatError(f"duplicate column {name!r}", row=1)
+            seen.add(name)
+            if name in outcome_by_column:
+                layout.outcome_cols[idx] = (outcome_by_column[name], name)
+            elif name in position:
+                layout.node_cols[idx] = (position[name], f"rating for {name!r}")
             else:
-                unnoted.append((part[0], row_number))
-        if part is None:
-            _note_ids(first_row, unnoted)
-            part = _row_chunk(piece, row_number, layout, first_row, supplier_code)
-        parts.append(part)
-        row_number += len(part[0]) if isinstance(piece, bytes) else len(piece)
+                raise SurveyFormatError(
+                    f"unknown column {name!r}: not a node of tree {tree.name!r} "
+                    "and not an outcome column",
+                    row=1,
+                )
+
+        # A chunk of bytes is parsed straight from them (_parse_bytes); any
+        # other chunk goes through the row loop (_row_chunk), which accepts and
+        # diagnoses exactly as a whole-file row loop would: it gets absolute
+        # row numbers, and ``first_row`` gets the id of every row before it.
+        # Ids of byte chunks wait in ``unnoted`` until a row loop needs them,
+        # or a repeat in the whole sample is to be named.  Suppliers are coded
+        # in order of first appearance (``supplier_code``); the canonical
+        # table comes last.
+        first_row: dict[str, int] = {}
+        unnoted: list[tuple[np.ndarray, int]] = []
+        supplier_code: dict[str, int] = {}
+        row_number = 2
+        # the empty chunk gives a file without respondent rows its column shapes
+        parts = [_row_chunk([], row_number, layout, first_row, supplier_code)]
+        for piece in itertools.chain([first], records):
+            if not piece:
+                continue
+            part = None
+            if isinstance(piece, bytes):
+                part = _parse_bytes(piece, layout, supplier_code)
+                if part is None:
+                    piece = _split_lines(piece.decode("ascii"))
+                else:
+                    unnoted.append((part[0], row_number))
+            if part is None:
+                _note_ids(first_row, unnoted)
+                part = _row_chunk(piece, row_number, layout, first_row, supplier_code)
+            parts.append(part)
+            row_number += len(part[0]) if isinstance(piece, bytes) else len(piece)
+    except csv.Error as exc:
+        raise SurveyFormatError(f"malformed CSV: {exc}", row_number) from None
 
     ids, roles, suppliers, ratings, outcomes = (np.concatenate(column) for column in zip(*parts))
     ordered = np.sort(ids, kind="stable")  # fast on ids that come in order
@@ -413,59 +394,48 @@ def _note_id(first_row: dict[str, int], respondent_id: str, row: int) -> None:
         )
 
 
-def _records(blocks: Iterator[bytes], errors: str) -> Iterator[bytes | list[list[str]]]:
-    """The file's records in chunks of whole lines.
+def _records(handle: IO[bytes]) -> Iterator[bytes | list[list[str]]]:
+    """The records of ``handle`` from its position on, in chunks of whole lines.
 
     While the file is plain (ASCII, no quote, no CR but in CRLF, which reads
     as LF), a chunk comes as its bytes, and each line is a record whose
     fields are split at every comma.  From the first chunk that is not
     plain, ``csv.reader`` reads the rest of the file in lists of rows.
     """
-    pending = b""
-    for block in itertools.chain(blocks, [b""]):  # the empty block ends the file
-        data = pending + block
-        cut = data.rfind(b"\n") + 1 if block else len(data)
-        chunk, pending = data[:cut], data[cut:]
+    while True:
+        start = handle.tell()
+        chunk = handle.read(_CHUNK_BYTES) + handle.readline()
         if b"\r" in chunk:
             chunk = chunk.replace(b"\r\n", b"\n")
         if b'"' in chunk or b"\r" in chunk or not chunk.isascii():
-            yield from _csv_records(itertools.chain([data], blocks), errors)
+            handle.seek(start)
+            yield from _csv_records(handle)
             return
-        if chunk:
-            yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
+        if not chunk:
+            return
+        yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
 
 
-def _csv_records(blocks: Iterator[bytes], errors: str) -> Iterator[list[list[str]]]:
-    """Rows of ``csv.reader`` in lists; when reading fails, the rows before the fault come first."""
-    reader = _csv_rows(io.TextIOWrapper(_BlockStream(blocks), "utf-8", errors, newline=""))
+def _csv_records(handle: IO[bytes]) -> Iterator[list[list[str]]]:
+    """Rows of ``csv.reader`` over the rest of ``handle``, in lists.
+
+    Each byte that is not UTF-8 becomes one character U+DC80-U+DCFF
+    (``surrogateescape``), which the row loop names.  A malformed record
+    raises ``csv.Error`` after the rows before it come.
+    """
+    reader = csv.reader(io.TextIOWrapper(handle, "utf-8", "surrogateescape", newline=""))
     while True:
         rows: list[list[str]] = []
         try:
-            for row in itertools.islice(reader, _CHUNK_ROWS):
-                rows.append(row)
-        except (SurveyFormatError, UnicodeDecodeError):
+            for record in itertools.islice(reader, _CHUNK_ROWS):
+                rows.append(record)
+        except csv.Error:
             if rows:
                 yield rows
             raise
         if not rows:
             return
         yield rows
-
-
-class _BlockStream(io.BufferedIOBase):
-    """A readable binary stream over an iterator of byte blocks."""
-
-    def __init__(self, blocks: Iterator[bytes]):
-        self._blocks, self._block = blocks, memoryview(b"")
-
-    def readable(self) -> bool:
-        return True
-
-    def read1(self, size: int = -1) -> bytes:
-        self._block = self._block or memoryview(next(self._blocks, b""))
-        end = len(self._block) if size < 0 else size
-        data, self._block = self._block[:end], self._block[end:]
-        return bytes(data)
 
 
 def _split_lines(text: str) -> list[list[str]]:
@@ -555,6 +525,16 @@ def _fixed_width(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np
     return chars.view(f"S{len(offsets)}").ravel()
 
 
+#: a byte that is not UTF-8, as ``surrogateescape`` reads it
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _refuse_undecodable(cells: list[str], row: int) -> None:
+    text = "".join(cells)
+    if not text.isascii() and (byte := _UNDECODABLE.search(text)):
+        raise SurveyFormatError(f"byte 0x{ord(byte[0]) - 0xDC00:02x} is not valid UTF-8", row)
+
+
 def _row_chunk(
     chunk: list[list[str]], start: int, layout: _Layout, first_row: dict[str, int],
     supplier_code: dict[str, int],
@@ -564,6 +544,7 @@ def _row_chunk(
     rating_rows: list[list[int]] = []
     outcome_rows: list[list[int]] = []
     for row_number, row in enumerate(chunk, start=start):
+        _refuse_undecodable(row, row_number)
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != layout.width:

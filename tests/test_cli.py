@@ -206,6 +206,22 @@ def test_report_plotdata_requires_out():
     assert "--out" in result.stderr
 
 
+def test_report_plotdata_without_out_is_refused_before_the_survey_is_read(tmp_path):
+    result = invoke("report", "--tree", TREE, "--survey", str(tmp_path / "absent.csv"), *OWN,
+                    "--format", "plotdata")
+    assert result.exit_code == 1
+    assert result.stderr == "error: --format plotdata needs --out STEM to name its files\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "fit", "report", "nps"])
+def test_a_header_only_survey_warns_on_a_warning_line(tmp_path, command):
+    header_only = tmp_path / "header.csv"
+    header_only.write_text(fixture_text("market_survey.csv").splitlines(keepends=True)[0])
+    result = invoke(command, "--tree", TREE, "--survey", str(header_only), *OWN)
+    assert result.stderr.splitlines()[0] == "warning: survey has a header but no respondent rows"
+    assert "UserWarning" not in result.stderr
+
+
 def test_report_without_competitors_warns_but_succeeds(tmp_path):
     own_only = tmp_path / "own.csv"
     lines = [
@@ -376,6 +392,40 @@ def test_malformed_hierarchy_file_names_the_file(tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"error: hierarchy is not valid JSON: {hierarchy}" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda models: models.update(billing=models["quality"]),
+            "model for 'billing', not an internal node of tree 'automobile_purchase'",
+        ),
+        (
+            lambda models: models["quality"]["coefficients"].update(price=0.5),
+            "coefficients of 'quality' name ['automobile', 'delivery_process', 'price'], "
+            "not its children ['automobile', 'delivery_process']",
+        ),
+        (
+            lambda models: models["quality"]["impact_weights"].pop("automobile"),
+            "impact_weights of 'quality' name ['delivery_process'], "
+            "not its children ['automobile', 'delivery_process']",
+        ),
+    ],
+    ids=["model-of-a-leaf", "extra-regressor", "missing-weight"],
+)
+def test_hierarchy_that_does_not_fit_the_tree_names_the_file_and_node(tmp_path, edit, message):
+    hierarchy = tmp_path / "fit.json"
+    fitted = invoke("fit", "--tree", TREE, "--survey", SURVEY, *OWN, "--out", str(hierarchy))
+    assert fitted.exit_code == 0
+    document = json.loads(hierarchy.read_text())
+    edit(document["models"])
+    hierarchy.write_text(json.dumps(document))
+    result = invoke("report", "--tree", TREE, "--survey", SURVEY, *OWN,
+                    "--hierarchy", str(hierarchy))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: hierarchy {hierarchy}: malformed field: {message}\n"
 
 
 def test_malformed_seed_config_names_the_file(tmp_path):

@@ -563,6 +563,17 @@ def test_a_quoted_newline_shifts_no_diagnostic_off_its_record(tmp_path, fault):
         assert str(err.value) == "row 5: byte 0xff is not valid UTF-8"
 
 
+def test_a_malformed_record_past_the_first_chunk_is_named_by_its_record_number(tmp_path):
+    rows = [f"r{i},user,us,5,5,5,5,5" for i in range(2, 30)]
+    rows[8] = rows[8].replace("r10", '"r\n10"')  # record 10 spans two lines
+    rows[18] = rows[18].replace("r20", '"' + "x" * 200_000 + '"')  # csv.Error on record 20
+    path = tmp_path / "survey.csv"
+    path.write_text("\n".join([TINY_CSV.splitlines()[0], *rows]) + "\n")
+    with mock.patch.object(survey, "_CHUNK_BYTES", 100), pytest.raises(SurveyFormatError) as err:
+        ingest_responses(path, TINY_TREE, "us")
+    assert str(err.value) == "row 20: malformed CSV: field larger than field limit (131072)"
+
+
 def test_an_undecodable_byte_in_a_stream_is_a_diagnostic_without_a_row(tmp_path):
     path = tmp_path / "survey.csv"
     path.write_bytes(TINY_CSV.encode().replace(b"them", b"th\xffem"))
@@ -571,3 +582,45 @@ def test_an_undecodable_byte_in_a_stream_is_a_diagnostic_without_a_row(tmp_path)
             ingest_responses(stream, TINY_TREE, "us")
     assert err.value.row is None
     assert str(err.value) == "byte 0xff is not valid UTF-8"
+
+
+def test_a_bad_cell_is_named_before_a_later_undecodable_byte_in_its_block(tmp_path):
+    # both rows fall in the text decoder's first block
+    rows = TINY_CSV.splitlines() + [f"r{i},user,them,6,5,7,5,5" for i in range(4, 8)]
+    rows[3] = "r3,decision_maker,us,7"
+    rows[6] = rows[6].replace("them", "th\udcffem")
+    path = tmp_path / "survey.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(rows).encode("utf-8", "surrogateescape"))
+    with pytest.raises(SurveyFormatError) as err:
+        ingest_responses(path, TINY_TREE, "us")
+    assert str(err.value) == "row 4: expected 8 fields, got 4"
+
+
+def test_an_undecodable_byte_in_the_header_names_row_one(tmp_path):
+    path = tmp_path / "survey.csv"
+    path.write_bytes(TINY_CSV.encode().replace(b"value", b"val\xffue", 1))
+    with pytest.raises(SurveyFormatError) as err:
+        ingest_responses(path, TINY_TREE, "us")
+    assert str(err.value) == "row 1: byte 0xff is not valid UTF-8"
+
+
+def test_a_lone_surrogate_in_a_stream_is_refused_at_its_row():
+    with pytest.raises(SurveyFormatError) as err:
+        ingest_responses(io.StringIO(TINY_CSV.replace("them", "th\udcffem")), TINY_TREE, "us")
+    assert str(err.value) == "row 3: byte 0xed is not valid UTF-8"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_respondent_rows(), st.sampled_from(["\n", "\r\n"]), st.data())
+def test_an_undecodable_byte_is_named_at_its_record(rows, ending, data):
+    lines = _rows_text(rows).replace("\n", ending).encode().splitlines(keepends=True)
+    record = data.draw(st.integers(0, len(lines) - 1))
+    at = data.draw(st.integers(0, len(lines[record].rstrip(b"\r\n"))))
+    lines[record] = lines[record][:at] + b"\xff" + lines[record][at:]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(survey, "_CHUNK_BYTES", 30):
+        path = Path(tmp) / "survey.csv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(SurveyFormatError) as err:
+            ingest_responses(path, TINY_TREE, "us")
+    assert err.value.row == record + 1
+    assert str(err.value) == f"row {record + 1}: byte 0xff is not valid UTF-8"
