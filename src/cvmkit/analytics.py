@@ -394,12 +394,15 @@ class ValueMapPoint:
 def supplier_value_points(sample: SurveySample) -> list[tuple[str, float, float]]:
     """Each supplier's (relative quality, relative price) versus the rest of the market.
 
-    The axes are the root's two children, in tree order (another root shape
-    raises ``ValueError``); a supplier alone in the sample is left out.
+    The axes are the root's two children, in tree order; this is the one place
+    that rule is checked, and a root with another number of children raises
+    :class:`CvmError`.  A supplier alone in the sample is left out.
     """
     axes = sample.tree.children_of(sample.tree.root)
     if len(axes) != 2:
-        raise ValueError(f"the value map needs a two-driver root, not {len(axes)} drivers")
+        raise CvmError(
+            f"the value map needs a two-driver root (quality/price), not {len(axes)} drivers"
+        )
     points = []
     for supplier in sample.suppliers():
         mine, rest = split_by_supplier(sample, supplier)

@@ -21,9 +21,7 @@ import dataclasses
 import datetime
 import json
 import math
-import os
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
@@ -37,9 +35,9 @@ from .analytics import (
     value_map,
     value_target_for_loyalty,
 )
-from .errors import CvmError, decode_utf8, read_json
+from .errors import CvmError, decode_utf8, read_json, write_atomic
 from .nps import aggregate_nps, nps, nps_vs_cva_report
-from .regression import fit_hierarchy, hierarchy_records, load_hierarchy
+from .regression import fit_hierarchy, load_hierarchy, save_hierarchy
 from .rendering import (
     loyalty_plot_csv,
     render_loyalty_curve,
@@ -60,7 +58,7 @@ from .survey import (
     outcome_values,
     sample_counts,
     split_by_supplier,
-    survey_text,
+    write_survey,
 )
 from .tree import TreeFormatError, parse_tree_spec
 
@@ -83,39 +81,18 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _write_atomic(path: str | Path, text: str) -> None:
-    """Write through a temp file and a rename; a path it cannot write is an error."""
-    target = Path(path)
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, target)
-    except BaseException as exc:
-        if tmp is not None:
-            os.unlink(tmp)
-        if isinstance(exc, OSError):
-            _fail(f"cannot write {target}: {exc.strerror or exc}")
-        raise
-
-
 def _write_sidecar(out_path: str | Path, command: str) -> None:
     """Run metadata lives next to the artifact, never inside it."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     line = f"{stamp} cvmkit {command} -> {out_path}\n"
-    _write_atomic(str(out_path) + ".log", line)
+    write_atomic(str(out_path) + ".log", line)
 
 
 def _emit(text: str, out_path: str | None, command: str) -> None:
     if out_path is None:
         click.echo(text, nl=False)
     else:
-        _write_atomic(out_path, text)
+        write_atomic(out_path, text)
         _write_sidecar(out_path, command)
 
 
@@ -232,7 +209,7 @@ def _fit_summary(hierarchy) -> str:
             for child, weight in model.impact_weights.items()
         )
         lines.append(
-            f"{node_id}: R^2 = {format_percent(round(model.fit.r_squared * 100))}%, "
+            f"{node_id}: R^2 = {format_percent(100 * model.fit.r_squared)}%, "
             f"n = {model.fit.n}, weights: {weights}"
         )
         for flag in model.flags:
@@ -259,8 +236,7 @@ def fit(tree_path: str, survey_path: str, own_label: str, out_path: str | None) 
                 f"{node} ({reason})" for node, reason in hierarchy.unfit.items()
             ))
         if out_path is not None:
-            document = json.dumps(hierarchy_records(hierarchy), indent=2) + "\n"
-            _write_atomic(out_path, document)
+            save_hierarchy(hierarchy, out_path)
             _write_sidecar(out_path, "fit")
         click.echo(_fit_summary(hierarchy), nl=False)
     except CvmError as exc:
@@ -358,7 +334,7 @@ def report(
         except NoRatingsError as exc:
             _warn(f"loyalty curve unavailable: {exc}")
 
-        target_line = None
+        target_line = required = None
         if target_loyalty is not None and curve is not None:
             required = value_target_for_loyalty(curve, target_loyalty)
             shown = "beyond the observed curve" if required is None else format_rating(required)
@@ -366,13 +342,10 @@ def report(
             target_line = f"required value score for {pct}% willingness: {shown}"
 
         map_points = []
-        if len(tree.children_of(tree.root)) != 2:
-            _warn("value map needs a two-driver root (quality/price); skipped")
-        else:
-            try:
-                map_points = value_map(supplier_value_points(sample), band)
-            except CvmError as exc:
-                _warn(f"value map unavailable: {exc}")
+        try:
+            map_points = value_map(supplier_value_points(sample), band)
+        except CvmError as exc:
+            _warn(f"value map unavailable: {exc}")
 
         if fmt == "plotdata":
             if curve is not None:
@@ -396,9 +369,9 @@ def report(
                     "raw_proportions": list(curve.raw_proportions),
                     "bin_counts": list(curve.bin_counts),
                 },
-                "loyalty_target": None if target_loyalty is None or curve is None else {
+                "loyalty_target": None if target_line is None else {
                     "target": target_loyalty,
-                    "required_value_score": value_target_for_loyalty(curve, target_loyalty),
+                    "required_value_score": required,
                 },
                 "value_map": [dataclasses.asdict(p) for p in map_points],
             }
@@ -497,7 +470,7 @@ def simulate(config_path: str, out_path: str) -> None:
     try:
         truth = load_truth(_require_file(config_path, "seed-config"))
         sample = generate_market(truth)
-        _write_atomic(out_path, survey_text(sample))
+        write_survey(sample, out_path)
         _write_sidecar(out_path, "simulate")
         if len(sample) == 0:
             _warn("n = 0: wrote a header-only survey file")

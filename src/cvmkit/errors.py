@@ -1,13 +1,18 @@
-"""Common exception base for the package, and the input decoders that raise it.
+"""Common exception base for the package, the input decoders that raise it,
+and the one writer every artifact goes through.
 
 Every domain error raised by cvmkit derives from :class:`CvmError` so callers
 (and the command-line layer) can catch one type and translate it into a
-diagnostic plus a nonzero exit status.
+diagnostic plus a nonzero exit status.  :func:`write_atomic` is the only code
+in the package that writes a file: a reader never sees a half-written
+artifact, and a path it cannot write is a :class:`CvmError` as well.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
@@ -54,3 +59,28 @@ def read_json(path: str | Path, what: str, build: Callable[[Any], T]) -> T:
         raise CvmError(f"{what} {path}: missing field {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise CvmError(f"{what} {path}: malformed field: {exc}") from None
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through a temp file and a rename.
+
+    The temp file sits next to ``path``, is created with the mode ``open``
+    gives, and is removed on any failure; an ``OSError`` raises
+    ``CvmError("cannot write <path>: <reason>")``.
+    """
+    target = Path(path)
+    # a fresh random name, created exclusively: the process umask, which
+    # every thread shares, sets the mode and is never changed
+    name = target.parent / f".{target.name}.{uuid.uuid4().hex}.tmp"
+    tmp = None
+    try:
+        with open(name, "x", encoding="utf-8") as handle:
+            tmp = name
+            handle.write(text)
+        os.replace(tmp, target)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise CvmError(f"cannot write {target}: {exc.strerror or exc}") from None
+        raise

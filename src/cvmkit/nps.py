@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+from .analytics import cva
 from .errors import CvmError
 from .regression import FittedHierarchy
-from .survey import OutcomeKind, SurveySample, outcome_values, split_by_supplier
+from .survey import OutcomeKind, SurveySample, outcome_values
 
 __all__ = [
     "NpsSegment",
@@ -157,22 +158,23 @@ def nps_vs_cva_report(
 ) -> NpsVsCva:
     """Score the own customers' recommend answers and line them up with CVA.
 
-    ``own`` must actually contain own-supplier respondents with recommend
-    outcomes; CVA additionally needs the competitor sample.
+    ``own`` must hold the own supplier's respondents and no one else (the
+    own half of a supplier split), so the score and CVA are computed
+    over the same customers; any other sample raises :class:`CvmError`, as
+    does an ``own`` without recommend outcomes.  CVA additionally needs the
+    competitor sample.
     """
-    from .analytics import cva as compute_cva  # local import avoids a cycle
-
-    own_customers, _ = split_by_supplier(own)
-    if not len(own_customers):
+    if own.suppliers() != [own.own_supplier]:
         raise CvmError(
-            "no own-supplier respondents in the sample; the score needs your "
-            "own customers"
+            f"the own sample must hold {own.own_supplier!r}'s customers and no "
+            f"one else, so the score and CVA describe the same customers; it "
+            f"holds {own.suppliers()}"
         )
-    ratings = outcome_values(own_customers, OutcomeKind.RECOMMEND)
+    ratings = outcome_values(own, OutcomeKind.RECOMMEND)
     if not ratings:
         raise CvmError("own respondents carry no recommend outcomes")
     result = nps(ratings)
-    cva_value = compute_cva(hierarchy, own, competitors)
+    cva_value = cva(hierarchy, own, competitors)
     return NpsVsCva(
         nps_result=result,
         cva=cva_value,

@@ -45,7 +45,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CvmError, read_json
+from .errors import CvmError, read_json, write_atomic
 from .rounding import round_half_away
 from .survey import SurveySample, complete_cases
 from .tree import ValueTree, path_to_root
@@ -422,8 +422,7 @@ def hierarchy_from_records(records: Mapping, tree: ValueTree) -> FittedHierarchy
 
 
 def save_hierarchy(hierarchy: FittedHierarchy, path: str | Path) -> None:
-    text = json.dumps(hierarchy_records(hierarchy), indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(hierarchy_records(hierarchy), indent=2) + "\n")
 
 
 def load_hierarchy(path: str | Path, tree: ValueTree) -> FittedHierarchy:

@@ -96,7 +96,7 @@ def render_profile_table(table: ProfileTable) -> str:
         "-" if table.parent_competitor is None else format_rating(table.parent_competitor.mean),
         footer_relative,
     ]
-    r2_line = f"R^2 = {format_percent(round(table.r_squared * 100))}%"
+    r2_line = f"R^2 = {format_percent(100 * table.r_squared)}%"
     margin_line = (
         f"means are +/-{format_score(max(half_widths), 2)} or tighter (95% confidence)"
     )

@@ -34,17 +34,18 @@ published-style target profile exactly.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .analytics import LoyaltyCurve, loyalty_curve, relative_rating
-from .errors import CvmError, read_json
+from .errors import CvmError, read_json, write_atomic
 from .regression import FittedHierarchy, fit_hierarchy
 from .rng import RandomStream
 from .rounding import format_rating, round_half_away
@@ -118,16 +119,8 @@ class GroundTruth:
     decision_maker_share: float = 1.0
 
     def copy(self) -> "GroundTruth":
-        return replace(
-            self,
-            n_per_supplier=dict(self.n_per_supplier),
-            coefficients={p: dict(c) for p, c in self.coefficients.items()},
-            intercepts=dict(self.intercepts),
-            leaf_means={k: dict(v) for k, v in self.leaf_means.items()},
-            noise_sd=dict(self.noise_sd),
-            willingness_link=dict(self.willingness_link),
-            class_shift={k: dict(v) for k, v in self.class_shift.items()},
-        )
+        """An independent copy of every parameter that shares the (immutable) tree."""
+        return copy.deepcopy(self, {id(self.tree): self.tree})
 
     def supplier_class(self, supplier: str) -> str:
         return supplier if supplier in self.leaf_means else COMPETITOR_CLASS
@@ -378,9 +371,7 @@ def truth_from_records(records: Mapping) -> GroundTruth:
 
 
 def save_truth(truth: GroundTruth, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(truth_records(truth), indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(path, json.dumps(truth_records(truth), indent=2) + "\n")
 
 
 def load_truth(path: str | Path) -> GroundTruth:

@@ -73,7 +73,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CvmError
+from .errors import CvmError, write_atomic
 from .tree import ValueTree
 
 __all__ = [
@@ -247,11 +247,11 @@ def ingest_responses(
     ratings are then missing for everyone), but unknown names are an error —
     that is what catches a typo'd header.  Any bad cell aborts ingest with the
     offending row number; a header-only file yields an empty sample and a
-    warning.  A path is read as UTF-8, with or without a byte-order mark, in
-    chunks of a bounded number of bytes; a stream is read whole.  A byte that
-    is not UTF-8, or a lone surrogate in a stream's text, is an error naming
-    its row; only a stream whose own decoder fails gives an error naming no
-    row.
+    warning.  A path is read as UTF-8 in chunks of a bounded number of bytes;
+    a stream is read whole.  A leading byte-order mark is skipped in either
+    source.  A byte that is not UTF-8, or a lone surrogate in a stream's
+    text, is an error naming its row; only a stream whose own decoder fails
+    gives an error naming no row.
     """
     if hasattr(source, "read"):
         try:
@@ -260,7 +260,8 @@ def ingest_responses(
             message = f"byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
             raise SurveyFormatError(message) from None
         # surrogatepass lets any str make the round trip through bytes
-        return _ingest(io.BytesIO(text.encode("utf-8", "surrogatepass")), tree, own_supplier)
+        data = text.removeprefix("\ufeff").encode("utf-8", "surrogatepass")
+        return _ingest(io.BytesIO(data), tree, own_supplier)
     with open(source, "rb") as handle:
         if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
             handle.seek(0)
@@ -612,7 +613,7 @@ def survey_text(sample: SurveySample) -> str:
 
 
 def write_survey(sample: SurveySample, path: str | Path) -> None:
-    Path(path).write_text(survey_text(sample), encoding="utf-8")
+    write_atomic(path, survey_text(sample))
 
 
 def split_by_supplier(

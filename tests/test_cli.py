@@ -11,8 +11,10 @@ from click.testing import CliRunner
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cvmkit.cli import main
+from cvmkit.analytics import profile_table
+from cvmkit.cli import _fit_summary, main
 from cvmkit.datasets import fixture_text, market_truth
+from cvmkit.rendering import render_profile_table
 from cvmkit.simulate import generate_market
 from cvmkit.survey import survey_text
 
@@ -132,6 +134,17 @@ def test_fit_prints_summary_and_writes_document(tmp_path):
     assert "fit" in log.read_text()
 
 
+def test_an_r_squared_on_a_tie_rounds_half_away_from_zero(hierarchy, halves):
+    # builtin round() takes 82.5 to 82; the package's rounding policy says 83
+    root = hierarchy.tree.root
+    model = hierarchy.models[root]
+    tied = dataclasses.replace(model, fit=dataclasses.replace(model.fit, r_squared=0.825))
+    summary = _fit_summary(dataclasses.replace(hierarchy, models={root: tied}, unfit={}))
+    assert summary.startswith(f"{root}: R^2 = 83%, ")
+    table = dataclasses.replace(profile_table(hierarchy, *halves, root), r_squared=0.825)
+    assert "R^2 = 83%" in render_profile_table(table).splitlines()
+
+
 def test_report_text_matches_golden():
     result = invoke(
         "report", "--tree", TREE, "--survey", SURVEY, *OWN, "--target-loyalty", "0.80"
@@ -236,6 +249,71 @@ def test_report_without_competitors_warns_but_succeeds(tmp_path):
     assert "value map" not in result.stdout.lower()
 
 
+def _fixture_cells():
+    """The bundled survey as (header, rows), each a list of cells."""
+    header, *rows = (line.split(",") for line in fixture_text("market_survey.csv").splitlines())
+    return header, rows
+
+
+def _without_column(header, rows, name):
+    drop = header.index(name)
+    return header[:drop] + header[drop + 1:], [row[:drop] + row[drop + 1:] for row in rows]
+
+
+def _write_cells(path, header, rows) -> str:
+    path.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]))
+    return str(path)
+
+
+def test_report_on_a_three_driver_root_warns_and_leaves_out_the_value_map(tmp_path):
+    # quality's two children become drivers of the root beside price
+    tree = tmp_path / "three.tree"
+    tree.write_text(
+        Path(TREE).read_text()
+        .replace("| root | quality price", "| root | automobile delivery_process price")
+        .replace("node: quality | Quality | driver | automobile delivery_process\n", "")
+    )
+    survey = _write_cells(tmp_path / "three.csv", *_without_column(*_fixture_cells(), "quality"))
+    result = invoke("report", "--tree", str(tree), "--survey", survey, *OWN)
+    assert result.exit_code == 0
+    assert result.stderr == (
+        "warning: value map unavailable: "
+        "the value map needs a two-driver root (quality/price), not 3 drivers\n"
+    )
+    assert "CVA = " in result.stdout
+    assert "value map" not in result.stdout.lower()
+
+
+def test_report_with_a_saved_hierarchy_missing_a_node_model_warns(tmp_path):
+    hierarchy = tmp_path / "fit.json"
+    assert invoke("fit", "--tree", TREE, "--survey", SURVEY, *OWN,
+                  "--out", str(hierarchy)).exit_code == 0
+    document = json.loads(hierarchy.read_text())
+    del document["models"]["delivery_process"]
+    document["unfit"]["delivery_process"] = "too few complete cases"
+    hierarchy.write_text(json.dumps(document))
+    result = invoke("report", "--tree", TREE, "--survey", SURVEY, *OWN,
+                    "--hierarchy", str(hierarchy))
+    assert result.exit_code == 0
+    assert result.stderr == "warning: no model for delivery_process: too few complete cases\n"
+    assert "Quality\n=======" in result.stdout
+    assert "Delivery Process\n====" not in result.stdout
+
+
+def test_report_without_own_outcomes_warns_and_leaves_out_the_loyalty_curve(tmp_path):
+    header, rows = _fixture_cells()
+    for row in rows:
+        if row[2] == "our_co":
+            row[-2:] = ["", ""]
+    survey = _write_cells(tmp_path / "mute.csv", header, rows)
+    result = invoke("report", "--tree", TREE, "--survey", survey, *OWN)
+    assert result.exit_code == 0
+    assert result.stderr.startswith("warning: loyalty curve unavailable: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert "Loyalty curve" not in result.stdout
+    assert "Value map" in result.stdout
+
+
 def test_report_unknown_own_supplier_fails():
     result = invoke("report", "--tree", TREE, "--survey", SURVEY, "--own", "nobody")
     assert result.exit_code == 1
@@ -314,6 +392,29 @@ def test_nps_without_outcomes_fails(tmp_path):
     result = invoke("nps", "--tree", TREE, "--survey", str(survey), *OWN)
     assert result.exit_code == 1
     assert "no recommend outcomes" in result.stderr
+
+
+def test_nps_without_competitors_warns_and_scores_alone(tmp_path):
+    header, rows = _fixture_cells()
+    survey = _write_cells(tmp_path / "own.csv", header, [r for r in rows if r[2] == "our_co"])
+    result = invoke("nps", "--tree", TREE, "--survey", survey, *OWN)
+    assert result.exit_code == 0
+    assert result.stderr == "warning: CVA comparison unavailable: no competitor respondents\n"
+    assert "NPS = 7.1   (n = 1000)" in result.stdout
+    assert "CVA" not in result.stdout
+
+
+def test_nps_with_an_unfit_root_model_warns_and_scores_alone(tmp_path):
+    rootless = _without_column(*_fixture_cells(), "worth_what_paid_for")
+    survey = _write_cells(tmp_path / "rootless.csv", *rootless)
+    result = invoke("nps", "--tree", TREE, "--survey", survey, *OWN)
+    assert result.exit_code == 0
+    assert result.stderr == (
+        "warning: CVA comparison unavailable: node 'worth_what_paid_for': "
+        "0 complete cases for 2 children; need at least 4\n"
+    )
+    assert "NPS = 7.1   (n = 1000)" in result.stdout
+    assert "CVA" not in result.stdout
 
 
 def test_simulate_reproduces_the_bundled_survey(tmp_path):

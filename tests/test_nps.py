@@ -139,6 +139,13 @@ def test_nps_vs_cva_needs_own_customers(hierarchy, halves):
         nps_vs_cva_report(competitors, hierarchy, own)
 
 
+def test_nps_vs_cva_refuses_an_own_sample_that_holds_competitors(sample, hierarchy, halves):
+    # scoring NPS on the own customers but CVA on everyone gave CVA 99, not 97
+    _, competitors = halves
+    with pytest.raises(CvmError, match="own"):
+        nps_vs_cva_report(sample, hierarchy, competitors)
+
+
 def test_nps_vs_cva_needs_recommend_outcomes(hierarchy, halves):
     own, competitors = halves
     silenced = dataclasses.replace(own, outcomes=np.full_like(own.outcomes, -1))

@@ -77,6 +77,16 @@ def test_round_trip_text():
     assert survey_text(again) == text
 
 
+def test_a_byte_order_mark_is_skipped_in_a_stream_as_in_a_path(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_text(TINY_CSV, encoding="utf-8-sig")
+    from_path = ingest_responses(path, TINY_TREE, "us")
+    with open(path, encoding="utf-8", newline="") as handle:
+        assert ingest_responses(handle, TINY_TREE, "us") == from_path
+    assert ingest_responses(io.StringIO("\ufeff" + TINY_CSV), TINY_TREE, "us") == from_path
+    assert from_path == ingest_responses(io.StringIO(TINY_CSV), TINY_TREE, "us")
+
+
 def test_rating_out_of_range_names_row():
     bad = TINY_CSV.replace("6,5,7", "6,5,11")
     with pytest.raises(SurveyFormatError) as err:
