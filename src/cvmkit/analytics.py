@@ -41,7 +41,7 @@ from .survey import (
     SurveySample,
     node_mean,
     root_outcome_pairs,
-    split_by_supplier,
+    supplier_sums,
 )
 
 __all__ = [
@@ -396,19 +396,26 @@ def supplier_value_points(sample: SurveySample) -> list[tuple[str, float, float]
 
     The axes are the root's two children, in tree order; this is the one place
     that rule is checked, and a root with another number of children raises
-    :class:`CvmError`.  A supplier alone in the sample is left out.
+    :class:`CvmError`.  A supplier alone in the sample is left out.  Means come
+    from ``supplier_sums`` (the rest's as total minus the supplier's), so no
+    sample is copied; a side without ratings raises :class:`NoRatingsError`.
     """
     axes = sample.tree.children_of(sample.tree.root)
     if len(axes) != 2:
         raise CvmError(
             f"the value map needs a two-driver root (quality/price), not {len(axes)} drivers"
         )
+    sums = [supplier_sums(sample, axis) for axis in axes]
+    totals = [[sum(column) for column in zip(*by_supplier.values())] for by_supplier in sums]
     points = []
-    for supplier in sample.suppliers():
-        mine, rest = split_by_supplier(sample, supplier)
-        if len(rest):
-            means = [(node_mean(mine, a).mean, node_mean(rest, a).mean) for a in axes]
-            points.append((supplier, *(float(relative_rating(*m)) for m in means)))
+    for supplier in sums[0] if len(sums[0]) > 1 else ():
+        ratings = []
+        for axis, by_supplier, (n_all, sum_all) in zip(axes, sums, totals):
+            n, total = by_supplier[supplier]
+            if not n or n == n_all:
+                raise NoRatingsError(f"no ratings for node {axis!r}")
+            ratings.append(float(relative_rating(total / n, (sum_all - total) / (n_all - n))))
+        points.append((supplier, *ratings))
     return points
 
 

@@ -54,10 +54,10 @@ from .survey import (
     NoRatingsError,
     OutcomeKind,
     ingest_responses,
-    node_mean,
     outcome_values,
     sample_counts,
     split_by_supplier,
+    supplier_sums,
     write_survey,
 )
 from .tree import TreeFormatError, parse_tree_spec
@@ -421,7 +421,6 @@ def nps_command(
         own_ratings = outcome_values(own_sample, OutcomeKind.RECOMMEND)
         if not own_ratings:
             _fail(f"no recommend outcomes for supplier {own_label!r}")
-        result = nps(own_ratings)
 
         comparison = None
         if len(competitor_sample) > 0:
@@ -435,6 +434,7 @@ def nps_command(
                 )
         else:
             _warn("CVA comparison unavailable: no competitor respondents")
+        result = nps(own_ratings) if comparison is None else comparison.nps_result
 
         if fmt == "records":
             document = {
@@ -477,15 +477,11 @@ def simulate(config_path: str, out_path: str) -> None:
             return
         root = truth.tree.root
         lines = [f"wrote {len(sample)} respondents to {out_path}"]
+        sums = supplier_sums(sample, root)
         for supplier in truth.n_per_supplier:
-            mine, _ = split_by_supplier(sample, supplier)
-            try:
-                mean = node_mean(mine, root)
-            except NoRatingsError:
-                continue
-            lines.append(
-                f"  {supplier}: n = {mean.n}, mean {root} = {format_rating(mean.mean)}"
-            )
+            n, total = sums.get(supplier, (0, 0))
+            if n:
+                lines.append(f"  {supplier}: n = {n}, mean {root} = {format_rating(total / n)}")
         click.echo("\n".join(lines))
     except CvmError as exc:
         _fail(str(exc))

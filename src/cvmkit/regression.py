@@ -245,7 +245,7 @@ def _exact_gram(data: np.ndarray) -> tuple[list[list[int]], list[int]]:
         gram = np.zeros((width, width))
         for start in range(0, n, _GRAM_ROWS):
             block = data[start : start + _GRAM_ROWS].astype(np.float64, copy=False)
-            if not np.array_equal(np.trunc(block), block):
+            if data.dtype.kind == "f" and not np.array_equal(np.trunc(block), block):
                 break
             gram += block.T @ block
         else:

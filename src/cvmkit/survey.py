@@ -27,22 +27,23 @@ ingest is where a file's values are checked.
 Ingest reads a path through one binary file handle, in chunks of a fixed
 number of bytes each taken on to the end of its last line, so its memory
 does not grow with the file beyond the store itself; a text stream is read
-whole and encoded back to UTF-8 into an in-memory handle.  While the file
-is plain (ASCII, no quote, no CR but in CRLF, which reads as LF), a chunk
-of whole lines in which every line has the header's comma count, every
-label is non-empty and unpadded, every role is in :data:`ROLES` and every
-value cell is canonical (blank or ``1``-``10``, and ``0`` for outcomes) is
-parsed straight from its bytes: delimiters found with one array scan, each
-value cell decoded from its first two bytes, labels gathered as fixed-width
-bytes.  Any other chunk goes through the row loop, which strips cells,
-parses ASCII integers (digits after an optional sign) and raises the first
-row-numbered diagnostic; from the first chunk that is not plain,
-``csv.reader`` reads the rest of the file for it, with each byte that is
-not UTF-8 read as one character U+DC80-U+DCFF (``surrogateescape``), which
-the row loop names as its row's first fault.  The row loop accepts and
-rejects exactly what a row loop over the whole file would, so the byte
-parser is only a shortcut.  Repeated ids are looked for once, over the
-whole sample, unless a row loop needs the earlier ids first.
+whole and encoded back to UTF-8 into an in-memory handle.  While the file is
+plain (ASCII, no quote, no CR but in CRLF, which reads as LF), a chunk of
+whole lines in which every line has the header's comma count, every label is
+non-empty and unpadded, every role is in :data:`ROLES` and every value cell
+is canonical (blank or ``1``-``10``, and ``0`` for outcomes) is parsed
+straight from its bytes, in work arrays made once per ingest that grow only
+for a chunk larger than any before: delimiters found with one array scan,
+each value cell decoded from its first two bytes, labels gathered as
+fixed-width bytes.  Any other chunk goes through the row loop, which strips
+cells, parses ASCII integers (digits after an optional sign) and raises the
+first row-numbered diagnostic; from the first chunk that is not plain,
+``csv.reader`` reads the rest of the file for it, with each byte that is not
+UTF-8 read as one character U+DC80-U+DCFF (``surrogateescape``), which the
+row loop names as its row's first fault.  The row loop accepts and rejects
+exactly what a row loop over the whole file would, so the byte parser is
+only a shortcut.  Repeated ids are looked for once, over the whole sample,
+unless a row loop needs the earlier ids first.
 
 Every node mean and half-width is read from one histogram pass over the
 rating matrix, made once per sample and kept on it, which gives each
@@ -91,6 +92,7 @@ __all__ = [
     "split_by_supplier",
     "node_mean",
     "node_means",
+    "supplier_sums",
     "sample_counts",
     "outcome_values",
     "root_outcome_pairs",
@@ -270,7 +272,10 @@ def ingest_responses(
 
 #: Bytes read at a time.  A chunk's index arrays are the largest transient of
 #: ingest, so a bounded chunk keeps peak memory independent of the file's length.
-_CHUNK_BYTES = 1 << 20
+#: Its reused work arrays take about 13 bytes per chunk byte.  On the 200k-row
+#: benchmark panel 256 KiB ingested fastest of 64 KiB-1 MiB, with 7,800 minor
+#: page faults against 65,900 for fresh int64 index arrays per 1 MiB chunk.
+_CHUNK_BYTES = 1 << 18
 #: Rows read at a time once ``csv.reader`` reads the file.
 _CHUNK_ROWS = 8192
 
@@ -339,12 +344,13 @@ def _ingest(handle: IO[bytes], tree: ValueTree, own_supplier: str) -> SurveySamp
         row_number = 2
         # the empty chunk gives a file without respondent rows its column shapes
         parts = [_row_chunk([], row_number, layout, first_row, supplier_code)]
+        scratch: dict[str, np.ndarray] = {}  # the byte parser's work arrays
         for piece in itertools.chain([first], records):
             if not piece:
                 continue
             part = None
             if isinstance(piece, bytes):
-                part = _parse_bytes(piece, layout, supplier_code)
+                part = _parse_bytes(piece, layout, supplier_code, scratch)
                 if part is None:
                     piece = _split_lines(piece.decode("ascii"))
                 else:
@@ -468,36 +474,53 @@ def _cell_codes(low: int, missing: int) -> np.ndarray:
 _CELL_CODES = np.concatenate([_cell_codes(RATING_MIN, 0), _cell_codes(OUTCOME_MIN, -1)])
 
 
+def _work(scratch: dict, name: str, shape, dtype, make=np.empty) -> np.ndarray:
+    """The front of the work array ``name`` in ``shape``, remade by ``make`` when too short."""
+    array, size = scratch.get(name), np.prod(shape)
+    if array is None or len(array) < size or array.dtype != dtype:
+        array = scratch[name] = make(size, dtype=dtype)
+    return array[:size].reshape(shape)
+
+
 def _parse_bytes(
-    chunk: bytes, layout: _Layout, supplier_code: dict[str, int]
+    chunk: bytes, layout: _Layout, supplier_code: dict[str, int], scratch: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, ...] | None:
     """Parse whole ASCII lines from their bytes, or return None if the row loop must.
 
     None means some line has another field count than the header, a label
     is empty or starts or ends with whitespace, a role is not in
     :data:`ROLES`, or a value cell is not canonical (blank or ``1``-``10``,
-    and ``0`` for outcomes); ``supplier_code`` is then left as it was.
+    and ``0`` for outcomes); ``supplier_code`` is then left as it was.  No
+    array returned shares memory with the work arrays in ``scratch``.
     """
+    size, width = len(chunk), layout.width
+    index = np.int32 if size < 2**31 else np.intp
     # the extra byte completes the two bytes of an empty last cell
     buf = np.frombuffer(chunk + b"\n", dtype=np.uint8)
-    newline = buf[:-1] == _NEWLINE
-    ends = np.flatnonzero(newline | (buf[:-1] == _COMMA))
-    n, width = np.count_nonzero(newline), layout.width
-    if len(ends) != n * width or (buf[ends[width - 1 :: width]] != _NEWLINE).any():
+    newline = np.equal(buf[:-1], _NEWLINE, out=_work(scratch, "newline", size, bool))
+    delimiter = np.equal(buf[:-1], _COMMA, out=_work(scratch, "delimiter", size, bool))
+    np.logical_or(delimiter, newline, out=delimiter)
+    n, cells = np.count_nonzero(newline), np.count_nonzero(delimiter)
+    positions = _work(scratch, "positions", size, index, np.arange)
+    ends = np.compress(delimiter, positions, out=_work(scratch, "ends", cells, index))
+    if cells != n * width or (buf[ends[width - 1 :: width]] != _NEWLINE).any():
         return None
-    starts = np.empty_like(ends)
+    starts = _work(scratch, "starts", cells, index)
     starts[0] = 0
     np.add(ends[:-1], 1, out=starts[1:])
-    starts, ends = starts.reshape(n, width), ends.reshape(n, width)
-    lengths = ends - starts
+    lengths = np.subtract(ends, starts, out=_work(scratch, "lengths", cells, index))
+    starts, ends, lengths = (a.reshape(n, width) for a in (starts, ends, lengths))
     labels = np.s_[:, :3]
     if not lengths[labels].all() or (lengths[:, 3:] > 2).any():
         return None
     if _STRIPPED[buf.take(starts[labels])].any() or _STRIPPED[buf.take(ends[labels] - 1)].any():
         return None
-    pairs = np.ndarray((len(chunk),), dtype="<u2", buffer=buf, strides=(1,))
-    table = np.isin(range(3, width), list(layout.outcome_cols)) * (len(_CELL_CODES) // 2)
-    codes = _CELL_CODES.take(pairs.take(starts[:, 3:]) + table)
+    pairs = np.ndarray((size,), dtype="<u2", buffer=buf, strides=(1,))
+    gathered = _work(scratch, "pairs", starts[:, 3:].shape, pairs.dtype)
+    pairs.take(starts[:, 3:], out=gathered, mode="clip")  # every start is in range
+    table = np.array([c in layout.outcome_cols for c in range(3, width)]) * (len(_CELL_CODES) // 2)
+    keys = np.add(gathered, table, out=_work(scratch, "keys", gathered.shape, index), dtype=index)
+    codes = _CELL_CODES.take(keys, out=_work(scratch, "codes", keys.shape, np.int8), mode="clip")
     if (codes == _BAD).any():
         return None
 
@@ -520,9 +543,9 @@ def _parse_bytes(
 
 def _fixed_width(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The bytes at ``starts`` of ``lengths``, as one zero-padded fixed-width bytes array."""
-    offsets = np.arange(lengths.max())
+    offsets = np.arange(lengths.max(), dtype=starts.dtype)
     chars = buf.take(starts[:, None] + offsets, mode="clip")
-    chars[offsets >= lengths[:, None]] = 0
+    chars *= offsets < lengths[:, None]
     return chars.view(f"S{len(offsets)}").ravel()
 
 
@@ -695,6 +718,20 @@ def node_means(sample: SurveySample) -> dict[str, float]:
         if not n:
             raise NoRatingsError(f"no ratings for node {node!r}")
     return dict(zip(sample._position, (sums / counts).tolist()))
+
+
+def supplier_sums(sample: SurveySample, node_id: str) -> dict[str, tuple[int, int]]:
+    """Each present supplier's exact (count, sum) of ``node_id`` ratings, in canonical order.
+
+    From one ``bincount``; ``sum / count`` equals ``node_mean`` of the supplier's split
+    part bit for bit, and a supplier whose rows hold no rating of the node has (0, 0).
+    """
+    keys = sample.supplier_codes * np.intp(_CODES.size) + sample.ratings[:, sample._column(node_id)]
+    size = len(sample.supplier_names) * _CODES.size
+    histogram = np.bincount(keys, minlength=size).reshape(-1, _CODES.size)
+    sums = (histogram @ _MOMENT_WEIGHTS[:, :2]).tolist()
+    present = histogram.any(axis=1).tolist()
+    return {name: tuple(s) for name, s, p in zip(sample.supplier_names, sums, present) if p}
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cvmkit import survey
 from cvmkit.analytics import (
     LoyaltyCurve,
     MissingModelError,
@@ -16,12 +18,14 @@ from cvmkit.analytics import (
     rank_priorities,
     relative_rating,
     retention_projection,
+    supplier_value_points,
     top_box_rate,
     value_map,
     value_target_for_loyalty,
     what_if,
 )
-from cvmkit.survey import NoRatingsError, OutcomeKind
+from cvmkit.survey import NoRatingsError, OutcomeKind, SurveySample, node_mean, split_by_supplier
+from cvmkit.tree import parse_tree_spec
 
 # Per-bin willing shares of the bundled survey's own half (threshold 8),
 # tallied by hand from the CSV: bins 4..10 with counts 2, 20, 148, 413,
@@ -299,6 +303,69 @@ def test_value_map_validation():
         value_map([("bad", -1.0, 100.0)])
     with pytest.raises(ValueError):
         value_map([("ok", 100.0, 100.0)], band=-1.0)
+
+
+def _split_value_points(sample):
+    """The value-map points from each supplier's split parts and ``node_mean``."""
+    axes = sample.tree.children_of(sample.tree.root)
+    points = []
+    for supplier in sample.suppliers():
+        mine, rest = split_by_supplier(sample, supplier)
+        if len(rest):
+            means = [(node_mean(mine, a).mean, node_mean(rest, a).mean) for a in axes]
+            points.append((supplier, *(float(relative_rating(*m)) for m in means)))
+    return points
+
+
+def test_value_points_equal_the_points_of_split_parts(sample):
+    rng = np.random.default_rng(3)
+    blank = dataclasses.replace(
+        sample, ratings=np.where(rng.random(sample.ratings.shape) < 0.3, 0, sample.ratings)
+    )
+    for part in (sample, blank, keep(sample, sample.supplier_codes > 0)):
+        assert supplier_value_points(part) == _split_value_points(part)
+    assert supplier_value_points(keep(sample, sample.supplier_codes == 0)) == []
+
+
+def test_value_points_of_a_supplier_without_ratings_of_an_axis_raise_as_node_mean_does(sample):
+    quality = sample._column("quality")
+    for rows in (sample.supplier_codes == 1, sample.supplier_codes != 1):
+        ratings = sample.ratings.copy()
+        ratings[rows, quality] = 0
+        unrated = dataclasses.replace(sample, ratings=ratings)
+        with pytest.raises(NoRatingsError) as split_error:
+            _split_value_points(unrated)
+        with pytest.raises(NoRatingsError) as error:
+            supplier_value_points(unrated)
+        assert str(error.value) == str(split_error.value) == "no ratings for node 'quality'"
+
+
+def test_value_points_of_five_thousand_suppliers_match_group_sums_without_a_split():
+    tree = parse_tree_spec(
+        "tree: map\nroot: value\nnode: value | V | root | quality price\n"
+        "node: quality | Q | attribute |\nnode: price | P | attribute |\n"
+    )
+    n = 5000
+    rng = np.random.default_rng(11)
+    names = tuple(f"s{k:04d}" for k in range(n))
+    ratings = rng.integers(1, 11, size=(n, 3)).astype(np.int8)
+    sample = SurveySample(
+        tree, "s0000", np.array([f"r{k}" for k in range(n)]), np.zeros(n, dtype=np.int8),
+        names, rng.permutation(n).astype(np.uint16), ratings, np.full((n, 2), -1, dtype=np.int8),
+    )
+    codes = sample.supplier_codes.astype(np.intp)
+    counts = np.bincount(codes, minlength=n)
+    expected = []
+    for column in (1, 2):
+        sums = np.bincount(codes, weights=ratings[:, column], minlength=n)
+        rest = (sums.sum() - sums) / (counts.sum() - counts)
+        expected.append([relative_rating(m, r) for m, r in zip(sums / counts, rest)])
+    with mock.patch.object(survey, "split_by_supplier", wraps=survey.split_by_supplier) as split, \
+            mock.patch.object(SurveySample, "__post_init__", autospec=True,
+                              side_effect=SurveySample.__post_init__) as made:
+        points = supplier_value_points(sample)
+    assert split.call_count == made.call_count == 0
+    assert points == [(name, float(q), float(p)) for name, q, p in zip(names, *expected)]
 
 
 def test_retention_projection_compounds():

@@ -1,9 +1,11 @@
 import csv
 import dataclasses
+import importlib
 import json
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from click.testing import CliRunner
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from cvmkit import cli
 from cvmkit.analytics import profile_table
 from cvmkit.cli import _fit_summary, main
 from cvmkit.datasets import fixture_text, market_truth
@@ -415,6 +418,23 @@ def test_nps_with_an_unfit_root_model_warns_and_scores_alone(tmp_path):
     )
     assert "NPS = 7.1   (n = 1000)" in result.stdout
     assert "CVA" not in result.stdout
+
+
+@pytest.mark.parametrize("competitors", [True, False])
+def test_nps_scores_the_own_customers_once(tmp_path, competitors):
+    header, rows = _fixture_cells()
+    kept = rows if competitors else [r for r in rows if r[2] == "our_co"]
+    survey = _write_cells(tmp_path / "survey.csv", header, kept)
+    nps_module = importlib.import_module("cvmkit.nps")
+    counter = mock.Mock(wraps=nps_module.nps)
+    for fmt in ("text", "records"):
+        with mock.patch.object(nps_module, "nps", counter), \
+                mock.patch.object(cli, "nps", counter):
+            result = invoke("nps", "--tree", TREE, "--survey", survey, *OWN, "--format", fmt)
+        assert result.exit_code == 0
+        assert counter.call_count == 1
+        assert len(counter.call_args.args[0]) == 1000
+        counter.reset_mock()
 
 
 def test_simulate_reproduces_the_bundled_survey(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 import tempfile
 import warnings
@@ -26,6 +27,7 @@ from cvmkit.survey import (
     node_means,
     outcome_values,
     split_by_supplier,
+    supplier_sums,
     survey_columns,
     survey_text,
 )
@@ -504,10 +506,17 @@ def test_canonical_chunks_bypass_the_row_loop(tree):
     assert by_bytes == by_row
 
 
-def test_three_hundred_suppliers_keep_distinct_codes():
-    # more suppliers than an int8 code can tell apart
+def _three_hundred_suppliers():
+    """(supplier names, rows): more suppliers than an int8 code can tell apart."""
     names = [f"s{k:03d}" for k in range(300)]
     rows = [[f"r{i}", "user", names[i * 7 % 300], "5", "5", "5", "5", "5"] for i in range(900)]
+    for i, row in enumerate(rows):
+        row[3 + i % 3] = str(1 + i % 10)  # means that differ by supplier
+    return names, rows
+
+
+def test_three_hundred_suppliers_keep_distinct_codes():
+    names, rows = _three_hundred_suppliers()
     text = _csv_text(rows)
     samples = [ingest_responses(io.StringIO(text), TINY_TREE, "s150")]
     with mock.patch.object(survey, "_CHUNK_BYTES", 1000):  # codes merged across chunks
@@ -522,6 +531,51 @@ def test_three_hundred_suppliers_keep_distinct_codes():
             mine, rest = split_by_supplier(sample, name)
             assert mine.ids.tolist() == [row[0] for row in rows if row[2] == name]
             assert len(mine) == 3 and len(rest) == len(rows) - 3
+
+
+# --- the byte parser's reused work arrays
+
+
+def test_work_arrays_grow_only_past_every_earlier_chunk_and_leave_no_alias():
+    # chunks of 64 bytes taken on to a line end: 3 lines of 23 bytes, 1 of 66,
+    # 1 of 1019, 5 of 16 and the last 3
+    rows = [[f"r{i}", "user", "us", "1", "5", "10", "0", "10"] for i in range(1, 4)]
+    rows.append(["r" + "5" * 37, "decision_maker", "them", "7", "", "", "", "3"])
+    rows.append(["r" + "6" * 1000, "user", "them", "", "2", "", "9", ""])
+    rows += [[f"b{i}", "user", "us", "", "", "", "", ""] for i in range(1, 9)]
+    text = _csv_text(rows)
+    parse, seen = survey._parse_bytes, []
+
+    def spy(chunk, layout, supplier_code, scratch):
+        part = parse(chunk, layout, supplier_code, scratch)
+        assert part is not None
+        for array, work in itertools.product(part, scratch.values()):
+            assert not np.shares_memory(array, work)
+        seen.append((chunk, len(scratch["newline"]), len(scratch["ends"])))
+        return part
+
+    with mock.patch.object(survey, "_CHUNK_BYTES", 64), \
+            mock.patch.object(survey, "_parse_bytes", spy):
+        sample = ingest_responses(io.StringIO(text), TINY_TREE, "us")
+    sizes = [len(chunk) for chunk, _, _ in seen]
+    cells = [chunk.count(b",") + chunk.count(b"\n") for chunk, _, _ in seen]
+    assert sizes[0] > sizes[1] < sizes[2] > sizes[3]  # grow, shrink, grow, shrink
+    assert cells[1] < cells[0] < cells[3]  # a later chunk with fewer cells, then more
+    assert max(sizes) == sizes[2] and b"6" * 1000 in seen[2][0]  # the long line
+    assert [size for _, size, _ in seen] == list(itertools.accumulate(sizes, max))
+    assert [size for _, _, size in seen] == list(itertools.accumulate(cells, max))
+
+    with mock.patch.object(survey, "_parse_bytes", lambda *args: None):
+        assert sample == ingest_responses(io.StringIO(text), TINY_TREE, "us")
+    header, start = _csv_text([]), 0
+    for chunk, _, _ in seen:
+        fresh = ingest_responses(io.StringIO(header + chunk.decode()), TINY_TREE, "us")
+        end = start + len(fresh)
+        assert _labels(fresh) == _labels(sample)[start:end]
+        assert fresh.ratings.tolist() == sample.ratings[start:end].tolist()
+        assert fresh.outcomes.tolist() == sample.outcomes[start:end].tolist()
+        start = end
+    assert start == len(sample) == len(rows)
 
 
 # --- means from one column pass
@@ -541,6 +595,39 @@ def test_column_pass_means_equal_node_mean_bit_for_bit(sample, halves):
         assert list(means) == list(part.tree.preorder())
         for node, mean in means.items():
             assert mean.hex() == node_mean(part, node).mean.hex(), node
+
+
+def test_supplier_sums_give_each_split_part_its_node_mean_bit_for_bit(sample):
+    names, rows = _three_hundred_suppliers()
+    three_hundred = ingest_responses(io.StringIO(_csv_text(rows)), TINY_TREE, "s150")
+    for part in (sample, _with_blank_cells(sample, 0.3, seed=5), three_hundred):
+        for node in part.tree.preorder():
+            sums = supplier_sums(part, node)
+            assert list(sums) == part.suppliers()
+            n_all, sum_all = (sum(column) for column in zip(*sums.values()))
+            for supplier, (n, total) in sums.items():
+                for split, (count, value) in zip(
+                    split_by_supplier(part, supplier), ((n, total), (n_all - n, sum_all - total))
+                ):
+                    if not count:
+                        with pytest.raises(NoRatingsError):
+                            node_mean(split, node)
+                        continue
+                    mean = node_mean(split, node)
+                    assert mean.n == count
+                    assert (value / count).hex() == mean.mean.hex(), (supplier, node)
+
+
+def test_supplier_sums_list_a_supplier_without_ratings_as_zero():
+    sample = ingest_responses(io.StringIO(TINY_CSV), TINY_TREE, "us")
+    assert supplier_sums(sample, "b") == {"us": (1, 7), "them": (1, 7)}
+    own, _ = split_by_supplier(sample)
+    assert supplier_sums(own, "b") == {"us": (1, 7)}
+    ratings = sample.ratings.copy()
+    ratings[1, 2] = 0
+    assert supplier_sums(dataclasses.replace(sample, ratings=ratings), "b") == {
+        "us": (1, 7), "them": (0, 0)
+    }
 
 
 def test_column_pass_refuses_a_node_nobody_rated():
