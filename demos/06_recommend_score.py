@@ -10,21 +10,14 @@ tables, and contrasted with the top-box trap the score was meant to fix.
 
 from cvmkit import datasets
 from cvmkit.analytics import retention_projection, top_box_rate
-from cvmkit.nps import nps, nps_vs_cva_report
-from cvmkit.regression import fit_hierarchy
-from cvmkit.rendering import render_nps, render_nps_vs_cva
-from cvmkit.survey import OutcomeKind, outcome_values, split_by_supplier
+from cvmkit.nps import nps_vs_cva_report
+from cvmkit.rendering import render_nps_vs_cva
 
-sample = datasets.market_survey()
-own, competitors = split_by_supplier(sample)
-
-result = nps(outcome_values(own, OutcomeKind.RECOMMEND))
-print(render_nps(result))
-
-# Side by side with CVA.  The score is one number; the value model tells
-# you which lever to pull when the number disappoints.
-hierarchy = fit_hierarchy(sample, sample.tree)
-comparison = nps_vs_cva_report(own, hierarchy, competitors)
+# The score's segments, then side by side with CVA.  The score is one
+# number; the value model tells you which lever to pull when the number
+# disappoints.  The report splits the survey into the own customers and
+# the rest, and fits the value tree, itself.
+comparison = nps_vs_cva_report(datasets.market_survey())
 print(render_nps_vs_cva(comparison))
 
 # The classic top-box trap: fold the top two boxes of a 4-point scale

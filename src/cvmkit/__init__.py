@@ -15,15 +15,14 @@ Typical use::
 
     tree = cvmkit.datasets.automobile_tree()
     sample = cvmkit.datasets.market_survey()
-    own, competitors = cvmkit.split_by_supplier(sample)
     hierarchy = cvmkit.fit_hierarchy(sample, tree)
-    table = cvmkit.profile_table(hierarchy, own, competitors, tree.root)
-    print(cvmkit.render_profile_table(table))
+    report = cvmkit.competitive_report(sample, hierarchy, target=0.80)
+    print(cvmkit.render_report(report))      # or cvmkit.report_records(report)
 """
 
 from . import datasets
 from .analytics import (
-    VALUE_ZONES,
+    CompetitiveReport,
     LoyaltyCurve,
     MissingModelError,
     PriorityEntry,
@@ -31,6 +30,7 @@ from .analytics import (
     ProfileRow,
     ProfileTable,
     ValueMapPoint,
+    competitive_report,
     cva,
     loyalty_curve,
     pool_adjacent_violators,
@@ -71,12 +71,15 @@ from .regression import (
     save_hierarchy,
 )
 from .rendering import (
+    nps_records,
     render_loyalty_curve,
     render_nps,
     render_nps_vs_cva,
     render_priorities,
     render_profile_table,
+    render_report,
     render_value_map,
+    report_records,
 )
 from .rng import RandomStream
 from .rounding import format_percent, format_rating, format_score, round_half_away
@@ -180,10 +183,11 @@ __all__ = [
     "LoyaltyCurve",
     "loyalty_curve",
     "value_target_for_loyalty",
-    "VALUE_ZONES",
     "ValueMapPoint",
     "supplier_value_points",
     "value_map",
+    "CompetitiveReport",
+    "competitive_report",
     "retention_projection",
     "top_box_rate",
     # nps
@@ -212,6 +216,9 @@ __all__ = [
     "render_value_map",
     "render_nps",
     "render_nps_vs_cva",
+    "render_report",
+    "report_records",
+    "nps_records",
     # numbers
     "round_half_away",
     "format_rating",

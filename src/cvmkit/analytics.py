@@ -19,6 +19,8 @@ we fix first":
   inverse lookup ("what value score buys 80% loyalty?").
 * **Value map** — relative quality vs relative price, zoned into
   superior/fair/inferior value around the parity diagonal.
+* **Competitive report** — all of the above from one supplier split, as
+  one value that ``rendering`` turns into text or a records document.
 * **Retention projection** and the **top-box pitfall** helper round out the
   descriptive toolkit.
 """
@@ -41,6 +43,7 @@ from .survey import (
     SurveySample,
     node_mean,
     root_outcome_pairs,
+    split_by_supplier,
     supplier_sums,
 )
 
@@ -60,9 +63,10 @@ __all__ = [
     "loyalty_curve",
     "value_target_for_loyalty",
     "ValueMapPoint",
-    "VALUE_ZONES",
     "supplier_value_points",
     "value_map",
+    "CompetitiveReport",
+    "competitive_report",
     "retention_projection",
     "DEFAULT_CATEGORIES",
     "top_box_rate",
@@ -378,9 +382,6 @@ def value_target_for_loyalty(curve: LoyaltyCurve, target: float) -> float | None
     return None  # pragma: no cover - guarded by the max() check
 
 
-VALUE_ZONES = ("superior_value", "fair_value", "inferior_value")
-
-
 @dataclass(frozen=True)
 class ValueMapPoint:
     """One supplier on the relative-quality / relative-price map."""
@@ -449,6 +450,69 @@ def value_map(
             zone = "inferior_value"
         out.append(ValueMapPoint(supplier, rel_quality, rel_price, zone))
     return out
+
+
+@dataclass(frozen=True)
+class CompetitiveReport:
+    """Every part of the competitive report, from one own/competitor split.
+
+    A part the data cannot support is ``None`` (``curve``) or empty
+    (``value_map``).  ``target`` is kept only with a curve; ``required`` is
+    the value score it takes, ``None`` beyond the observed curve.
+    """
+
+    own_supplier: str
+    n_respondents: int
+    tables: tuple[ProfileTable, ...]
+    priorities: PriorityRanking
+    curve: LoyaltyCurve | None
+    target: float | None
+    required: float | None
+    value_map: tuple[ValueMapPoint, ...]
+    band: float
+
+
+def competitive_report(
+    sample: SurveySample,
+    hierarchy: FittedHierarchy,
+    outcome: OutcomeKind = OutcomeKind.RECOMMEND,
+    threshold: int = 8,
+    target: float | None = None,
+    band: float = 3.0,
+) -> CompetitiveReport:
+    """Profile tables, priorities, loyalty curve and value map of ``sample``.
+
+    ``hierarchy`` is a fit of ``sample``'s tree.  ``warnings.warn`` names, in
+    report order, what is missing: competitors, node models, the loyalty
+    curve, the value map.
+    """
+    own, competitors = split_by_supplier(sample)
+    if not len(competitors):
+        warnings.warn("no competitor respondents; relative columns unavailable", stacklevel=2)
+    for node_id, reason in hierarchy.unfit.items():
+        warnings.warn(f"no model for {node_id}: {reason}", stacklevel=2)
+    tables = tuple(
+        profile_table(hierarchy, own, competitors, node_id)
+        for node_id in hierarchy.tree.internal_nodes()
+        if node_id in hierarchy.models
+    )
+    priorities = rank_priorities(hierarchy, own, competitors)
+    curve = required = None
+    try:
+        curve = loyalty_curve(own, outcome, threshold)
+    except NoRatingsError as exc:
+        warnings.warn(f"loyalty curve unavailable: {exc}", stacklevel=2)
+        target = None
+    if target is not None:
+        required = value_target_for_loyalty(curve, target)
+    points: tuple[ValueMapPoint, ...] = ()
+    try:
+        points = tuple(value_map(supplier_value_points(sample), band))
+    except CvmError as exc:
+        warnings.warn(f"value map unavailable: {exc}", stacklevel=2)
+    return CompetitiveReport(
+        sample.own_supplier, len(sample), tables, priorities, curve, target, required, points, band
+    )
 
 
 def retention_projection(customers: float, retention_rate: float, periods: int) -> float:

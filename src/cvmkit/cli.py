@@ -1,5 +1,9 @@
 """Command-line interface: validate, fit, report, nps, simulate.
 
+Commands parse flags, read files and write bytes.  The library builds each
+document (``competitive_report``, ``nps_vs_cva_report``, ``rendering``); its
+warnings print as ``warning:`` lines.
+
 Every command is deterministic given its inputs and flags: artifacts carry
 no timestamps (those go to a ``<out>.log`` sidecar), files are written
 atomically (write-then-rename), and all number formatting goes through the
@@ -17,7 +21,6 @@ The file maps either subcommand names to flag dicts, or flag names directly
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
 import json
 import math
@@ -27,42 +30,22 @@ from pathlib import Path
 
 import click
 
-from .analytics import (
-    loyalty_curve,
-    profile_table,
-    rank_priorities,
-    supplier_value_points,
-    value_map,
-    value_target_for_loyalty,
-)
+from .analytics import competitive_report
 from .errors import CvmError, decode_utf8, read_json, write_atomic
-from .nps import aggregate_nps, nps, nps_vs_cva_report
+from .nps import aggregate_nps, nps_vs_cva_report
 from .regression import fit_hierarchy, load_hierarchy, save_hierarchy
 from .rendering import (
     loyalty_plot_csv,
-    render_loyalty_curve,
-    render_nps,
+    nps_records,
     render_nps_vs_cva,
-    render_priorities,
-    render_profile_table,
-    render_value_map,
+    render_report,
+    report_records,
     value_map_plot_csv,
 )
-from .rounding import format_percent, format_rating, format_score
+from .rounding import format_percent, format_rating
 from .simulate import generate_market, load_truth
-from .survey import (
-    NoRatingsError,
-    OutcomeKind,
-    ingest_responses,
-    outcome_values,
-    sample_counts,
-    split_by_supplier,
-    supplier_sums,
-    write_survey,
-)
+from .survey import OutcomeKind, ingest_responses, sample_counts, supplier_sums, write_survey
 from .tree import TreeFormatError, parse_tree_spec
-
-_SUBCOMMANDS = ("validate", "fit", "report", "nps", "simulate")
 
 
 def _fail(message: str) -> None:
@@ -101,14 +84,23 @@ def _load_tree(path: str):
     return parse_tree_spec(decode_utf8(data, TreeFormatError))
 
 
-def _load_sample(survey_path: str, tree, own: str):
-    _require_file(survey_path, "survey")
+def _warned(build, *args):
+    """``build(*args)``, printing each library warning it raised as a ``warning:`` line.
+
+    The lines print even when ``build`` fails, so they precede its error.
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sample = ingest_responses(survey_path, tree, own)
-    for warning in caught:
-        _warn(str(warning.message))
-    return sample
+        try:
+            return build(*args)
+        finally:
+            for warning in caught:
+                _warn(str(warning.message))
+
+
+def _load_sample(survey_path: str, tree, own: str):
+    _require_file(survey_path, "survey")
+    return _warned(ingest_responses, survey_path, tree, own)
 
 
 def _finite(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
@@ -148,12 +140,12 @@ def main(ctx: click.Context, config_path: str | None) -> None:
         _fail(str(exc))
     if not isinstance(data, dict):
         _fail("config must be a JSON object")
-    if data and set(data) <= set(_SUBCOMMANDS) and all(
+    if data and set(data) <= set(main.commands) and all(
         isinstance(v, dict) for v in data.values()
     ):
         sections = {name: dict(values) for name, values in data.items()}
     else:
-        sections = {name: dict(data) for name in _SUBCOMMANDS}
+        sections = {name: dict(data) for name in main.commands}
     default_map: dict[str, dict] = {}
     for name, values in sections.items():
         null = [key for key, value in values.items() if value is None]
@@ -243,32 +235,6 @@ def fit(tree_path: str, survey_path: str, own_label: str, out_path: str | None) 
         _fail(str(exc))
 
 
-def _table_records(table) -> dict:
-    def mean_records(m):
-        return None if m is None else dataclasses.asdict(m)
-
-    return {
-        "parent": table.parent,
-        "label": table.parent_label,
-        "is_root": table.is_root,
-        "r_squared": table.r_squared,
-        "parent_own": mean_records(table.parent_own),
-        "parent_competitor": mean_records(table.parent_competitor),
-        "parent_relative": table.parent_relative,
-        "rows": [
-            {
-                "node": row.node,
-                "label": row.label,
-                "impact_weight": row.impact_weight,
-                "own": mean_records(row.own_mean),
-                "competitor": mean_records(row.competitor_mean),
-                "relative": row.relative,
-            }
-            for row in table.rows
-        ],
-    }
-
-
 @main.command()
 @click.option("--tree", "tree_path", required=True, metavar="FILE")
 @click.option("--survey", "survey_path", required=True, metavar="FILE")
@@ -308,86 +274,24 @@ def report(
     try:
         tree = _load_tree(tree_path)
         sample = _load_sample(survey_path, tree, own_label)
-        own_sample, competitor_sample = split_by_supplier(sample)
-        if len(own_sample) == 0:
+        if own_label not in sample.suppliers():
             _fail(f"no respondents with supplier {own_label!r} in {survey_path}")
-        if len(competitor_sample) == 0:
-            _warn("no competitor respondents; relative columns unavailable")
         if hierarchy_path is not None:
             hierarchy = load_hierarchy(_require_file(hierarchy_path, "hierarchy"), tree)
         else:
             hierarchy = fit_hierarchy(sample, tree)
-        for node_id, reason in hierarchy.unfit.items():
-            _warn(f"no model for {node_id}: {reason}")
-
-        tables = [
-            profile_table(hierarchy, own_sample, competitor_sample, node_id)
-            for node_id in tree.internal_nodes()
-            if node_id in hierarchy.models
-        ]
-        ranking = rank_priorities(hierarchy, own_sample, competitor_sample)
-
-        curve = None
-        outcome_kind = OutcomeKind(outcome)
-        try:
-            curve = loyalty_curve(own_sample, outcome_kind, loyalty_threshold)
-        except NoRatingsError as exc:
-            _warn(f"loyalty curve unavailable: {exc}")
-
-        target_line = required = None
-        if target_loyalty is not None and curve is not None:
-            required = value_target_for_loyalty(curve, target_loyalty)
-            shown = "beyond the observed curve" if required is None else format_rating(required)
-            pct = format_score(100.0 * target_loyalty, 1)
-            target_line = f"required value score for {pct}% willingness: {shown}"
-
-        map_points = []
-        try:
-            map_points = value_map(supplier_value_points(sample), band)
-        except CvmError as exc:
-            _warn(f"value map unavailable: {exc}")
-
+        built = _warned(
+            competitive_report, sample, hierarchy,
+            OutcomeKind(outcome), loyalty_threshold, target_loyalty, band,
+        )
         if fmt == "plotdata":
-            if curve is not None:
-                _emit(loyalty_plot_csv(curve), f"{out_path}_loyalty_curve.csv", "report")
-            if map_points:
-                _emit(value_map_plot_csv(map_points), f"{out_path}_value_map.csv", "report")
-            return
-
-        if fmt == "records":
-            document = {
-                "own_supplier": own_label,
-                "n_respondents": len(sample),
-                "tables": [_table_records(t) for t in tables],
-                "cva": next((t.parent_relative for t in tables if t.is_root), None),
-                "priorities": [dataclasses.asdict(e) for e in ranking],
-                "priorities_excluded": dict(sorted(ranking.excluded.items())),
-                "loyalty_curve": None if curve is None else {
-                    "outcome": curve.outcome.value,
-                    "threshold": curve.threshold,
-                    "points": [list(p) for p in curve.points],
-                    "raw_proportions": list(curve.raw_proportions),
-                    "bin_counts": list(curve.bin_counts),
-                },
-                "loyalty_target": None if target_line is None else {
-                    "target": target_loyalty,
-                    "required_value_score": required,
-                },
-                "value_map": [dataclasses.asdict(p) for p in map_points],
-            }
-            _emit(json.dumps(document, indent=2) + "\n", out_path, "report")
-            return
-
-        sections = [render_profile_table(t) for t in tables]
-        sections.append(render_priorities(ranking))
-        if curve is not None:
-            loyalty_section = render_loyalty_curve(curve)
-            if target_line is not None:
-                loyalty_section += target_line + "\n"
-            sections.append(loyalty_section)
-        if map_points:
-            sections.append(render_value_map(map_points, band))
-        _emit("\n".join(sections), out_path, "report")
+            if built.curve is not None:
+                _emit(loyalty_plot_csv(built.curve), f"{out_path}_loyalty_curve.csv", "report")
+            if built.value_map:
+                _emit(value_map_plot_csv(built.value_map), f"{out_path}_value_map.csv", "report")
+        else:
+            text = report_records(built) if fmt == "records" else render_report(built)
+            _emit(text, out_path, "report")
     except CvmError as exc:
         _fail(str(exc))
 
@@ -414,47 +318,10 @@ def nps_command(
     try:
         tree = _load_tree(tree_path)
         sample = _load_sample(survey_path, tree, own_label)
-        own_sample, competitor_sample = split_by_supplier(sample)
         if aggregate_method == "average-of-units":
             aggregate_nps((), method="average_of_units")  # always refuses
-
-        own_ratings = outcome_values(own_sample, OutcomeKind.RECOMMEND)
-        if not own_ratings:
-            _fail(f"no recommend outcomes for supplier {own_label!r}")
-
-        comparison = None
-        if len(competitor_sample) > 0:
-            hierarchy = fit_hierarchy(sample, tree)
-            if tree.root in hierarchy.models:
-                comparison = nps_vs_cva_report(own_sample, hierarchy, competitor_sample)
-            else:
-                _warn(
-                    "CVA comparison unavailable: "
-                    + hierarchy.unfit.get(tree.root, "root model missing")
-                )
-        else:
-            _warn("CVA comparison unavailable: no competitor respondents")
-        result = nps(own_ratings) if comparison is None else comparison.nps_result
-
-        if fmt == "records":
-            document = {
-                "own_supplier": own_label,
-                "nps": {
-                    "n": result.n,
-                    "pct_promoters": result.pct_promoters,
-                    "pct_passives": result.pct_passives,
-                    "pct_detractors": result.pct_detractors,
-                    "score": result.nps,
-                    "rating_histogram": list(result.rating_histogram),
-                },
-                "cva": None if comparison is None else comparison.cva,
-            }
-            _emit(json.dumps(document, indent=2) + "\n", out_path, "nps")
-            return
-
-        text = render_nps(result)
-        if comparison is not None:
-            text += "\n" + render_nps_vs_cva(comparison)
+        comparison = _warned(nps_vs_cva_report, sample)
+        text = nps_records(comparison) if fmt == "records" else render_nps_vs_cva(comparison)
         _emit(text, out_path, "nps")
     except CvmError as exc:
         _fail(str(exc))

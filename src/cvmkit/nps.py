@@ -20,14 +20,15 @@ Two deliberate design stances, both surfaced to callers:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .analytics import cva
 from .errors import CvmError
-from .regression import FittedHierarchy
-from .survey import OutcomeKind, SurveySample, outcome_values
+from .regression import fit_hierarchy
+from .survey import OutcomeKind, SurveySample, outcome_values, split_by_supplier
 
 __all__ = [
     "NpsSegment",
@@ -139,47 +140,39 @@ def aggregate_nps(
 
 @dataclass(frozen=True)
 class NpsVsCva:
-    """The two headline metrics side by side, with their drill-down reach.
+    """The own customers' score, next to CVA when the sample supports one.
 
     The score tells you the temperature; the customer-value score comes with
-    per-driver profile tables that tell you what to fix.
+    per-driver profile tables that tell you what to fix.  ``cva`` is ``None``
+    without competitors or a root model; ``cva_drill_down`` names the fitted
+    nodes it decomposes into.
     """
 
+    own_supplier: str
     nps_result: NpsResult
-    cva: int
-    nps_basis: str
-    cva_basis: str
-    nps_drill_down: tuple[str, ...]
+    cva: int | None
     cva_drill_down: tuple[str, ...]
 
 
-def nps_vs_cva_report(
-    own: SurveySample, hierarchy: FittedHierarchy, competitors: SurveySample
-) -> NpsVsCva:
+def nps_vs_cva_report(sample: SurveySample) -> NpsVsCva:
     """Score the own customers' recommend answers and line them up with CVA.
 
-    ``own`` must hold the own supplier's respondents and no one else (the
-    own half of a supplier split), so the score and CVA are computed
-    over the same customers; any other sample raises :class:`CvmError`, as
-    does an ``own`` without recommend outcomes.  CVA additionally needs the
-    competitor sample.
+    The sample is split here, so the score and CVA describe the same own
+    customers.  Own respondents without recommend answers raise
+    :class:`CvmError`.  Without competitors, or when the root model cannot
+    be fitted, ``warnings.warn`` says why and ``cva`` is ``None``.
     """
-    if own.suppliers() != [own.own_supplier]:
-        raise CvmError(
-            f"the own sample must hold {own.own_supplier!r}'s customers and no "
-            f"one else, so the score and CVA describe the same customers; it "
-            f"holds {own.suppliers()}"
-        )
+    own, competitors = split_by_supplier(sample)
     ratings = outcome_values(own, OutcomeKind.RECOMMEND)
     if not ratings:
-        raise CvmError("own respondents carry no recommend outcomes")
+        raise CvmError(f"no recommend outcomes for supplier {sample.own_supplier!r}")
     result = nps(ratings)
-    cva_value = cva(hierarchy, own, competitors)
-    return NpsVsCva(
-        nps_result=result,
-        cva=cva_value,
-        nps_basis=f"own customers' recommend answers, n={result.n}",
-        cva_basis="own vs competitor root-rating means",
-        nps_drill_down=(),
-        cva_drill_down=tuple(hierarchy.models),
-    )
+    reason = "no competitor respondents"
+    if len(competitors):
+        hierarchy = fit_hierarchy(sample, sample.tree)
+        if sample.tree.root in hierarchy.models:
+            cva_value = cva(hierarchy, own, competitors)
+            return NpsVsCva(sample.own_supplier, result, cva_value, tuple(hierarchy.models))
+        reason = hierarchy.unfit.get(sample.tree.root, "root model missing")
+    warnings.warn(f"CVA comparison unavailable: {reason}", stacklevel=2)
+    return NpsVsCva(sample.own_supplier, result, None, ())

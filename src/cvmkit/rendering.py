@@ -1,4 +1,4 @@
-"""Render analysis results as aligned text or plot-data CSV.
+"""Render analysis results as aligned text, records JSON or plot-data CSV.
 
 Every renderer takes the result object, never raw samples, so rendering can
 be re-run without recomputation, and every renderer is deterministic: the
@@ -11,10 +11,13 @@ analysis.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
+import json
 from typing import Iterable, Sequence
 
 from .analytics import (
+    CompetitiveReport,
     LoyaltyCurve,
     PriorityRanking,
     ProfileTable,
@@ -30,6 +33,9 @@ __all__ = [
     "render_value_map",
     "render_nps",
     "render_nps_vs_cva",
+    "render_report",
+    "report_records",
+    "nps_records",
     "loyalty_plot_csv",
     "value_map_plot_csv",
 ]
@@ -198,12 +204,16 @@ def render_nps(result: NpsResult) -> str:
 
 
 def render_nps_vs_cva(report: NpsVsCva) -> str:
-    """NPS next to CVA, with what each is based on and can be traced to."""
+    """The score's segments, then NPS next to CVA with what each is based on."""
+    text = render_nps(report.nps_result)
+    if report.cva is None:
+        return text
     title = "NPS vs CVA"
     headers = ["measure", "value", "based on"]
     rows = [
-        ["NPS", format_score(report.nps_result.nps, 1), report.nps_basis],
-        ["CVA", format_percent(report.cva), report.cva_basis],
+        ["NPS", format_score(report.nps_result.nps, 1),
+         f"own customers' recommend answers, n={report.nps_result.n}"],
+        ["CVA", format_percent(report.cva), "own vs competitor root-rating means"],
     ]
     drill = (
         "CVA decomposes into the fitted value tree ("
@@ -213,7 +223,96 @@ def render_nps_vs_cva(report: NpsVsCva) -> str:
     lines = [title, "=" * len(title)]
     lines += _text_table(headers, rows, align_left=(0, 2))
     lines += ["", drill]
-    return "\n".join(lines) + "\n"
+    return text + "\n" + "\n".join(lines) + "\n"
+
+
+def nps_records(report: NpsVsCva) -> str:
+    """The JSON records document of the score, with CVA or ``null``."""
+    result = report.nps_result
+    document = {
+        "own_supplier": report.own_supplier,
+        "nps": {
+            "n": result.n,
+            "pct_promoters": result.pct_promoters,
+            "pct_passives": result.pct_passives,
+            "pct_detractors": result.pct_detractors,
+            "score": result.nps,
+            "rating_histogram": list(result.rating_histogram),
+        },
+        "cva": report.cva,
+    }
+    return json.dumps(document, indent=2) + "\n"
+
+
+def render_report(report: CompetitiveReport) -> str:
+    """The text report: profile tables, priorities, loyalty curve, value map."""
+    sections = [render_profile_table(t) for t in report.tables]
+    sections.append(render_priorities(report.priorities))
+    if report.curve is not None:
+        loyalty_section = render_loyalty_curve(report.curve)
+        if report.target is not None:
+            shown = (
+                "beyond the observed curve" if report.required is None
+                else format_rating(report.required)
+            )
+            pct = format_score(100.0 * report.target, 1)
+            loyalty_section += f"required value score for {pct}% willingness: {shown}\n"
+        sections.append(loyalty_section)
+    if report.value_map:
+        sections.append(render_value_map(report.value_map, report.band))
+    return "\n".join(sections)
+
+
+def _table_records(table: ProfileTable) -> dict:
+    def mean_records(m):
+        return None if m is None else dataclasses.asdict(m)
+
+    return {
+        "parent": table.parent,
+        "label": table.parent_label,
+        "is_root": table.is_root,
+        "r_squared": table.r_squared,
+        "parent_own": mean_records(table.parent_own),
+        "parent_competitor": mean_records(table.parent_competitor),
+        "parent_relative": table.parent_relative,
+        "rows": [
+            {
+                "node": row.node,
+                "label": row.label,
+                "impact_weight": row.impact_weight,
+                "own": mean_records(row.own_mean),
+                "competitor": mean_records(row.competitor_mean),
+                "relative": row.relative,
+            }
+            for row in table.rows
+        ],
+    }
+
+
+def report_records(report: CompetitiveReport) -> str:
+    """The JSON records document of the report."""
+    curve = report.curve
+    document = {
+        "own_supplier": report.own_supplier,
+        "n_respondents": report.n_respondents,
+        "tables": [_table_records(t) for t in report.tables],
+        "cva": next((t.parent_relative for t in report.tables if t.is_root), None),
+        "priorities": [dataclasses.asdict(e) for e in report.priorities],
+        "priorities_excluded": dict(sorted(report.priorities.excluded.items())),
+        "loyalty_curve": None if curve is None else {
+            "outcome": curve.outcome.value,
+            "threshold": curve.threshold,
+            "points": [list(p) for p in curve.points],
+            "raw_proportions": list(curve.raw_proportions),
+            "bin_counts": list(curve.bin_counts),
+        },
+        "loyalty_target": None if report.target is None else {
+            "target": report.target,
+            "required_value_score": report.required,
+        },
+        "value_map": [dataclasses.asdict(p) for p in report.value_map],
+    }
+    return json.dumps(document, indent=2) + "\n"
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:

@@ -4,6 +4,7 @@ import importlib
 import json
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -13,13 +14,14 @@ from click.testing import CliRunner
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cvmkit import cli
-from cvmkit.analytics import profile_table
+from cvmkit.analytics import competitive_report, profile_table
 from cvmkit.cli import _fit_summary, main
 from cvmkit.datasets import fixture_text, market_truth
-from cvmkit.rendering import render_profile_table
+from cvmkit.regression import fit_hierarchy
+from cvmkit.rendering import render_profile_table, render_report, report_records
 from cvmkit.simulate import generate_market
-from cvmkit.survey import survey_text
+from cvmkit.survey import ingest_responses, survey_text
+from cvmkit.tree import parse_tree_spec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = Path(__file__).resolve().parent.parent / "src" / "cvmkit" / "data"
@@ -157,6 +159,15 @@ def test_report_text_matches_golden():
     assert result.stdout == (GOLDEN / "report.txt").read_text()
 
 
+def test_the_library_report_renders_the_golden_text_and_the_cli_records(sample, hierarchy):
+    report = competitive_report(sample, hierarchy, target=0.80)
+    assert render_report(report) == (GOLDEN / "report.txt").read_text()
+    result = invoke("report", "--tree", TREE, "--survey", SURVEY, *OWN,
+                    "--format", "records", "--target-loyalty", "0.80")
+    assert result.exit_code == 0
+    assert report_records(report) == result.stdout
+
+
 def test_report_is_deterministic_on_disk(tmp_path):
     args = ["report", "--tree", TREE, "--survey", SURVEY, *OWN]
     first = tmp_path / "a.txt"
@@ -268,16 +279,21 @@ def _write_cells(path, header, rows) -> str:
     return str(path)
 
 
-def test_report_on_a_three_driver_root_warns_and_leaves_out_the_value_map(tmp_path):
-    # quality's two children become drivers of the root beside price
+def _three_driver_tree(tmp_path) -> str:
+    """The bundled tree with quality's two children as drivers of the root beside price."""
     tree = tmp_path / "three.tree"
     tree.write_text(
         Path(TREE).read_text()
         .replace("| root | quality price", "| root | automobile delivery_process price")
         .replace("node: quality | Quality | driver | automobile delivery_process\n", "")
     )
+    return str(tree)
+
+
+def test_report_on_a_three_driver_root_warns_and_leaves_out_the_value_map(tmp_path):
+    tree = _three_driver_tree(tmp_path)
     survey = _write_cells(tmp_path / "three.csv", *_without_column(*_fixture_cells(), "quality"))
-    result = invoke("report", "--tree", str(tree), "--survey", survey, *OWN)
+    result = invoke("report", "--tree", tree, "--survey", survey, *OWN)
     assert result.exit_code == 0
     assert result.stderr == (
         "warning: value map unavailable: "
@@ -285,6 +301,32 @@ def test_report_on_a_three_driver_root_warns_and_leaves_out_the_value_map(tmp_pa
     )
     assert "CVA = " in result.stdout
     assert "value map" not in result.stdout.lower()
+
+
+@pytest.mark.parametrize(
+    "three_drivers, own_only, mute_own",
+    [(False, True, False), (True, False, False), (True, True, True)],
+    ids=["own-only", "three-driver-root", "own-only-three-drivers-mute"],
+)
+def test_the_library_report_warns_in_the_cli_order(tmp_path, three_drivers, own_only, mute_own):
+    header, rows = _fixture_cells()
+    tree = _three_driver_tree(tmp_path) if three_drivers else TREE
+    if three_drivers:
+        header, rows = _without_column(header, rows, "quality")
+    if own_only:
+        rows = [row for row in rows if row[2] == "our_co"]
+    if mute_own:
+        rows = [row[:-2] + ["", ""] for row in rows]
+    survey = _write_cells(tmp_path / "survey.csv", header, rows)
+    result = invoke("report", "--tree", tree, "--survey", survey, *OWN)
+    assert result.exit_code == 0
+    sample = ingest_responses(survey, parse_tree_spec(Path(tree).read_text()), "our_co")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = competitive_report(sample, fit_hierarchy(sample, sample.tree))
+    assert [f"warning: {w.message}" for w in caught] == result.stderr.splitlines()
+    assert len(caught) == own_only + three_drivers + mute_own
+    assert render_report(report) == result.stdout
 
 
 def test_report_with_a_saved_hierarchy_missing_a_node_model_warns(tmp_path):
@@ -428,8 +470,7 @@ def test_nps_scores_the_own_customers_once(tmp_path, competitors):
     nps_module = importlib.import_module("cvmkit.nps")
     counter = mock.Mock(wraps=nps_module.nps)
     for fmt in ("text", "records"):
-        with mock.patch.object(nps_module, "nps", counter), \
-                mock.patch.object(cli, "nps", counter):
+        with mock.patch.object(nps_module, "nps", counter):
             result = invoke("nps", "--tree", TREE, "--survey", survey, *OWN, "--format", fmt)
         assert result.exit_code == 0
         assert counter.call_count == 1

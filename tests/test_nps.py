@@ -14,6 +14,7 @@ from cvmkit.nps import (
     nps,
     nps_vs_cva_report,
 )
+from cvmkit.rendering import render_nps_vs_cva
 from cvmkit.survey import OutcomeKind
 
 ratings_lists = st.lists(st.integers(0, 10), min_size=1, max_size=200)
@@ -123,31 +124,28 @@ def test_aggregate_of_nothing_is_undefined():
         aggregate_nps({})
 
 
-def test_nps_vs_cva_on_fixture(hierarchy, halves):
-    own, competitors = halves
-    report = nps_vs_cva_report(own, hierarchy, competitors)
+def test_nps_vs_cva_on_fixture(sample, hierarchy):
+    # NPS on the own customers and CVA on everyone gave CVA 99; one split gives 97
+    report = nps_vs_cva_report(sample)
+    assert report.own_supplier == "our_co"
     assert report.nps_result.nps == pytest.approx(7.1)
     assert report.cva == 97
-    assert report.nps_drill_down == ()
     assert set(report.cva_drill_down) == set(hierarchy.models)
-    assert "n=1000" in report.nps_basis
+    text = render_nps_vs_cva(report)
+    assert "own customers' recommend answers, n=1000" in text
+    assert "own vs competitor root-rating means" in text
 
 
-def test_nps_vs_cva_needs_own_customers(hierarchy, halves):
-    own, competitors = halves
-    with pytest.raises(CvmError, match="own"):
-        nps_vs_cva_report(competitors, hierarchy, own)
+def test_nps_vs_cva_without_competitors_warns_and_scores_alone(halves):
+    own, _ = halves
+    with pytest.warns(UserWarning, match="^CVA comparison unavailable: no competitor respondents$"):
+        report = nps_vs_cva_report(own)
+    assert report.cva is None
+    assert report.nps_result.nps == pytest.approx(7.1)
+    assert "CVA" not in render_nps_vs_cva(report)
 
 
-def test_nps_vs_cva_refuses_an_own_sample_that_holds_competitors(sample, hierarchy, halves):
-    # scoring NPS on the own customers but CVA on everyone gave CVA 99, not 97
-    _, competitors = halves
-    with pytest.raises(CvmError, match="own"):
-        nps_vs_cva_report(sample, hierarchy, competitors)
-
-
-def test_nps_vs_cva_needs_recommend_outcomes(hierarchy, halves):
-    own, competitors = halves
-    silenced = dataclasses.replace(own, outcomes=np.full_like(own.outcomes, -1))
-    with pytest.raises(CvmError, match="recommend"):
-        nps_vs_cva_report(silenced, hierarchy, competitors)
+def test_nps_vs_cva_needs_recommend_outcomes(sample):
+    silenced = dataclasses.replace(sample, outcomes=np.full_like(sample.outcomes, -1))
+    with pytest.raises(CvmError, match="^no recommend outcomes for supplier 'our_co'$"):
+        nps_vs_cva_report(silenced)

@@ -7,7 +7,7 @@ survey sample, and freezes everything the test suite compares against:
 * ``src/cvmkit/data/market_truth.json``  — the calibrated ground truth
 * ``src/cvmkit/data/market_survey.csv``  — the generated survey sample
 * ``tests/golden/profile_*.txt``         — rendered profile tables
-* ``tests/golden/report.txt``            — full text report (CLI `report`)
+* ``tests/golden/report.txt``            — full text report (what `report` prints)
 
 Everything here is deterministic, so rerunning the script after an algorithm
 change either reproduces the files byte-for-byte or shows exactly what
@@ -21,16 +21,13 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from click.testing import CliRunner
-
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))  # the checkout's package, installed or not
 
-from cvmkit.analytics import profile_table  # noqa: E402
-from cvmkit.cli import main as cli_main  # noqa: E402
+from cvmkit.analytics import competitive_report, profile_table  # noqa: E402
 from cvmkit.datasets import automobile_tree  # noqa: E402
 from cvmkit.regression import fit_hierarchy  # noqa: E402
-from cvmkit.rendering import render_profile_table  # noqa: E402
+from cvmkit.rendering import render_profile_table, render_report  # noqa: E402
 from cvmkit.simulate import (  # noqa: E402
     calibrate_to_tables,
     canonical_targets,
@@ -64,21 +61,8 @@ def main() -> int:
         path.write_text(render_profile_table(table), encoding="utf-8")
         print(f"wrote {path}")
 
-    runner = CliRunner()
-    result = runner.invoke(
-        cli_main,
-        [
-            "report",
-            "--tree", str(DATA / "automobile.tree"),
-            "--survey", str(DATA / "market_survey.csv"),
-            "--own", "our_co",
-            "--target-loyalty", "0.80",
-        ],
-    )
-    if result.exit_code != 0:
-        print("report command failed:", result.output, file=sys.stderr)
-        return 1
-    (GOLDEN / "report.txt").write_text(result.output, encoding="utf-8")
+    report = competitive_report(sample, hierarchy, target=0.80)
+    (GOLDEN / "report.txt").write_text(render_report(report), encoding="utf-8")
     print(f"wrote {GOLDEN / 'report.txt'}")
     return 0
 
