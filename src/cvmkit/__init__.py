@@ -20,107 +20,82 @@ Typical use::
     print(cvmkit.render_report(report))      # or cvmkit.report_records(report)
 """
 
-from . import datasets
-from .analytics import (
-    CompetitiveReport,
-    LoyaltyCurve,
-    MissingModelError,
-    PriorityEntry,
-    PriorityRanking,
-    ProfileRow,
-    ProfileTable,
-    ValueMapPoint,
-    competitive_report,
-    cva,
-    loyalty_curve,
-    pool_adjacent_violators,
-    profile_table,
-    rank_priorities,
-    relative_rating,
-    retention_projection,
-    supplier_value_points,
-    top_box_rate,
-    value_map,
-    value_target_for_loyalty,
-    what_if,
-)
-from .errors import CvmError
-from .nps import (
-    NpsAggregationError,
-    NpsResult,
-    NpsSegment,
-    NpsVsCva,
-    aggregate_nps,
-    classify,
-    nps,
-    nps_vs_cva_report,
-)
-from .regression import (
-    FittedHierarchy,
-    InsufficientDataError,
-    LinearFit,
-    NodeModel,
-    SingularMatrixError,
-    UnfitNodeError,
-    fit_hierarchy,
-    fit_linear,
-    fit_node_model,
-    hierarchy_from_records,
-    hierarchy_records,
-    load_hierarchy,
-    save_hierarchy,
-)
-from .rendering import (
-    nps_records,
-    render_loyalty_curve,
-    render_nps,
-    render_nps_vs_cva,
-    render_priorities,
-    render_profile_table,
-    render_report,
-    render_value_map,
-    report_records,
-)
-from .rng import RandomStream
-from .rounding import format_percent, format_rating, format_score, round_half_away
-from .simulate import (
-    COMPETITOR_CLASS,
-    CalibrationError,
-    CellTarget,
-    GroundTruth,
-    InconsistentTargetsError,
-    NodeTarget,
-    TableTargets,
-    calibrate_to_tables,
-    canonical_targets,
-    generate_market,
-    load_truth,
-    save_truth,
-)
-from .survey import (
-    MeanWithHalfWidth,
-    NoRatingsError,
-    OutcomeKind,
-    SurveyFormatError,
-    SurveySample,
-    ingest_responses,
-    node_mean,
-    split_by_supplier,
-    survey_columns,
-    survey_text,
-    write_survey,
-)
-from .tree import (
-    TreeFormatError,
-    TreeNode,
-    UnknownNodeError,
-    ValueTree,
-    Violation,
-    parse_tree_spec,
-    path_to_root,
-    serialize_tree,
-    validate_tree,
-)
+import importlib
+import sys
+import types
+
+# Each public name -> the submodule that defines it.  A name, or a submodule
+# named as an attribute, is imported on first use (PEP 562), so
+# ``import cvmkit.cli`` loads only what the CLI needs.
+_HOMES = {
+    "analytics": (
+        "CompetitiveReport", "LoyaltyCurve", "MissingModelError", "PriorityEntry",
+        "PriorityRanking", "ProfileRow", "ProfileTable", "ValueMapPoint",
+        "competitive_report", "cva", "loyalty_curve", "pool_adjacent_violators",
+        "profile_table", "rank_priorities", "relative_rating", "retention_projection",
+        "supplier_value_points", "top_box_rate", "value_map", "value_target_for_loyalty",
+        "what_if",
+    ),
+    "errors": ("CvmError",),
+    "nps": (
+        "NpsAggregationError", "NpsResult", "NpsSegment", "NpsVsCva", "aggregate_nps",
+        "classify", "nps", "nps_vs_cva_report",
+    ),
+    "regression": (
+        "FittedHierarchy", "InsufficientDataError", "LinearFit", "NodeModel",
+        "SingularMatrixError", "UnfitNodeError", "fit_hierarchy", "fit_linear",
+        "fit_node_model", "hierarchy_from_records", "hierarchy_records", "load_hierarchy",
+        "save_hierarchy",
+    ),
+    "rendering": (
+        "nps_records", "render_loyalty_curve", "render_nps", "render_nps_vs_cva",
+        "render_priorities", "render_profile_table", "render_report", "render_value_map",
+        "report_records",
+    ),
+    "rng": ("RandomStream",),
+    "rounding": ("format_percent", "format_rating", "format_score", "round_half_away"),
+    "simulate": (
+        "COMPETITOR_CLASS", "CalibrationError", "CellTarget", "GroundTruth",
+        "InconsistentTargetsError", "NodeTarget", "TableTargets", "calibrate_to_tables",
+        "canonical_targets", "generate_market", "load_truth", "save_truth",
+    ),
+    "survey": (
+        "MeanWithHalfWidth", "NoRatingsError", "OutcomeKind", "SurveyFormatError",
+        "SurveySample", "ingest_responses", "node_mean", "split_by_supplier",
+        "survey_columns", "survey_text", "write_survey",
+    ),
+    "tree": (
+        "TreeFormatError", "TreeNode", "UnknownNodeError", "ValueTree", "Violation",
+        "parse_tree_spec", "path_to_root", "serialize_tree", "validate_tree",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        module = importlib.import_module(f".{_HOME[name]}", __name__)
+        value = globals()[name] = getattr(module, name)
+        return value
+    if name in _HOMES or name == "datasets":
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_HOMES, "datasets"})
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # Loading a submodule binds it on the package; the function nps keeps
+        # its name when the module nps loads.
+        if not (isinstance(value, types.ModuleType) and name in _HOME):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
 
 __version__ = "0.1.0"
 

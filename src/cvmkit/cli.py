@@ -32,7 +32,6 @@ import click
 
 from .analytics import competitive_report
 from .errors import CvmError, decode_utf8, read_json, write_atomic
-from .nps import aggregate_nps, nps_vs_cva_report
 from .regression import fit_hierarchy, load_hierarchy, save_hierarchy
 from .rendering import (
     loyalty_plot_csv,
@@ -43,7 +42,6 @@ from .rendering import (
     value_map_plot_csv,
 )
 from .rounding import format_percent, format_rating
-from .simulate import generate_market, load_truth
 from .survey import OutcomeKind, ingest_responses, sample_counts, supplier_sums, write_survey
 from .tree import TreeFormatError, parse_tree_spec
 
@@ -315,6 +313,8 @@ def nps_command(
     out_path: str | None,
 ) -> None:
     """Net promoter score for the own supplier, next to CVA when computable."""
+    from .nps import aggregate_nps, nps_vs_cva_report
+
     try:
         tree = _load_tree(tree_path)
         sample = _load_sample(survey_path, tree, own_label)
@@ -334,6 +334,8 @@ def nps_command(
               help="survey file to write")
 def simulate(config_path: str, out_path: str) -> None:
     """Generate a survey sample from a ground-truth config, deterministically."""
+    from .simulate import generate_market, load_truth
+
     try:
         truth = load_truth(_require_file(config_path, "seed-config"))
         sample = generate_market(truth)

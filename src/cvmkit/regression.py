@@ -327,20 +327,15 @@ def fit_node_model(sample: SurveySample, tree: ValueTree, node_id: str) -> NodeM
     children = tree.children_of(node_id)
     if not children:
         raise ValueError(f"{node_id!r} is a leaf; only internal nodes have driver models")
-    y, columns = complete_cases(sample, node_id, children)
-    n = y.shape[0]
+    data = complete_cases(sample, node_id, children)
+    n = data.shape[0]
     if n < len(children) + 2:
         raise InsufficientDataError(
             f"node {node_id!r}: {n} complete cases for "
             f"{len(children)} children; need at least {len(children) + 2}"
         )
     # Stored ratings are integers 1-10, so fit_linear's NaN and shape checks
-    # cannot fail; the int8 columns go straight into an int8 design matrix.
-    data = np.empty((n, len(children) + 2), dtype=np.int8)
-    data[:, 0] = 1
-    for j, child in enumerate(children):
-        data[:, j + 1] = columns[child]
-    data[:, -1] = y
+    # cannot fail; _solve reads the int8 design matrix as it is.
     fit = _solve(data, children)
     weights = {c: round_half_away(100.0 * fit.coefficients[c]) for c in children}
     flags = tuple(

@@ -14,7 +14,7 @@ import csv
 import dataclasses
 import io
 import json
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .analytics import (
     CompetitiveReport,
@@ -23,8 +23,10 @@ from .analytics import (
     ProfileTable,
     ValueMapPoint,
 )
-from .nps import NpsResult, NpsVsCva
 from .rounding import format_percent, format_rating, format_score
+
+if TYPE_CHECKING:
+    from .nps import NpsResult, NpsVsCva
 
 __all__ = [
     "render_profile_table",

@@ -78,9 +78,6 @@ __all__ = [
 #: key under which all competitor suppliers share one mean/shift profile
 COMPETITOR_CLASS = "competitors"
 
-#: willing-band value weights: nearest-to-threshold most likely (w ~ size - i)
-#: unwilling-band value weights: mass piles toward the top (w ~ (i + 1)^2)
-
 
 class InconsistentTargetsError(CvmError):
     """Calibration targets that contradict each other (e.g. means vs relative)."""
@@ -281,7 +278,9 @@ def generate_market(truth: GroundTruth) -> SurveySample:
     low_size = threshold
     high_values = np.arange(threshold, 11)
     low_values = np.arange(0, threshold)
+    # willing band: the value nearest the threshold is most likely (w ~ size - i)
     high_weights = (high_size - np.arange(high_size)).astype(np.float64)
+    # unwilling band: the mass piles toward the top (w ~ (i + 1)^2)
     low_weights = ((np.arange(low_size) + 1.0) ** 2).astype(np.float64)
 
     outcomes = np.empty((total, len(OutcomeKind)), dtype=np.int8)

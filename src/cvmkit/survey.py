@@ -19,22 +19,27 @@ per-sample table of names in canonical order (own first, the rest sorted),
 an ``(n, nodes)`` int8 rating matrix in tree preorder with 0 for a missing
 rating, and an ``(n, 2)`` int8 outcome matrix in :class:`OutcomeKind` order
 with -1 for a missing answer.  Supplier splits compare codes and keep the
-table; outcome lists, root/outcome pairs and complete cases are column
-slices.  Other modules read the store only through the functions below.
-The class constructor takes the columns as given and checks no value;
-ingest is where a file's values are checked.
+table; outcome lists and root/outcome pairs are column slices, and complete
+cases one compressed copy of the gathered columns.  Other modules read the
+store only through the functions below.  The class constructor takes the
+columns as given and checks no value; ingest is where a file's values are
+checked.
 
 Ingest reads a path through one binary file handle, in chunks of a fixed
-number of bytes each taken on to the end of its last line, so its memory
-does not grow with the file beyond the store itself; a text stream is read
-whole and encoded back to UTF-8 into an in-memory handle.  While the file is
-plain (ASCII, no quote, no CR but in CRLF, which reads as LF), a chunk of
-whole lines in which every line has the header's comma count, every label is
-non-empty and unpadded, every role is in :data:`ROLES` and every value cell
-is canonical (blank or ``1``-``10``, and ``0`` for outcomes) is parsed
-straight from its bytes, in work arrays made once per ingest that grow only
-for a chunk larger than any before: delimiters found with one array scan,
-each value cell decoded from its first two bytes, labels gathered as
+number of bytes each taken on to the end of its last line; a text stream is
+read whole and encoded back to UTF-8 into an in-memory handle.  The line ends
+left in the handle, counted first, bound the rows, so each column is made
+once at that bound and filled in place, chunk after chunk, and the sample
+keeps views of the filled rows.  Byte chunks keep their ids at one byte per
+character until one string column is filled at the end.  Beyond the columns,
+only those bytes and the string column's sorted copy grow with the file.
+While the file is plain (ASCII, no quote, no CR but in CRLF, which reads as
+LF), a chunk of whole lines in which every line has the header's comma count,
+every label is non-empty and unpadded, every role is in :data:`ROLES` and
+every value cell is canonical (blank or ``1``-``10``, and ``0`` for outcomes)
+is parsed straight from its bytes, in work arrays made once per ingest that
+grow only for a chunk larger than any before: delimiters found with one array
+scan, each value cell decoded from its first two bytes, labels gathered as
 fixed-width bytes.  Any other chunk goes through the row loop, which strips
 cells, parses ASCII integers (digits after an optional sign) and raises the
 first row-numbered diagnostic; from the first chunk that is not plain,
@@ -263,6 +268,7 @@ def ingest_responses(
             raise SurveyFormatError(message) from None
         # surrogatepass lets any str make the round trip through bytes
         data = text.removeprefix("\ufeff").encode("utf-8", "surrogatepass")
+        del text  # ingest holds one copy of the file
         return _ingest(io.BytesIO(data), tree, own_supplier)
     with open(source, "rb") as handle:
         if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
@@ -270,9 +276,9 @@ def ingest_responses(
         return _ingest(handle, tree, own_supplier)
 
 
-#: Bytes read at a time.  A chunk's index arrays are the largest transient of
-#: ingest, so a bounded chunk keeps peak memory independent of the file's length.
-#: Its reused work arrays take about 13 bytes per chunk byte.  On the 200k-row
+#: Bytes read at a time, by the line count and by the parser.  A bounded chunk
+#: keeps the parser's transients independent of the file's length: its reused
+#: work arrays take about 13 bytes per chunk byte.  On the 200k-row
 #: benchmark panel 256 KiB ingested fastest of 64 KiB-1 MiB, with 7,800 minor
 #: page faults against 65,900 for fresh int64 index arrays per 1 MiB chunk.
 _CHUNK_BYTES = 1 << 18
@@ -292,6 +298,7 @@ class _Layout:
 
 
 def _ingest(handle: IO[bytes], tree: ValueTree, own_supplier: str) -> SurveySample:
+    capacity = _line_ends(handle)  # no more respondent rows than this
     records = _records(handle)
     row_number = 1  # of the record being read, which a csv.Error names
     try:
@@ -330,47 +337,63 @@ def _ingest(handle: IO[bytes], tree: ValueTree, own_supplier: str) -> SurveySamp
                     row=1,
                 )
 
-        # A chunk of bytes is parsed straight from them (_parse_bytes); any
-        # other chunk goes through the row loop (_row_chunk), which accepts and
-        # diagnoses exactly as a whole-file row loop would: it gets absolute
-        # row numbers, and ``first_row`` gets the id of every row before it.
-        # Ids of byte chunks wait in ``unnoted`` until a row loop needs them,
-        # or a repeat in the whole sample is to be named.  Suppliers are coded
-        # in order of first appearance (``supplier_code``); the canonical
-        # table comes last.
+        # Each chunk's rows go straight into the next rows of the columns,
+        # made once at the bound; cells of columns the header omits keep
+        # their missing codes.  A chunk of bytes is parsed straight from them
+        # (_parse_bytes); any other chunk goes through the row loop
+        # (_row_chunk), which accepts and diagnoses exactly as a whole-file
+        # row loop would: it gets absolute row numbers, and ``first_row``
+        # gets the id of every row before it.  Ids of byte chunks stay bytes
+        # and wait in ``unnoted`` until a row loop needs them, or a repeat in
+        # the whole sample is to be named.  Suppliers are coded in order of
+        # first appearance (``supplier_code``); the canonical table comes last.
+        columns = (
+            np.empty(capacity, dtype=np.int8),
+            np.empty(capacity, dtype=np.min_scalar_type(capacity)),
+            np.zeros((capacity, layout.n_nodes), dtype=np.int8),
+            np.full((capacity, len(_OUTCOMES)), -1, dtype=np.int8),
+        )
+        ids: list[np.ndarray] = []  # each chunk's ids
+        filled = 0
         first_row: dict[str, int] = {}
         unnoted: list[tuple[np.ndarray, int]] = []
         supplier_code: dict[str, int] = {}
         row_number = 2
-        # the empty chunk gives a file without respondent rows its column shapes
-        parts = [_row_chunk([], row_number, layout, first_row, supplier_code)]
         scratch: dict[str, np.ndarray] = {}  # the byte parser's work arrays
         for piece in itertools.chain([first], records):
             if not piece:
                 continue
-            part = None
+            rest = [column[filled:] for column in columns]
+            chunk_ids = None
             if isinstance(piece, bytes):
-                part = _parse_bytes(piece, layout, supplier_code, scratch)
-                if part is None:
+                chunk_ids = _parse_bytes(piece, layout, supplier_code, scratch, rest)
+                if chunk_ids is None:
                     piece = _split_lines(piece.decode("ascii"))
                 else:
-                    unnoted.append((part[0], row_number))
-            if part is None:
+                    unnoted.append((chunk_ids, row_number))
+            if chunk_ids is None:
                 _note_ids(first_row, unnoted)
-                part = _row_chunk(piece, row_number, layout, first_row, supplier_code)
-            parts.append(part)
-            row_number += len(part[0]) if isinstance(piece, bytes) else len(piece)
+                chunk_ids = _row_chunk(piece, row_number, layout, first_row, supplier_code, rest)
+            ids.append(chunk_ids)
+            filled += len(chunk_ids)
+            row_number += len(chunk_ids) if isinstance(piece, bytes) else len(piece)
     except csv.Error as exc:
         raise SurveyFormatError(f"malformed CSV: {exc}", row_number) from None
 
-    ids, roles, suppliers, ratings, outcomes = (np.concatenate(column) for column in zip(*parts))
-    ordered = np.sort(ids, kind="stable")  # fast on ids that come in order
+    id_column = np.empty(filled, dtype=np.result_type("U1", *ids))
+    if ids:
+        np.concatenate(ids, out=id_column)
+    del ids  # the row loop's string ids; the bytes of byte chunks stay in ``unnoted``
+    ordered = np.sort(id_column, kind="stable")  # fast on ids that come in order
     if (ordered[1:] == ordered[:-1]).any():
         _note_ids(first_row, unnoted)  # raises, naming the first repeat
-    if not len(ids):
+    if not filled:
         warnings.warn("survey has a header but no respondent rows", stacklevel=3)
+    roles, suppliers, ratings, outcomes = (column[:filled] for column in columns)
     names, codes = _supplier_codes(list(supplier_code), own_supplier)
-    return SurveySample(tree, own_supplier, ids, roles, names, codes[suppliers], ratings, outcomes)
+    return SurveySample(
+        tree, own_supplier, id_column, roles, names, codes[suppliers], ratings, outcomes
+    )
 
 
 def _supplier_codes(names: Sequence[str], own_supplier: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -388,7 +411,7 @@ def _supplier_codes(names: Sequence[str], own_supplier: str) -> tuple[tuple[str,
 def _note_ids(first_row: dict[str, int], unnoted: list[tuple[np.ndarray, int]]) -> None:
     """Move the ids of byte chunks, each with its chunk's first row, into ``first_row``."""
     for ids, start in unnoted:
-        for row, respondent_id in enumerate(ids.tolist(), start):
+        for row, respondent_id in enumerate(ids.astype(str).tolist(), start):
             _note_id(first_row, respondent_id, row)
     unnoted.clear()
 
@@ -399,6 +422,22 @@ def _note_id(first_row: dict[str, int], respondent_id: str, row: int) -> None:
         raise SurveyFormatError(
             f"duplicate respondent_id {respondent_id!r} (first on row {first})", row
         )
+
+
+def _line_ends(handle: IO[bytes]) -> int:
+    """The line ends (LF, CR or CRLF) in the rest of ``handle``, at most one too many per read.
+
+    Each record after the header starts after a line end of its own, so this
+    bounds the respondent rows whether the byte parser or ``csv.reader`` reads
+    them.  The handle is left where it was.
+    """
+    start, count = handle.tell(), 0
+    while block := handle.read(_CHUNK_BYTES):
+        count += block.count(b"\n")
+        if b"\r" in block:  # a CRLF split between two reads counts twice
+            count += block.count(b"\r") - block.count(b"\r\n")
+    handle.seek(start)
+    return count
 
 
 def _records(handle: IO[bytes]) -> Iterator[bytes | list[list[str]]]:
@@ -483,15 +522,19 @@ def _work(scratch: dict, name: str, shape, dtype, make=np.empty) -> np.ndarray:
 
 
 def _parse_bytes(
-    chunk: bytes, layout: _Layout, supplier_code: dict[str, int], scratch: dict[str, np.ndarray]
-) -> tuple[np.ndarray, ...] | None:
-    """Parse whole ASCII lines from their bytes, or return None if the row loop must.
+    chunk: bytes, layout: _Layout, supplier_code: dict[str, int], scratch: dict[str, np.ndarray],
+    out: Sequence[np.ndarray],
+) -> np.ndarray | None:
+    """Parse whole ASCII lines into the front of ``out``, or return None if the row loop must.
 
-    None means some line has another field count than the header, a label
-    is empty or starts or ends with whitespace, a role is not in
-    :data:`ROLES`, or a value cell is not canonical (blank or ``1``-``10``,
-    and ``0`` for outcomes); ``supplier_code`` is then left as it was.  No
-    array returned shares memory with the work arrays in ``scratch``.
+    ``out`` is the role, supplier, rating and outcome columns from the
+    chunk's first row on; the ids come back as fixed-width bytes.  None means
+    some line has another field count than the header, a label is empty or
+    starts or ends with whitespace, a role is not in :data:`ROLES`, or a
+    value cell is not canonical (blank or ``1``-``10``, and ``0`` for
+    outcomes); ``supplier_code`` is then left as it was, and only the role
+    column may have been written.  The ids share no memory with the work
+    arrays in ``scratch``.
     """
     size, width = len(chunk), layout.width
     index = np.int32 if size < 2**31 else np.intp
@@ -518,27 +561,26 @@ def _parse_bytes(
     pairs = np.ndarray((size,), dtype="<u2", buffer=buf, strides=(1,))
     gathered = _work(scratch, "pairs", starts[:, 3:].shape, pairs.dtype)
     pairs.take(starts[:, 3:], out=gathered, mode="clip")  # every start is in range
-    table = np.array([c in layout.outcome_cols for c in range(3, width)]) * (len(_CELL_CODES) // 2)
+    outcome = np.array([c in layout.outcome_cols for c in range(3, width)], dtype=bool)
+    table = outcome * (len(_CELL_CODES) // 2)  # an int array even for a header of labels only
     keys = np.add(gathered, table, out=_work(scratch, "keys", gathered.shape, index), dtype=index)
     codes = _CELL_CODES.take(keys, out=_work(scratch, "codes", keys.shape, np.int8), mode="clip")
     if (codes == _BAD).any():
         return None
 
     ids, roles, suppliers = (_fixed_width(buf, starts[:, k], lengths[:, k]) for k in range(3))
-    role_codes = np.full(n, -1, dtype=np.int8)
+    role_codes, supplier_codes, ratings, outcomes = (column[:n] for column in out)
+    role_codes.fill(-1)
     for code, role in enumerate(ROLES):
         role_codes[roles == role.encode()] = code
     if (role_codes < 0).any():
         return None
-    # an ASCII byte is its own code point
-    ids = ids.view(np.uint8).reshape(n, -1).astype(np.uint32).view(f"U{ids.itemsize}").ravel()
     names, suppliers = np.unique(suppliers, return_inverse=True)
     codes_of = [supplier_code.setdefault(s, len(supplier_code)) for s in names.astype(str).tolist()]
-    ratings = np.zeros((n, layout.n_nodes), dtype=np.int8)
-    outcomes = np.full((n, len(_OUTCOMES)), -1, dtype=np.int8)
+    supplier_codes[:] = np.array(codes_of)[suppliers]
     for matrix, columns in ((ratings, layout.node_cols), (outcomes, layout.outcome_cols)):
         matrix[:, [j for j, _ in columns.values()]] = codes[:, [idx - 3 for idx in columns]]
-    return ids, role_codes, np.array(codes_of)[suppliers], ratings, outcomes
+    return ids
 
 
 def _fixed_width(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -561,9 +603,13 @@ def _refuse_undecodable(cells: list[str], row: int) -> None:
 
 def _row_chunk(
     chunk: list[list[str]], start: int, layout: _Layout, first_row: dict[str, int],
-    supplier_code: dict[str, int],
-) -> tuple[np.ndarray, ...]:
-    """Check and convert a chunk row by row; the first bad row raises, naming itself."""
+    supplier_code: dict[str, int], out: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Check and convert a chunk row by row into the front of ``out``, as :func:`_parse_bytes`.
+
+    Blank rows are skipped; the first bad row raises, naming itself.  Returns
+    the ids of the rows written.
+    """
     labels: list[tuple[str, int, int]] = []
     rating_rows: list[list[int]] = []
     outcome_rows: list[list[int]] = []
@@ -601,15 +647,12 @@ def _row_chunk(
         labels.append((respondent_id, ROLES.index(role), code))
         rating_rows.append(ratings)
         outcome_rows.append(outcomes)
-    n = len(labels)
-    ids, roles, suppliers = zip(*labels) if labels else ((), (), ())
-    return (
-        np.array(ids, dtype=str),
-        np.array(roles, dtype=np.int8),
-        np.array(suppliers, dtype=np.intp),
-        np.array(rating_rows, dtype=np.int8).reshape(n, layout.n_nodes),
-        np.array(outcome_rows, dtype=np.int8).reshape(n, len(_OUTCOMES)),
-    )
+    if not labels:
+        return np.array([], dtype=str)
+    ids, roles, suppliers = zip(*labels)
+    for column, values in zip(out, (roles, suppliers, rating_rows, outcome_rows)):
+        column[: len(labels)] = values
+    return np.array(ids, dtype=str)
 
 
 # Cell text of each stored code: a rating code v is _RATING_TEXT[v] and an
@@ -774,16 +817,16 @@ def root_outcome_pairs(
     return root[both], answers[both]
 
 
-def complete_cases(
-    sample: SurveySample, node_id: str, children: Sequence[str]
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Ratings of ``node_id`` and of each child, over the respondents who rated all.
+def complete_cases(sample: SurveySample, node_id: str, children: Sequence[str]) -> np.ndarray:
+    """The int8 matrix ``[1, children..., node_id]`` over the respondents who rated all.
 
-    This is listwise deletion: the response vector and one regressor column
-    per child, all of the same length, as int8 views of one block.
+    This is listwise deletion, and the matrix is a least-squares design with
+    its intercept column first.  The columns are gathered once, and the
+    incomplete rows are dropped by one ``np.compress`` of that block.
     """
-    block = sample.ratings[:, [sample._column(n) for n in (node_id, *children)]]
-    complete = (block > 0).all(axis=1)
+    block = sample.ratings[:, [sample._column(n) for n in (node_id, *children, node_id)]]
+    complete = (block[:, 1:] > 0).all(axis=1)
     if not complete.all():
-        block = block[complete]
-    return block[:, 0], {c: block[:, i + 1] for i, c in enumerate(children)}
+        block = np.compress(complete, block, axis=0)
+    block[:, 0] = 1
+    return block

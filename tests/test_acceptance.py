@@ -266,3 +266,16 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert dangling == []
+
+
+def test_star_import_binds_every_exported_name():
+    import importlib
+
+    import cvmkit
+
+    nps_module = importlib.import_module("cvmkit.nps")  # loading it keeps the function bound
+    namespace: dict = {}
+    exec("from cvmkit import *", namespace)
+    assert [name for name in cvmkit.__all__ if name not in namespace] == []
+    assert namespace["nps"] is cvmkit.nps is nps_module.nps
+    assert namespace["datasets"] is importlib.import_module("cvmkit.datasets")

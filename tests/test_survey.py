@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -339,16 +340,15 @@ def test_store_matches_a_per_row_computation(rows):
         assert stat.half_width == _exact_half_width(values)
     for kind in OutcomeKind:
         assert outcome_values(sample, kind) == [a[kind] for *_, a in rows if kind in a]
-    wanted = ("value", "a", "b")
+    wanted = ("a", "b", "value")
     complete = [
-        [ratings[w] for w in wanted]
+        [1, *(ratings[w] for w in wanted)]
         for *_, ratings, _ in rows
         if all(w in ratings for w in wanted)
     ]
-    y, columns = complete_cases(sample, "value", ("a", "b"))
-    assert y.tolist() == [c[0] for c in complete]
-    assert columns["a"].tolist() == [c[1] for c in complete]
-    assert columns["b"].tolist() == [c[2] for c in complete]
+    design = complete_cases(sample, "value", ("a", "b"))
+    assert design.dtype == np.int8
+    assert design.tolist() == complete
 
 
 def test_store_arrays_are_read_only():
@@ -501,9 +501,129 @@ def test_canonical_chunks_bypass_the_row_loop(tree):
             by_bytes = ingest_responses(io.StringIO(text), tree, "our_co")
         with mock.patch.object(survey, "_parse_bytes", lambda *args: None):
             by_row = ingest_responses(io.StringIO(text), tree, "our_co")
-    assert [call.args[0] for call in row_loop.call_args_list] == [[]]
+    assert row_loop.call_args_list == []
     assert len(by_bytes) == 2000
     assert by_bytes == by_row
+
+
+# --- rows written straight into columns made at the line-end bound
+
+
+def _against_the_row_loop(text, tmp_path, chunk_bytes=40):
+    """Ingest ``text`` from a path and from a stream in chunks of ``chunk_bytes``,
+    and from the path again with the byte parser declining every chunk; the
+    three must agree, as samples or as (message, row).  Returns the last."""
+    path = tmp_path / "survey.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(survey, "_CHUNK_BYTES", chunk_bytes):
+        by_path, by_stream = _ingest_or_diagnostic(path), _ingest_or_diagnostic(io.StringIO(text))
+        with mock.patch.object(survey, "_parse_bytes", lambda *args: None):
+            by_rows = _ingest_or_diagnostic(path)
+    for result in (by_path, by_stream):
+        assert type(result) is type(by_rows)
+        assert result == by_rows
+    return by_rows
+
+
+def _rows_made(sample):
+    """The rows the ingest made its columns for: views of them back the sample."""
+    columns = (sample.role_codes, sample.ratings, sample.outcomes)
+    bases = {column.base.shape[0] for column in columns}
+    assert len(bases) == 1
+    return bases.pop()
+
+
+def test_blank_lines_take_no_row(tmp_path):
+    header, *rows = TINY_CSV.splitlines(keepends=True)
+    text = header + "\n" + rows[0] + "\n\n" + rows[1] + "   \n" + rows[2] + "\n"
+    sample = _against_the_row_loop(text, tmp_path)
+    assert sample == ingest_responses(io.StringIO(TINY_CSV), TINY_TREE, "us")
+    assert _rows_made(sample) == text.count("\n") == 9
+
+
+def test_a_quoted_newline_makes_fewer_records_than_lines(tmp_path):
+    text = TINY_CSV.replace("r2,user,them", '"r2",user,"th\nem"')
+    sample = _against_the_row_loop(text, tmp_path)
+    assert _labels(sample)[1] == ["r2", "user", "th\nem"]
+    assert len(sample) == 3 and _rows_made(sample) == 5
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_line_ends_and_a_missing_final_newline_read_alike(tmp_path, ending):
+    expected = ingest_responses(io.StringIO(TINY_CSV), TINY_TREE, "us")
+    text = TINY_CSV.replace("\n", ending)
+    for body in (text, text.removesuffix(ending)):
+        assert _against_the_row_loop(body, tmp_path) == expected
+
+
+@pytest.mark.parametrize("text", [TINY_CSV.split("\n")[0], TINY_CSV.split("\n")[0] + "\r\n"])
+def test_a_header_only_file_gives_empty_columns_and_a_warning(tmp_path, text):
+    with pytest.warns(UserWarning, match="no respondent rows"):
+        sample = _against_the_row_loop(text, tmp_path)
+    assert sample.ids.shape == sample.role_codes.shape == sample.supplier_codes.shape == (0,)
+    assert sample.ratings.shape == (0, 3) and sample.outcomes.shape == (0, 2)
+
+
+def test_columns_the_header_omits_read_as_missing(tmp_path):
+    text = (
+        "respondent_id,role,supplier,b,outcome_repurchase\n"
+        "r1,user,us,7,3\nr2,decision_maker,them,,10\nr3,user,us,2,\n"
+    )
+    sample = _against_the_row_loop(text, tmp_path, chunk_bytes=16)
+    assert sample.ratings.tolist() == [[0, 0, 7], [0, 0, 0], [0, 0, 2]]
+    assert sample.outcomes.tolist() == [[-1, 3], [-1, 10], [-1, -1]]
+    labels_only = "respondent_id,role,supplier\nr1,user,us\nr2,decision_maker,them\n"
+    sample = _against_the_row_loop(labels_only, tmp_path, chunk_bytes=16)
+    assert _labels(sample) == [["r1", "user", "us"], ["r2", "decision_maker", "them"]]
+    assert sample.ratings.tolist() == [[0, 0, 0]] * 2
+    assert sample.outcomes.tolist() == [[-1, -1]] * 2
+
+
+def test_ids_that_widen_across_chunks_and_a_later_repeat_named_at_its_row(tmp_path):
+    # two 25-byte rows a chunk: r99998 and r99999 end one, r100000 starts the next
+    rows = [[f"r{i}", "user", "us", "5", "5", "5", "5", "5"] for i in range(99_990, 100_010)]
+    sample = _against_the_row_loop(_csv_text(rows), tmp_path)
+    assert sample.ids.tolist() == [row[0] for row in rows]
+    assert sample.ids.dtype == np.dtype("<U7")
+    rows += [[later, "user", "them", "", "", "", "", ""] for later in ("r100010", "r99999")]
+    diagnostic = _against_the_row_loop(_csv_text(rows), tmp_path)
+    assert diagnostic == ("row 23: duplicate respondent_id 'r99999' (first on row 11)", 23)
+
+
+@pytest.mark.parametrize("column, token", [(3, " 7"), (2, '"us"')])
+def test_a_chunk_in_mid_file_that_is_not_plain(tmp_path, column, token):
+    rows = [[f"r{i}", "user", "us", "1", "5", "10", "0", "10"] for i in range(1, 13)]
+    rows[5][column] = token
+    with mock.patch.object(survey, "_row_chunk", wraps=survey._row_chunk) as row_loop:
+        sample = _against_the_row_loop(_csv_text(rows), tmp_path)
+    assert _labels(sample) == [[f"r{i}", "user", "us"] for i in range(1, 13)]
+    assert sample.ratings[5].tolist() == [7 if column == 3 else 1, 5, 10]
+    if token == " 7":  # the row loop reads that chunk, and the byte parser the rest
+        assert len(row_loop.call_args_list) == 2 + 6  # once per source, and six for the row loop
+
+
+def test_ingest_peak_memory_stays_under_twice_the_columns(tmp_path, sample, tree):
+    """Ingest holds the columns, a sorted copy of the ids for the repeat
+    check, the chunks' ids as bytes and one chunk's work arrays; in all that
+    is under twice the bytes of the sample's columns.  A stream is read whole
+    and held as its UTF-8 bytes, which come on top."""
+    header, *body = survey_text(sample).splitlines(keepends=True)
+    rows = [f"r{k:06d}{line[line.index(','):]}" for k, line in enumerate(body * 20)]
+    text = header + "".join(rows)
+    path = tmp_path / "panel.csv"
+    path.write_text(text)
+    with mock.patch.object(survey, "_CHUNK_BYTES", 1 << 14):
+        for source, held in ((path, 0), (io.StringIO(text), len(text))):
+            tracemalloc.start()
+            try:
+                ingested = ingest_responses(source, tree, "our_co")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            columns = (ingested.ids, ingested.role_codes, ingested.supplier_codes,
+                       ingested.ratings, ingested.outcomes)
+            assert len(ingested) == 40_000
+            assert peak - held < 2 * sum(column.nbytes for column in columns)
 
 
 def _three_hundred_suppliers():
@@ -546,13 +666,13 @@ def test_work_arrays_grow_only_past_every_earlier_chunk_and_leave_no_alias():
     text = _csv_text(rows)
     parse, seen = survey._parse_bytes, []
 
-    def spy(chunk, layout, supplier_code, scratch):
-        part = parse(chunk, layout, supplier_code, scratch)
-        assert part is not None
-        for array, work in itertools.product(part, scratch.values()):
+    def spy(chunk, layout, supplier_code, scratch, out):
+        ids = parse(chunk, layout, supplier_code, scratch, out)
+        assert ids is not None
+        for array, work in itertools.product([ids, *out], scratch.values()):
             assert not np.shares_memory(array, work)
         seen.append((chunk, len(scratch["newline"]), len(scratch["ends"])))
-        return part
+        return ids
 
     with mock.patch.object(survey, "_CHUNK_BYTES", 64), \
             mock.patch.object(survey, "_parse_bytes", spy):
