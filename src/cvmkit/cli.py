@@ -31,7 +31,7 @@ from pathlib import Path
 import click
 
 from .analytics import competitive_report
-from .errors import CvmError, decode_utf8, read_json, write_atomic
+from .errors import CvmError, decode_utf8, read_json, reading, write_atomic
 from .regression import fit_hierarchy, load_hierarchy, save_hierarchy
 from .rendering import (
     loyalty_plot_csv,
@@ -78,7 +78,8 @@ def _emit(text: str, out_path: str | None, command: str) -> None:
 
 
 def _load_tree(path: str):
-    data = _require_file(path, "tree").read_bytes()
+    with reading(path):
+        data = _require_file(path, "tree").read_bytes()
     return parse_tree_spec(decode_utf8(data, TreeFormatError))
 
 

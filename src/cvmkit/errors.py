@@ -1,5 +1,5 @@
-"""Common exception base for the package, the input decoders that raise it,
-and the one writer every artifact goes through.
+"""Common exception base for the package, the input readers and decoders
+that raise it, and the one writer every artifact goes through.
 
 Every domain error raised by cvmkit derives from :class:`CvmError` so callers
 (and the command-line layer) can catch one type and translate it into a
@@ -13,14 +13,26 @@ from __future__ import annotations
 import json
 import os
 import uuid
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterator, TypeVar
+
+__all__ = ["CvmError"]
 
 T = TypeVar("T")
 
 
 class CvmError(Exception):
     """Base class for all cvmkit domain errors."""
+
+
+@contextmanager
+def reading(path: str | Path) -> Iterator[None]:
+    """Raise ``CvmError("cannot read <path>: <reason>")`` for an ``OSError`` in the block."""
+    try:
+        yield
+    except OSError as exc:
+        raise CvmError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def decode_utf8(data: bytes, error: Callable[[str, int], CvmError]) -> str:
@@ -41,14 +53,15 @@ def decode_utf8(data: bytes, error: Callable[[str, int], CvmError]) -> str:
 def read_json(path: str | Path, what: str, build: Callable[[Any], T]) -> T:
     """``build`` applied to the JSON document in the file at ``path``.
 
-    Bytes that are not UTF-8, text that is not JSON, and a document that
-    ``build`` cannot read (a missing key, a value of the wrong type) raise
-    :class:`CvmError` naming ``what`` and the file.
+    A file that cannot be read, bytes that are not UTF-8, text that is not
+    JSON, and a document that ``build`` cannot read (a missing key, a value
+    of the wrong type) raise :class:`CvmError` naming the file.
     """
-    text = decode_utf8(
-        Path(path).read_bytes(),
-        lambda message, line: CvmError(f"{what} {path}: line {line}: {message}"),
-    )
+    with reading(path):
+        text = decode_utf8(
+            Path(path).read_bytes(),
+            lambda message, line: CvmError(f"{what} {path}: line {line}: {message}"),
+        )
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -79,7 +79,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CvmError, write_atomic
+from .errors import CvmError, reading, write_atomic
 from .tree import ValueTree
 
 __all__ = [
@@ -270,7 +270,7 @@ def ingest_responses(
         data = text.removeprefix("\ufeff").encode("utf-8", "surrogatepass")
         del text  # ingest holds one copy of the file
         return _ingest(io.BytesIO(data), tree, own_supplier)
-    with open(source, "rb") as handle:
+    with reading(source), open(source, "rb") as handle:
         if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
             handle.seek(0)
         return _ingest(handle, tree, own_supplier)

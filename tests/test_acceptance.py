@@ -255,27 +255,63 @@ def test_every_exported_name_resolves():
 
     import cvmkit
 
-    modules = [cvmkit] + [
+    submodules = [
         importlib.import_module(f"cvmkit.{info.name}")
         for info in pkgutil.iter_modules(cvmkit.__path__)
     ]
     dangling = [
         f"{module.__name__}.{name}"
-        for module in modules
+        for module in [cvmkit, *submodules]
         for name in getattr(module, "__all__", ())
         if not hasattr(module, name)
     ]
     assert dangling == []
+    # the package re-exports each module's names but the CLI's and the datasets'
+    reexported = [m for m in submodules if m.__name__ not in {"cvmkit.cli", "cvmkit.datasets"}]
+    names = [name for module in reexported for name in module.__all__]
+    assert len(set(names)) == len(names)  # no two modules export one name
+    assert sorted(cvmkit.__all__) == sorted(["__version__", "datasets", *names])
+    listed = dir(cvmkit)
+    assert [
+        f"{module.__name__}.{name}"
+        for module in reexported
+        for name in module.__all__
+        if getattr(cvmkit, name) is not getattr(module, name) or name not in listed
+    ] == []
 
 
 def test_star_import_binds_every_exported_name():
     import importlib
+    import os
+    import subprocess
+    import sys
+    import types
 
     import cvmkit
+
+    # a fresh process reads the function nps before the module nps loads
+    src = Path(cvmkit.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    before = (
+        "import importlib, sys, types, cvmkit\n"
+        "function = cvmkit.nps\n"
+        "assert isinstance(function, types.FunctionType)\n"
+        "assert cvmkit.nps is importlib.import_module('cvmkit.nps').nps is function\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", before], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
 
     nps_module = importlib.import_module("cvmkit.nps")  # loading it keeps the function bound
     namespace: dict = {}
     exec("from cvmkit import *", namespace)
     assert [name for name in cvmkit.__all__ if name not in namespace] == []
     assert namespace["nps"] is cvmkit.nps is nps_module.nps
+    assert isinstance(cvmkit.nps, types.FunctionType)
     assert namespace["datasets"] is importlib.import_module("cvmkit.datasets")
+    assert isinstance(cvmkit.survey, types.ModuleType)
+    assert isinstance(cvmkit.datasets, types.ModuleType)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        cvmkit.no_such_name

@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import importlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -634,6 +637,56 @@ def test_an_out_path_naming_a_directory_is_an_error_and_leaves_no_temp_file(tmp_
     assert result.stderr == f"error: cannot write {out}: Is a directory\n"
     assert [p.name for p in tmp_path.iterdir()] == ["existing"]
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "target, args",
+    [
+        ("tree", ["validate", "--tree", "FILE"]),
+        ("survey", ["validate", "--tree", TREE, "--survey", "FILE", *OWN]),
+        ("config", ["--config", "FILE", "validate", "--tree", TREE]),
+        ("hierarchy", ["report", "--tree", TREE, "--survey", SURVEY, *OWN, "--hierarchy", "FILE"]),
+        ("seed-config", ["simulate", "--seed-config", "FILE", "--out", "survey.csv"]),
+    ],
+)
+def test_an_input_file_that_cannot_be_read_is_an_error(tmp_path, monkeypatch, target, args):
+    # reading a file with its read bit cleared still succeeds as root, so the
+    # readers are patched to fail on ``path`` as they would on an unreadable file
+    path = tmp_path / f"{target}.in"
+    path.write_text("{}")
+
+    def deny(read):
+        def call(file, *args, **kwargs):
+            if str(file) == str(path):
+                raise PermissionError(13, "Permission denied", str(file))
+            return read(file, *args, **kwargs)
+
+        return call
+
+    monkeypatch.chdir(tmp_path)
+    with mock.patch("builtins.open", deny(open)), \
+            mock.patch.object(Path, "read_bytes", deny(Path.read_bytes)):
+        result = invoke(*[str(path) if arg == "FILE" else arg for arg in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: cannot read {path}: Permission denied\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{target}.in"]
+
+
+def test_the_cli_imports_only_the_modules_it_always_needs():
+    src = Path(importlib.import_module("cvmkit").__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    listing = "import sys, cvmkit.cli; print(*sorted(m for m in sys.modules if 'cvmkit' in m))"
+    result = subprocess.run(
+        [sys.executable, "-c", listing], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [
+        "cvmkit", *(f"cvmkit.{name}" for name in (
+            "analytics", "cli", "errors", "regression", "rendering", "rounding", "survey", "tree",
+        )),
+    ]
 
 
 # --- no artifact depends on the order of the survey's rows
