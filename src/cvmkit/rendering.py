@@ -6,15 +6,20 @@ same result yields byte-identical output.  Numbers go through the shared
 rounding helpers — means to one decimal, impact weights and relative ratings
 to integers — so a rendered table is exactly the "published" form of the
 analysis.
+
+Every text renderer lays out its section the same way, through one helper:
+the title over a rule of ``=``, the column-aligned table with its header
+ruled off (and a footer row, such as a profile table's parent, ruled off
+from the body in the body's column widths), then any note lines.  A table
+cell with no value prints ``-``.  The plot-data CSVs go through the
+package's one CSV writer, the one that writes survey files.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence, TypeVar
 
 from .analytics import (
     CompetitiveReport,
@@ -24,9 +29,12 @@ from .analytics import (
     ValueMapPoint,
 )
 from .rounding import format_percent, format_rating, format_score
+from .survey import MeanWithHalfWidth, _csv_text
 
 if TYPE_CHECKING:
     from .nps import NpsResult, NpsVsCva
+
+T = TypeVar("T")
 
 __all__ = [
     "render_profile_table",
@@ -43,28 +51,44 @@ __all__ = [
 ]
 
 
-def _text_table(
+def _section(
+    title: str,
     headers: Sequence[str],
     rows: Iterable[Sequence[str]],
-    align_left: Sequence[int] = (0,),
-) -> list[str]:
-    """Column-aligned plain text; columns in ``align_left`` are left-aligned."""
-    materialized = [list(headers)] + [list(r) for r in rows]
-    widths = [max(len(row[i]) for row in materialized) for i in range(len(headers))]
+    align_left: Collection[int] = (0,),
+    notes: Sequence[str] = (),
+    footer: Sequence[str] | None = None,
+) -> str:
+    """One text section: the title over ``=``, a column-aligned table, then ``notes``.
 
-    def fmt_row(row: Sequence[str]) -> str:
-        cells = []
-        for i, cell in enumerate(row):
-            if i in align_left:
-                cells.append(cell.ljust(widths[i]))
-            else:
-                cells.append(cell.rjust(widths[i]))
-        return "  ".join(cells).rstrip()
+    Columns in ``align_left`` are left-aligned, the rest right-aligned, two
+    spaces apart, with trailing spaces dropped.  A rule of ``-`` as wide as
+    the header line rules off the header, and the ``footer`` row, which
+    takes the body's column widths, from the body.
+    """
+    table = [headers, *rows] + ([footer] if footer is not None else [])
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = [
+        "  ".join(
+            cell.ljust(width) if i in align_left else cell.rjust(width)
+            for i, (cell, width) in enumerate(zip(row, widths))
+        ).rstrip()
+        for row in table
+    ]
+    rule = "-" * len(lines[0])
+    lines.insert(1, rule)
+    if footer is not None:
+        lines.insert(-1, rule)
+    return "\n".join([title, "=" * len(title), *lines, *notes]) + "\n"
 
-    lines = [fmt_row(materialized[0])]
-    lines.append("-" * len(lines[0]))
-    lines.extend(fmt_row(row) for row in materialized[1:])
-    return lines
+
+def _shown(value: T | None, format_value: Callable[[T], str], missing: str = "-") -> str:
+    """``format_value(value)``, or ``missing`` for a missing value."""
+    return missing if value is None else format_value(value)
+
+
+def _mean_text(mean: MeanWithHalfWidth) -> str:
+    return format_rating(mean.mean)
 
 
 def render_profile_table(table: ProfileTable) -> str:
@@ -73,136 +97,87 @@ def render_profile_table(table: ProfileTable) -> str:
     The footer row carries the parent's own means and relative rating; at
     the root that relative is labelled as the overall value score (CVA).
     """
-    headers = ["component", "impact", "own", "competitors", "relative"]
-    rows = []
-    half_widths = [table.parent_own.half_width]
-    for row in table.rows:
-        half_widths.append(row.own_mean.half_width)
-        if row.competitor_mean is not None:
-            half_widths.append(row.competitor_mean.half_width)
-        rows.append(
-            [
-                row.label,
-                format_percent(row.impact_weight) + "%",
-                format_rating(row.own_mean.mean),
-                "-" if row.competitor_mean is None else format_rating(row.competitor_mean.mean),
-                "-" if row.relative is None else format_percent(row.relative),
-            ]
-        )
-    if table.parent_relative is None:
-        footer_relative = "-"
-    elif table.is_root:
-        footer_relative = f"CVA = {format_percent(table.parent_relative)}"
-    else:
-        footer_relative = format_percent(table.parent_relative)
-    if table.parent_competitor is not None:
-        half_widths.append(table.parent_competitor.half_width)
+    rows = [
+        [
+            row.label,
+            format_percent(row.impact_weight) + "%",
+            _mean_text(row.own_mean),
+            _shown(row.competitor_mean, _mean_text),
+            _shown(row.relative, format_percent),
+        ]
+        for row in table.rows
+    ]
+    cva = "CVA = " if table.is_root else ""
     footer = [
         table.parent_label,
         "",
-        format_rating(table.parent_own.mean),
-        "-" if table.parent_competitor is None else format_rating(table.parent_competitor.mean),
-        footer_relative,
+        _mean_text(table.parent_own),
+        _shown(table.parent_competitor, _mean_text),
+        _shown(table.parent_relative, lambda relative: cva + format_percent(relative)),
     ]
-    r2_line = f"R^2 = {format_percent(100 * table.r_squared)}%"
-    margin_line = (
-        f"means are +/-{format_score(max(half_widths), 2)} or tighter (95% confidence)"
-    )
-
-    # Render body and footer together so they share column widths, then
-    # separate them with a rule.
-    full = _text_table(headers, rows + [footer])
-    lines = [table.parent_label, "=" * len(table.parent_label)]
-    lines += full[:-1]
-    lines.append("-" * len(full[1]))
-    lines.append(full[-1])
-    lines.append(r2_line)
-    lines.append(margin_line)
-    return "\n".join(lines) + "\n"
+    means = [table.parent_own, table.parent_competitor]
+    means += [m for row in table.rows for m in (row.own_mean, row.competitor_mean)]
+    margin = max(m.half_width for m in means if m is not None)
+    notes = [
+        f"R^2 = {format_percent(100 * table.r_squared)}%",
+        f"means are +/-{format_score(margin, 2)} or tighter (95% confidence)",
+    ]
+    headers = ["component", "impact", "own", "competitors", "relative"]
+    return _section(table.parent_label, headers, rows, notes=notes, footer=footer)
 
 
 def render_priorities(ranking: PriorityRanking) -> str:
     """Improvement priorities, best first: score = path slope x rating gap."""
+    rows = [
+        [
+            str(rank),
+            entry.node,
+            format_score(entry.score, 3),
+            format_score(entry.path_slope, 3),
+            format_rating(entry.gap),
+            format_rating(entry.own_mean),
+            format_rating(entry.competitor_mean),
+        ]
+        for rank, entry in enumerate(ranking, start=1)
+    ]
+    excluded = [f"excluded: {node} ({ranking.excluded[node]})" for node in sorted(ranking.excluded)]
     headers = ["rank", "attribute", "score", "slope", "gap", "own", "competitors"]
-    rows = []
-    for rank, entry in enumerate(ranking, start=1):
-        rows.append(
-            [
-                str(rank),
-                entry.node,
-                format_score(entry.score, 3),
-                format_score(entry.path_slope, 3),
-                format_rating(entry.gap),
-                format_rating(entry.own_mean),
-                format_rating(entry.competitor_mean),
-            ]
-        )
-    title = "Improvement priorities"
-    lines = [title, "=" * len(title)]
-    lines += _text_table(headers, rows, align_left=(1,))
-    if ranking.excluded:
-        lines.append("")
-        for node in sorted(ranking.excluded):
-            lines.append(f"excluded: {node} ({ranking.excluded[node]})")
-    return "\n".join(lines) + "\n"
+    notes = [""] + excluded if excluded else []
+    return _section("Improvement priorities", headers, rows, align_left=(1,), notes=notes)
 
 
 def render_loyalty_curve(curve: LoyaltyCurve) -> str:
     """The smoothed loyalty curve at each observed overall-value score."""
-    title = (
-        f"Loyalty curve: share with {curve.outcome.value} >= {curve.threshold}"
+    title = f"Loyalty curve: share with {curve.outcome.value} >= {curve.threshold}"
+    rows = (
+        [format_rating(score), format_score(100.0 * proportion, 1) + "%", str(count)]
+        for (score, proportion), count in zip(curve.points, curve.bin_counts)
     )
-    headers = ["value score", "willing", "respondents"]
-    rows = []
-    for (score, proportion), count in zip(curve.points, curve.bin_counts):
-        rows.append(
-            [
-                format_rating(score),
-                format_score(100.0 * proportion, 1) + "%",
-                str(count),
-            ]
-        )
-    lines = [title, "=" * len(title)]
-    lines += _text_table(headers, rows, align_left=())
-    return "\n".join(lines) + "\n"
+    return _section(title, ["value score", "willing", "respondents"], rows, align_left=())
 
 
 def render_value_map(points: Sequence[ValueMapPoint], band: float) -> str:
     """Suppliers positioned by relative quality vs relative price."""
-    title = "Value map"
     headers = ["supplier", "rel. quality", "rel. price", "zone"]
-    rows = [
-        [
-            p.supplier,
-            format_percent(p.relative_quality),
-            format_percent(p.relative_price),
-            p.zone,
-        ]
+    rows = (
+        [p.supplier, format_percent(p.relative_quality), format_percent(p.relative_price), p.zone]
         for p in points
-    ]
+    )
     note = (
         f"fair-value band: quality + price within +/-{format_score(band, 1)} "
         "of the break-even line"
     )
-    lines = [title, "=" * len(title)]
-    lines += _text_table(headers, rows)
-    lines += ["", note]
-    return "\n".join(lines) + "\n"
+    return _section("Value map", headers, rows, notes=["", note])
 
 
 def render_nps(result: NpsResult) -> str:
-    title = "Net promoter score"
-    headers = ["segment", "share"]
     rows = [
         ["promoters (9-10)", format_score(result.pct_promoters, 1) + "%"],
         ["passives (7-8)", format_score(result.pct_passives, 1) + "%"],
         ["detractors (0-6)", format_score(result.pct_detractors, 1) + "%"],
     ]
     score_line = f"NPS = {format_score(result.nps, 1)}   (n = {result.n})"
-    lines = [title, "=" * len(title)]
-    lines += _text_table(headers, rows)
-    lines += ["", score_line]
-    return "\n".join(lines) + "\n"
+    return _section("Net promoter score", ["segment", "share"], rows, notes=["", score_line])
 
 
 def render_nps_vs_cva(report: NpsVsCva) -> str:
@@ -210,8 +185,6 @@ def render_nps_vs_cva(report: NpsVsCva) -> str:
     text = render_nps(report.nps_result)
     if report.cva is None:
         return text
-    title = "NPS vs CVA"
-    headers = ["measure", "value", "based on"]
     rows = [
         ["NPS", format_score(report.nps_result.nps, 1),
          f"own customers' recommend answers, n={report.nps_result.n}"],
@@ -222,10 +195,8 @@ def render_nps_vs_cva(report: NpsVsCva) -> str:
         + ", ".join(report.cva_drill_down)
         + "); NPS has no decomposition — the single question is its own basis."
     )
-    lines = [title, "=" * len(title)]
-    lines += _text_table(headers, rows, align_left=(0, 2))
-    lines += ["", drill]
-    return text + "\n" + "\n".join(lines) + "\n"
+    headers = ["measure", "value", "based on"]
+    return text + "\n" + _section("NPS vs CVA", headers, rows, align_left=(0, 2), notes=["", drill])
 
 
 def nps_records(report: NpsVsCva) -> str:
@@ -253,10 +224,7 @@ def render_report(report: CompetitiveReport) -> str:
     if report.curve is not None:
         loyalty_section = render_loyalty_curve(report.curve)
         if report.target is not None:
-            shown = (
-                "beyond the observed curve" if report.required is None
-                else format_rating(report.required)
-            )
+            shown = _shown(report.required, format_rating, "beyond the observed curve")
             pct = format_score(100.0 * report.target, 1)
             loyalty_section += f"required value score for {pct}% willingness: {shown}\n"
         sections.append(loyalty_section)
@@ -315,14 +283,6 @@ def report_records(report: CompetitiveReport) -> str:
         "value_map": [dataclasses.asdict(p) for p in report.value_map],
     }
     return json.dumps(document, indent=2) + "\n"
-
-
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
 
 
 def loyalty_plot_csv(curve: LoyaltyCurve) -> str:

@@ -80,7 +80,7 @@ COMPETITOR_CLASS = "competitors"
 
 
 class InconsistentTargetsError(CvmError):
-    """Calibration targets that contradict each other (e.g. means vs relative)."""
+    """Calibration targets that contradict each other (e.g. means vs relative) or their scales."""
 
 
 class CalibrationError(CvmError):
@@ -123,6 +123,8 @@ class GroundTruth:
         return supplier if supplier in self.leaf_means else COMPETITOR_CLASS
 
     def validate(self) -> None:
+        if not 0 <= self.seed < 2**64:
+            raise CvmError(f"seed={self.seed} outside [0, 2**64)")
         tree = self.tree
         internal = set(tree.internal_nodes())
         leaves = set(tree.leaves())
@@ -160,6 +162,18 @@ class GroundTruth:
         missing_noise = every_node - set(self.noise_sd)
         if missing_noise:
             raise CvmError(f"missing noise_sd for {sorted(missing_noise)}")
+        planted = {"halo_sd": self.halo_sd}
+        planted.update((f"noise_sd[{node!r}]", sd) for node, sd in self.noise_sd.items())
+        planted.update((f"intercepts[{node!r}]", b) for node, b in self.intercepts.items())
+        for name, table in (("coefficients", self.coefficients), ("class_shift", self.class_shift)):
+            planted.update(
+                (f"{name}[{key!r}][{node!r}]", value)
+                for key, values in table.items()
+                for node, value in values.items()
+            )
+        for name, value in planted.items():
+            if not math.isfinite(value):
+                raise CvmError(f"{name}={value} is not finite")
         for node, sd in self.noise_sd.items():
             if sd < 0.0:
                 raise CvmError(f"noise_sd[{node!r}]={sd} is negative")
@@ -441,6 +455,17 @@ _DAMP_ROUNDS = 100
 
 
 def _check_targets(targets: TableTargets) -> None:
+    means = [(f"cell ({c.parent!r}, {c.child!r})", c.own_mean, c.competitor_mean)
+             for c in targets.cells]
+    means += [(f"node {n.node!r}", n.own_mean, n.competitor_mean) for n in targets.nodes]
+    for what, own_mean, competitor_mean in means:
+        if not (1.0 <= own_mean <= 10.0 and 1.0 <= competitor_mean <= 10.0):
+            raise InconsistentTargetsError(
+                f"{what}: means {own_mean}/{competitor_mean} outside [1, 10]"
+            )
+    for node, r_squared in targets.r_squared.items():
+        if not 0.0 < r_squared <= 1.0:
+            raise InconsistentTargetsError(f"R^2 target {r_squared} for {node!r} outside (0, 1]")
     for cell in targets.cells:
         implied = relative_rating(cell.own_mean, cell.competitor_mean)
         if implied != cell.relative:
@@ -459,6 +484,8 @@ def _check_targets(targets: TableTargets) -> None:
                 )
     last_score, last_prop = -math.inf, -math.inf
     for score, prop in targets.loyalty_points:
+        if not 1.0 <= score <= 10.0:
+            raise InconsistentTargetsError(f"loyalty score {score} outside [1, 10]")
         if not 0.0 < prop < 1.0:
             raise InconsistentTargetsError(f"loyalty proportion {prop} outside (0, 1)")
         if score <= last_score or prop < last_prop:

@@ -13,6 +13,10 @@ tree node (canonical preorder) and the two outcome columns::
 
     respondent_id,role,supplier,<node ids...>,outcome_recommend,outcome_repurchase
 
+:func:`survey_text` writes it through ``_csv_text``, the package's one CSV
+writer (``csv.writer`` with LF line ends), which the plot-data CSVs of
+``rendering`` use too.
+
 In memory a :class:`SurveySample` is one columnar store: a string array of
 ids, int8 role codes into :data:`ROLES`, unsigned supplier codes into a
 per-sample table of names in canonical order (own first, the rest sorted),
@@ -34,20 +38,21 @@ keeps views of the filled rows.  Byte chunks keep their ids at one byte per
 character until one string column is filled at the end.  Beyond the columns,
 only those bytes and the string column's sorted copy grow with the file.
 While the file is plain (ASCII, no quote, no CR but in CRLF, which reads as
-LF), a chunk of whole lines in which every line has the header's comma count,
-every label is non-empty and unpadded, every role is in :data:`ROLES` and
-every value cell is canonical (blank or ``1``-``10``, and ``0`` for outcomes)
-is parsed straight from its bytes, in work arrays made once per ingest that
-grow only for a chunk larger than any before: delimiters found with one array
-scan, each value cell decoded from its first two bytes, labels gathered as
-fixed-width bytes.  Any other chunk goes through the row loop, which strips
-cells, parses ASCII integers (digits after an optional sign) and raises the
-first row-numbered diagnostic; from the first chunk that is not plain,
-``csv.reader`` reads the rest of the file for it, with each byte that is not
-UTF-8 read as one character U+DC80-U+DCFF (``surrogateescape``), which the
-row loop names as its row's first fault.  The row loop accepts and rejects
-exactly what a row loop over the whole file would, so the byte parser is
-only a shortcut.  Repeated ids are looked for once, over the whole sample,
+LF), a chunk of whole lines without a NUL byte in which every line has the
+header's comma count, every label is non-empty and unpadded, every role is in
+:data:`ROLES` and every value cell is canonical (blank or ``1``-``10``, and
+``0`` for outcomes) is parsed straight from its bytes, in work arrays made
+once per ingest that grow only for a chunk larger than any before: delimiters
+found with one array scan, each value cell decoded from its first two bytes,
+labels gathered as fixed-width bytes.  Any other chunk goes through the row
+loop, which strips cells, parses ASCII integers (digits after an optional
+sign) and raises the first row-numbered diagnostic; from the first chunk that
+is not plain, ``csv.reader`` reads the rest of the file for it, with each byte
+that is not UTF-8 read as one character U+DC80-U+DCFF (``surrogateescape``),
+which the row loop names as its row's first fault, as it does a NUL byte
+(which fixed-width ids and labels would drop).  The row loop accepts and
+rejects exactly what a row loop over the whole file would, so the byte parser
+is only a shortcut.  Repeated ids are looked for once, over the whole sample,
 unless a row loop needs the earlier ids first.
 
 Every node mean and half-width is read from one histogram pass over the
@@ -75,7 +80,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -256,9 +261,9 @@ def ingest_responses(
     offending row number; a header-only file yields an empty sample and a
     warning.  A path is read as UTF-8 in chunks of a bounded number of bytes;
     a stream is read whole.  A leading byte-order mark is skipped in either
-    source.  A byte that is not UTF-8, or a lone surrogate in a stream's
-    text, is an error naming its row; only a stream whose own decoder fails
-    gives an error naming no row.
+    source.  A NUL byte, a byte that is not UTF-8, or a lone surrogate in a
+    stream's text, is an error naming its row; only a stream whose own
+    decoder fails gives an error naming no row.
     """
     if hasattr(source, "read"):
         try:
@@ -310,7 +315,7 @@ def _ingest(handle: IO[bytes], tree: ValueTree, own_supplier: str) -> SurveySamp
             header, first = first[0], first[1:]
         else:
             raise SurveyFormatError("empty file: no header row")
-        _refuse_undecodable(header, 1)
+        _refuse_bad_bytes(header, 1)
         header = [h.strip() for h in header]
 
         fixed = ["respondent_id", "role", "supplier"]
@@ -529,13 +534,15 @@ def _parse_bytes(
 
     ``out`` is the role, supplier, rating and outcome columns from the
     chunk's first row on; the ids come back as fixed-width bytes.  None means
-    some line has another field count than the header, a label is empty or
-    starts or ends with whitespace, a role is not in :data:`ROLES`, or a
-    value cell is not canonical (blank or ``1``-``10``, and ``0`` for
-    outcomes); ``supplier_code`` is then left as it was, and only the role
-    column may have been written.  The ids share no memory with the work
-    arrays in ``scratch``.
+    the chunk holds a NUL byte, some line has another field count than the
+    header, a label is empty or starts or ends with whitespace, a role is
+    not in :data:`ROLES`, or a value cell is not canonical (blank or
+    ``1``-``10``, and ``0`` for outcomes); ``supplier_code`` is then left as
+    it was, and only the role column may have been written.  The ids share
+    no memory with the work arrays in ``scratch``.
     """
+    if b"\x00" in chunk:  # numpy's fixed-width bytes would drop a trailing NUL
+        return None
     size, width = len(chunk), layout.width
     index = np.int32 if size < 2**31 else np.intp
     # the extra byte completes the two bytes of an empty last cell
@@ -595,8 +602,11 @@ def _fixed_width(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
-def _refuse_undecodable(cells: list[str], row: int) -> None:
+def _refuse_bad_bytes(cells: list[str], row: int) -> None:
+    """Refuse a record with a NUL, which fixed-width ids and labels would drop, or bad UTF-8."""
     text = "".join(cells)
+    if "\x00" in text:
+        raise SurveyFormatError("NUL byte (0x00) in the record", row)
     if not text.isascii() and (byte := _UNDECODABLE.search(text)):
         raise SurveyFormatError(f"byte 0x{ord(byte[0]) - 0xDC00:02x} is not valid UTF-8", row)
 
@@ -614,7 +624,7 @@ def _row_chunk(
     rating_rows: list[list[int]] = []
     outcome_rows: list[list[int]] = []
     for row_number, row in enumerate(chunk, start=start):
-        _refuse_undecodable(row, row_number)
+        _refuse_bad_bytes(row, row_number)
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != layout.width:
@@ -671,10 +681,15 @@ def survey_text(sample: SurveySample) -> str:
     ]
     columns += [list(map(_RATING_TEXT.__getitem__, c)) for c in sample.ratings.T.tolist()]
     columns += [list(map(_OUTCOME_TEXT.__getitem__, c)) for c in sample.outcomes.T.tolist()]
+    return _csv_text(survey_columns(sample.tree), zip(*columns))
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """CSV text of ``header`` then ``rows``: the package's one CSV dialect, LF line ends."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(survey_columns(sample.tree))
-    writer.writerows(zip(*columns))
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 

@@ -332,7 +332,8 @@ def test_the_library_report_warns_in_the_cli_order(tmp_path, three_drivers, own_
     assert render_report(report) == result.stdout
 
 
-def test_report_with_a_saved_hierarchy_missing_a_node_model_warns(tmp_path):
+def _fit_without_delivery_process(tmp_path) -> str:
+    """A saved fit of the bundled survey whose ``delivery_process`` model is missing."""
     hierarchy = tmp_path / "fit.json"
     assert invoke("fit", "--tree", TREE, "--survey", SURVEY, *OWN,
                   "--out", str(hierarchy)).exit_code == 0
@@ -340,8 +341,12 @@ def test_report_with_a_saved_hierarchy_missing_a_node_model_warns(tmp_path):
     del document["models"]["delivery_process"]
     document["unfit"]["delivery_process"] = "too few complete cases"
     hierarchy.write_text(json.dumps(document))
+    return str(hierarchy)
+
+
+def test_report_with_a_saved_hierarchy_missing_a_node_model_warns(tmp_path):
     result = invoke("report", "--tree", TREE, "--survey", SURVEY, *OWN,
-                    "--hierarchy", str(hierarchy))
+                    "--hierarchy", _fit_without_delivery_process(tmp_path))
     assert result.exit_code == 0
     assert result.stderr == "warning: no model for delivery_process: too few complete cases\n"
     assert "Quality\n=======" in result.stdout
@@ -408,6 +413,26 @@ def test_nps_text_output():
     assert "7.1" in result.stdout
     assert "promoters" in result.stdout.lower()
     assert "97" in result.stdout  # the CVA column of the comparison
+
+
+@pytest.mark.parametrize(
+    "golden", ["report_own_only", "report_without_delivery_process", "nps", "nps_own_only"]
+)
+def test_the_text_branches_the_full_report_misses_match_their_goldens(tmp_path, golden):
+    """``-`` cells, ``excluded:`` lines, a target beyond the curve, NPS with and without CVA."""
+    command, _, case = golden.partition("_")
+    survey, options = SURVEY, []
+    if case == "own_only":
+        header, rows = _fixture_cells()
+        survey = _write_cells(tmp_path / "own.csv", header, [r for r in rows if r[2] == "our_co"])
+    if case == "without_delivery_process":
+        options = ["--hierarchy", _fit_without_delivery_process(tmp_path),
+                   "--outcome", "repurchase", "--loyalty-threshold", "9"]
+    if command == "report":
+        options += ["--target-loyalty", "0.80"]
+    result = invoke(command, "--tree", TREE, "--survey", survey, *OWN, *options)
+    assert result.exit_code == 0
+    assert result.stdout == (GOLDEN / f"{golden}.txt").read_text()
 
 
 def test_nps_average_of_units_is_refused():
@@ -609,6 +634,39 @@ def test_seed_config_without_a_tree_names_the_missing_field(tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"error: ground truth {config}: missing field 'tree_text'" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (["seed"], -1, "seed=-1 outside [0, 2**64)"),
+        (["seed"], 2**64, f"seed={2**64} outside [0, 2**64)"),
+        (["halo_sd"], float("nan"), "halo_sd=nan is not finite"),
+        (["noise_sd", "billing"], float("inf"), "noise_sd['billing']=inf is not finite"),
+        (["coefficients", "quality", "automobile"], float("nan"),
+         "coefficients['quality']['automobile']=nan is not finite"),
+        (["intercepts", "price"], float("-inf"), "intercepts['price']=-inf is not finite"),
+        (["class_shift", "our_co", "worth_what_paid_for"], float("inf"),
+         "class_shift['our_co']['worth_what_paid_for']=inf is not finite"),
+    ],
+    ids=["negative-seed", "seed-2**64", "nan-halo", "inf-noise", "nan-slope", "inf-intercept",
+         "inf-shift"],
+)
+def test_a_seed_config_with_a_seed_or_parameter_out_of_range_is_an_error(
+    tmp_path, field, value, message
+):
+    document = json.loads(Path(TRUTH).read_text())
+    parent = document
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = value
+    config = tmp_path / "truth.json"
+    config.write_text(json.dumps(document))
+    result = invoke("simulate", "--seed-config", str(config), "--out", str(tmp_path / "s.csv"))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {message}\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -270,6 +271,35 @@ def test_decreasing_loyalty_targets_are_rejected():
     broken = dataclasses.replace(targets, loyalty_points=((7.3, 0.8), (7.8, 0.63)))
     with pytest.raises(InconsistentTargetsError, match="loyalty"):
         calibrate_to_tables(broken)
+
+
+def _with_cell(targets, **changes):
+    return tuple(
+        dataclasses.replace(c, **changes) if c.child == "quality" else c for c in targets.cells
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: {"loyalty_points": ((0.5, 0.5),)}, "loyalty score 0.5 outside [1, 10]"),
+        (lambda t: {"loyalty_points": ((11.0, 0.5),)}, "loyalty score 11.0 outside [1, 10]"),
+        (lambda t: {"loyalty_points": ((math.nan, 0.5),)}, "loyalty score nan outside [1, 10]"),
+        (lambda t: {"cells": _with_cell(t, own_mean=math.nan)}, "'quality'): means nan/"),
+        (lambda t: {"nodes": (dataclasses.replace(t.nodes[0], competitor_mean=0.0),)},
+         "/0.0 outside [1, 10]"),
+        (lambda t: {"r_squared": {"quality": 0.0}}, "R^2 target 0.0 for 'quality' outside (0, 1]"),
+        (lambda t: {"r_squared": {"quality": 1.5}}, "R^2 target 1.5 for 'quality' outside (0, 1]"),
+    ],
+    ids=["score-0.5", "score-11", "nan-score", "nan-cell-mean", "zero-node-mean", "r2-0",
+         "r2-1.5"],
+)
+def test_a_target_off_its_scale_is_rejected(edit, message):
+    targets = canonical_targets(datasets.automobile_tree())
+    broken = dataclasses.replace(targets, **edit(targets))
+    with pytest.raises(InconsistentTargetsError) as err:
+        calibrate_to_tables(broken, max_rounds=2)
+    assert message in str(err.value)
 
 
 def test_recalibration_reproduces_the_bundled_truth():

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvmkit import survey
@@ -399,13 +399,16 @@ _OUTCOMES = ["", *map(str, range(11))]
 # ids repeat those of rows 1, 2 and 4, within a chunk or across chunks.
 # Labels are padded with bytes str.strip removes, and some are not ASCII;
 # a quoted field, with or without a newline in it, a lone CR or a non-ASCII
-# byte hands the rest of the file to csv.reader.
+# byte hands the rest of the file to csv.reader.  A NUL byte, which a
+# fixed-width numpy string drops at the end, is refused wherever it is.
 _ODD = (
-    ["", "r1", "r2", "r4", " r1", "r2 ", "\tr9", "r9\x0b", "\x1fr9", "r\u00e99", '"r9"', '"r\n9"'],
-    [" user", "user ", "buyer", "", "\tuser", "user\x0b", "\x1fuser", '"user"'],
-    [" us", "them ", "", "\tus", "them\x1f", "\x0bus", "th\u00e9m", '"us"', '"u\ns"'],
-    *[["0", "11", "100", "10 ", " 7", "07", "+7", "7.0", "x", "-1", '"7"', "7\r"]] * 3,
-    *[["11", "100", "10 ", " 7", "07", "+7", "7.0", "x", "-1", '"7"', "7\r"]] * 2,
+    ["", "r1", "r2", "r4", " r1", "r2 ", "\tr9", "r9\x0b", "\x1fr9", "r\u00e99", '"r9"', '"r\n9"',
+     "r1\x00", "r\x009", "\x00"],
+    [" user", "user ", "buyer", "", "\tuser", "user\x0b", "\x1fuser", '"user"', "user\x00"],
+    [" us", "them ", "", "\tus", "them\x1f", "\x0bus", "th\u00e9m", '"us"', '"u\ns"', "us\x00",
+     "\x00them"],
+    *[["0", "11", "100", "10 ", " 7", "07", "+7", "7.0", "x", "-1", '"7"', "7\r", "7\x00"]] * 3,
+    *[["11", "100", "10 ", " 7", "07", "+7", "7.0", "x", "-1", '"7"', "7\r", "\x00"]] * 2,
 )
 
 
@@ -473,6 +476,8 @@ def _both_paths(text):
 
 @settings(max_examples=400, deadline=None)
 @given(_survey_texts())
+@example(_csv_text([["r1", "user", "us", "5", "", "", "", ""],
+                    ["r1\x00", "user", "us\x00", "5", "", "", "", ""]]))
 def test_table_path_and_row_loop_agree(text):
     chunked, row_by_row = _both_paths(text)
     for by_bytes, by_row in zip(chunked, row_by_row):
@@ -825,6 +830,20 @@ def test_a_lone_surrogate_in_a_stream_is_refused_at_its_row():
     with pytest.raises(SurveyFormatError) as err:
         ingest_responses(io.StringIO(TINY_CSV.replace("them", "th\udcffem")), TINY_TREE, "us")
     assert str(err.value) == "row 3: byte 0xed is not valid UTF-8"
+
+
+@pytest.mark.parametrize("old, new", [("r2,", "r2\x00,"), ("them", "us\x00"),
+                                      ("r2,user", "r2,user\x00"), ("r1,", "\x00,")])
+def test_a_nul_byte_is_refused_at_its_row(tmp_path, old, new):
+    """Fixed-width bytes would drop a trailing NUL, so ``us\\x00`` would read as ``us``."""
+    text = TINY_CSV.replace(old, new, 1)
+    path = tmp_path / "survey.csv"
+    path.write_text(text)
+    for source in (io.StringIO(text), path):
+        with pytest.raises(SurveyFormatError) as err:
+            ingest_responses(source, TINY_TREE, "us")
+        row = 2 if old == "r1," else 3
+        assert str(err.value) == f"row {row}: NUL byte (0x00) in the record"
 
 
 @settings(max_examples=200, deadline=None)

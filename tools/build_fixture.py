@@ -8,6 +8,10 @@ survey sample, and freezes everything the test suite compares against:
 * ``src/cvmkit/data/market_survey.csv``  — the generated survey sample
 * ``tests/golden/profile_*.txt``         — rendered profile tables
 * ``tests/golden/report.txt``            — full text report (what `report` prints)
+* ``tests/golden/report_*.txt``, ``nps*.txt`` — the text of the report and
+  NPS branches the full report does not reach: an own-only survey, a saved
+  fit without ``delivery_process`` and a loyalty target beyond the curve,
+  and ``nps`` with and without its NPS-vs-CVA section
 
 Everything here is deterministic, so rerunning the script after an algorithm
 change either reproduces the files byte-for-byte or shows exactly what
@@ -18,7 +22,9 @@ drifted.  Run from the repository root::
 
 from __future__ import annotations
 
+import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -26,15 +32,20 @@ sys.path.insert(0, str(REPO / "src"))  # the checkout's package, installed or no
 
 from cvmkit.analytics import competitive_report, profile_table  # noqa: E402
 from cvmkit.datasets import automobile_tree  # noqa: E402
+from cvmkit.nps import nps_vs_cva_report  # noqa: E402
 from cvmkit.regression import fit_hierarchy  # noqa: E402
-from cvmkit.rendering import render_profile_table, render_report  # noqa: E402
+from cvmkit.rendering import (  # noqa: E402
+    render_nps_vs_cva,
+    render_profile_table,
+    render_report,
+)
 from cvmkit.simulate import (  # noqa: E402
     calibrate_to_tables,
     canonical_targets,
     generate_market,
     save_truth,
 )
-from cvmkit.survey import split_by_supplier, write_survey  # noqa: E402
+from cvmkit.survey import OutcomeKind, split_by_supplier, write_survey  # noqa: E402
 
 DATA = REPO / "src" / "cvmkit" / "data"
 GOLDEN = REPO / "tests" / "golden"
@@ -64,6 +75,30 @@ def main() -> int:
     report = competitive_report(sample, hierarchy, target=0.80)
     (GOLDEN / "report.txt").write_text(render_report(report), encoding="utf-8")
     print(f"wrote {GOLDEN / 'report.txt'}")
+
+    # Each case below lacks a part on purpose, and warns about it.
+    without_delivery = dataclasses.replace(
+        hierarchy,
+        models={k: m for k, m in hierarchy.models.items() if k != "delivery_process"},
+        unfit={"delivery_process": "too few complete cases"},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        branches = {
+            "report_own_only.txt": render_report(
+                competitive_report(own, fit_hierarchy(own, tree), target=0.80)
+            ),
+            "report_without_delivery_process.txt": render_report(
+                competitive_report(
+                    sample, without_delivery, OutcomeKind.REPURCHASE, threshold=9, target=0.80
+                )
+            ),
+            "nps.txt": render_nps_vs_cva(nps_vs_cva_report(sample)),
+            "nps_own_only.txt": render_nps_vs_cva(nps_vs_cva_report(own)),
+        }
+    for name, text in branches.items():
+        (GOLDEN / name).write_text(text, encoding="utf-8")
+        print(f"wrote {GOLDEN / name}")
     return 0
 
 
