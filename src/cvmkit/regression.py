@@ -32,7 +32,10 @@ rating per point of child rating".  Negative slopes are kept, flagged, and
 left for the analyst to judge.
 
 Missing data policy is listwise deletion per node model: a respondent enters
-the model for node P only when they rated P and every child of P.
+the model for node P only when they rated P and every child of P.  When no
+rating is blank every node keeps every row, so :func:`fit_hierarchy` takes
+one exact Gram matrix of ``[1, ratings]`` and solves each node from its
+block; the integers, hence the fits, are those of the per-node path.
 """
 
 from __future__ import annotations
@@ -192,10 +195,16 @@ def _solve(data: np.ndarray, names: Sequence[str]) -> LinearFit:
     ``data`` is a finite float64 or integer matrix with ``len(names) + 2``
     columns and at least that many rows.
     """
-    n = data.shape[0]
+    gram, shifts = _exact_gram(data)
+    return _solve_gram(gram, shifts, data.shape[0], names)
+
+
+def _solve_gram(
+    gram: list[list[int]], shifts: Sequence[int], n: int, names: Sequence[str]
+) -> LinearFit:
+    """The exact fit whose rescaled Gram matrix of ``[1, columns..., y]`` is ``gram``."""
     k = len(names)
     labels = ["intercept", *names]
-    gram, shifts = _exact_gram(data)
     numerators, determinant = _solve_normal_equations(gram, labels)
 
     # data[:, j] == z_j * 2**shifts[j] with integer z_j, so the solution g of
@@ -279,7 +288,7 @@ def _solve_normal_equations(
     determinant of the ``p`` by ``p`` block.
     """
     p = len(labels)
-    rows = [list(gram[i][: p + 1]) for i in range(p)]
+    rows = [gram[i][: p + 1] for i in range(p)]
     previous = 1
     dependent = []
     for j in range(p):
@@ -287,11 +296,11 @@ def _solve_normal_equations(
         if pivot == 0:
             dependent.append(j)
             continue
-        for i in range(j + 1, p):
-            factor = rows[i][j]
-            rows[i] = [
-                (pivot * a - factor * b) // previous if c > j else 0
-                for c, (a, b) in enumerate(zip(rows[i], rows[j]))
+        tail = rows[j][j + 1 :]
+        for row in rows[j + 1 :]:  # in place, right of column j; the rest is never read
+            factor = row[j]
+            row[j + 1 :] = [
+                (pivot * a - factor * b) // previous for a, b in zip(row[j + 1 :], tail)
             ]
         previous = pivot
     if dependent:
@@ -328,15 +337,23 @@ def fit_node_model(sample: SurveySample, tree: ValueTree, node_id: str) -> NodeM
     if not children:
         raise ValueError(f"{node_id!r} is a leaf; only internal nodes have driver models")
     data = complete_cases(sample, node_id, children)
-    n = data.shape[0]
+    _check_cases(node_id, children, data.shape[0])
+    # Stored ratings are integers 1-10, so fit_linear's NaN and shape checks
+    # cannot fail; _solve reads the int8 design matrix as it is.
+    return _node_model(node_id, _solve(data, children))
+
+
+def _check_cases(node_id: str, children: Sequence[str], n: int) -> None:
     if n < len(children) + 2:
         raise InsufficientDataError(
             f"node {node_id!r}: {n} complete cases for "
             f"{len(children)} children; need at least {len(children) + 2}"
         )
-    # Stored ratings are integers 1-10, so fit_linear's NaN and shape checks
-    # cannot fail; _solve reads the int8 design matrix as it is.
-    fit = _solve(data, children)
+
+
+def _node_model(node_id: str, fit: LinearFit) -> NodeModel:
+    """``fit`` with its displayed impact weights and negative-slope flags."""
+    children = list(fit.coefficients)
     weights = {c: round_half_away(100.0 * fit.coefficients[c]) for c in children}
     flags = tuple(
         f"negative coefficient for {c} ({fit.coefficients[c]:.3f})"
@@ -351,12 +368,31 @@ def fit_hierarchy(sample: SurveySample, tree: ValueTree) -> FittedHierarchy:
 
     Node models are independent of each other (each is a plain least-squares
     fit on its own complete cases), so fitting order cannot change any result.
+    When no rating is blank, every node keeps every row, so one exact Gram
+    matrix of ``[1, ratings]`` holds every node's Gram matrix as a block and
+    each model is solved from its block; a blank cell sends each node through
+    :func:`fit_node_model`.  Both give the same integers, hence the same fits.
     """
     models: dict[str, NodeModel] = {}
     unfit: dict[str, str] = {}
+    n = len(sample)
+    shared = None
+    if n and sample.ratings.all():
+        design = np.empty((n, sample.ratings.shape[1] + 1), dtype=np.int8)
+        design[:, 0] = 1
+        design[:, 1:] = sample.ratings
+        shared, _ = _exact_gram(design)  # integer data: every shift is 0
     for node_id in tree.internal_nodes():
         try:
-            models[node_id] = fit_node_model(sample, tree, node_id)
+            if shared is None:
+                models[node_id] = fit_node_model(sample, tree, node_id)
+                continue
+            children = tree.children_of(node_id)
+            _check_cases(node_id, children, n)
+            block = [0, *(1 + sample._column(c) for c in (*children, node_id))]
+            gram = [[shared[a][b] for b in block] for a in block]
+            fit = _solve_gram(gram, [0] * len(block), n, children)
+            models[node_id] = _node_model(node_id, fit)
         except (InsufficientDataError, SingularMatrixError) as exc:
             unfit[node_id] = str(exc)
     return FittedHierarchy(tree=tree, models=models, unfit=unfit)

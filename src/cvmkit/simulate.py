@@ -25,7 +25,12 @@ draw layout (halo block, leaf-noise block, node-noise block, role block,
 outcome blocks), so on one machine a seed fully determines every byte of the
 output (:mod:`cvmkit.rng` says what may differ across CPUs), and the
 draws do not depend on the parameter values, so the last draw is cached and
-a regeneration only maps new parameters over it — which is what lets
+a regeneration only maps new parameters over it.  The band values an outcome
+takes when willing and when not depend only on the draw and the threshold,
+so they are picked once and cached beside it; a regeneration builds the
+leaf ratings a block of rows at a time and the internal nodes with in-place
+products, the same elementwise arithmetic as one leaf at a time — which is
+what lets
 :func:`calibrate_to_tables` iterate: with the seed frozen, planted parameters
 can be nudged until the *fitted* table — integer impact weights, one-decimal
 means, relative ratings, R^2, loyalty-curve anchor points — reproduces a
@@ -53,8 +58,8 @@ from .survey import (
     OutcomeKind,
     SurveySample,
     _supplier_codes,
-    node_means,
     split_by_supplier,
+    split_node_means,
 )
 from .tree import ValueTree, parse_tree_spec, serialize_tree
 
@@ -204,6 +209,28 @@ class GroundTruth:
                         f"supplier {supplier!r} has no own leaf-mean profile and no "
                         f"{COMPETITOR_CLASS!r} profile exists"
                     )
+        total, bound = sum(self.n_per_supplier.values()), _max_respondents(tree)
+        if total > bound:
+            raise CvmError(
+                f"n_per_supplier asks for {total} respondents in all; a draw on this tree "
+                f"holds at most {bound} ({_MAX_DRAW_BYTES >> 30} GiB)"
+            )
+
+
+#: The most bytes one market's cached draw may take (see :func:`_max_respondents`).
+_MAX_DRAW_BYTES = 2**35
+
+
+def _max_respondents(tree: ValueTree) -> int:
+    """The most respondents, over all suppliers, of a truth on ``tree``.
+
+    The cached draw takes 8 bytes per respondent for each of its halo, node
+    noise (one per node), role, two willing and two band draws, at most 48
+    for its id (12 characters) and 4 for its cached band picks;
+    ``_MAX_DRAW_BYTES`` over that is the bound, about 109 million
+    respondents on the bundled tree.
+    """
+    return _MAX_DRAW_BYTES // (8 * (len(tree.nodes) + 6) + 48 + 4)
 
 
 def _band_pick(size: int, weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -212,7 +239,11 @@ def _band_pick(size: int, weights: np.ndarray, uniforms: np.ndarray) -> np.ndarr
 
 
 def _clamp_round(latent: np.ndarray) -> np.ndarray:
-    return np.clip(np.floor(latent + 0.5), 1.0, 10.0).astype(np.int64)
+    """``latent`` rounded half up and clamped to [1, 10], in place."""
+    latent += 0.5
+    np.floor(latent, out=latent)
+    np.maximum(latent, 1.0, out=latent)
+    return np.minimum(latent, 10.0, out=latent)
 
 
 @functools.lru_cache(maxsize=1)
@@ -242,6 +273,35 @@ def _draw(seed: int, total: int, n_leaves: int, n_internal: int) -> tuple[np.nda
     return draw
 
 
+@functools.lru_cache(maxsize=1)
+def _band_picks(
+    seed: int, total: int, n_leaves: int, n_internal: int, threshold: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, 2)`` int8 outcomes each respondent gives when willing and when not, read-only.
+
+    They depend only on the band uniforms of ``_draw(seed, total, n_leaves,
+    n_internal)`` and on ``threshold``, so the last pair is cached beside the
+    draw.  The willing band ``threshold..10`` makes the value nearest the
+    threshold most likely (weight ``size - i``); the unwilling band
+    ``0..threshold-1`` piles its mass toward the top (weight ``(i + 1)**2``).
+    """
+    band_u = _draw(seed, total, n_leaves, n_internal)[5]
+    high_size, low_size = 11 - threshold, threshold
+    high_weights = (high_size - np.arange(high_size)).astype(np.float64)
+    low_weights = ((np.arange(low_size) + 1.0) ** 2).astype(np.float64)
+    high = (threshold + _band_pick(high_size, high_weights, band_u)).astype(np.int8)
+    low = _band_pick(low_size, low_weights, band_u).astype(np.int8)
+    for picks in (high, low):
+        picks.flags.writeable = False
+    return high, low
+
+
+#: Rows of the leaf block built at a time.  On a 2-core x86-64 host, blocks
+#: of 1024 rows of the bundled tree's 20 leaves ran faster than 512 or 2048,
+#: and a bounded block keeps a large market's float64 temporaries small.
+_LEAF_ROWS = 1024
+
+
 def generate_market(truth: GroundTruth) -> SurveySample:
     """Draw one complete survey sample from the planted market.
 
@@ -262,47 +322,40 @@ def generate_market(truth: GroundTruth) -> SurveySample:
         np.arange(len(suppliers)), [truth.n_per_supplier[s] for s in suppliers]
     )
     total = len(block_of)
-
-    unit_halo, leaf_noise, node_noise, role_u, willing_u, band_u, ids = _draw(
-        truth.seed, total, len(leaves), len(internal_pre)
-    )
-    halo = unit_halo * truth.halo_sd
+    shape = (truth.seed, total, len(leaves), len(internal_pre))
+    unit_halo, leaf_noise, node_noise, role_u, willing_u, _, ids = _draw(*shape)
+    high, low = _band_picks(*shape, truth.outcome_threshold)
 
     ratings = np.empty((total, len(column)), dtype=np.int8)
-    for j, leaf in enumerate(leaves):
-        per_block_mean = np.asarray([truth.leaf_means[c][leaf] for c in classes])
-        latent = per_block_mean[block_of] + halo + leaf_noise[:, j] * truth.noise_sd[leaf]
-        ratings[:, column[leaf]] = _clamp_round(latent)
+    leaf_means = np.array(  # (supplier blocks, leaves)
+        [[truth.leaf_means[c][leaf] for leaf in leaves] for c in classes], dtype=np.float64
+    )
+    leaf_sd = np.array([truth.noise_sd[leaf] for leaf in leaves])
+    leaf_columns = [column[leaf] for leaf in leaves]
+    halo = unit_halo * truth.halo_sd
+    for start in range(0, total, _LEAF_ROWS):
+        rows = slice(start, start + _LEAF_ROWS)
+        latent = np.take(leaf_means, block_of[rows], axis=0)
+        latent += halo[rows, None]
+        latent += leaf_noise[rows] * leaf_sd
+        ratings[rows, leaf_columns] = _clamp_round(latent)
 
+    product = np.empty(total)
     for j, node in reversed(list(enumerate(internal_pre))):  # children first
-        per_block_shift = np.asarray(
-            [truth.class_shift.get(c, {}).get(node, 0.0) for c in classes]
+        per_block_base = np.array(  # intercept plus class shift
+            [truth.intercepts[node] + truth.class_shift.get(c, {}).get(node, 0.0)
+             for c in classes],
+            dtype=np.float64,
         )
-        latent = truth.intercepts[node] + per_block_shift[block_of]
+        latent = np.take(per_block_base, block_of)
         for child, slope in truth.coefficients[node].items():
-            latent += slope * ratings[:, column[child]].astype(np.float64)
-        latent += node_noise[:, j] * truth.noise_sd[node]
+            latent += np.multiply(ratings[:, column[child]], float(slope), out=product)
+        latent += np.multiply(node_noise[:, j], truth.noise_sd[node], out=product)
         ratings[:, column[node]] = _clamp_round(latent)
 
     link_table = np.asarray([truth.willingness_link[r] for r in range(1, 11)])
     link = link_table[ratings[:, column[tree.root]] - 1]
-
-    threshold = truth.outcome_threshold
-    high_size = 11 - threshold
-    low_size = threshold
-    high_values = np.arange(threshold, 11)
-    low_values = np.arange(0, threshold)
-    # willing band: the value nearest the threshold is most likely (w ~ size - i)
-    high_weights = (high_size - np.arange(high_size)).astype(np.float64)
-    # unwilling band: the mass piles toward the top (w ~ (i + 1)^2)
-    low_weights = ((np.arange(low_size) + 1.0) ** 2).astype(np.float64)
-
-    outcomes = np.empty((total, len(OutcomeKind)), dtype=np.int8)
-    for k in range(len(OutcomeKind)):
-        willing = willing_u[:, k] < link
-        high_pick = high_values[_band_pick(high_size, high_weights, band_u[:, k])]
-        low_pick = low_values[_band_pick(low_size, low_weights, band_u[:, k])]
-        outcomes[:, k] = np.where(willing, high_pick, low_pick)
+    outcomes = np.where(willing_u < link[:, None], high, low)
 
     roles = (role_u >= truth.decision_maker_share).astype(np.int8)  # ROLES: decision maker, user
     names, codes = _supplier_codes(suppliers, truth.own_supplier)
@@ -353,13 +406,27 @@ def truth_records(truth: GroundTruth) -> dict:
     }
 
 
+def _integer(value: object, name: str) -> int:
+    """``value`` if it is a JSON integer; a float or a bool raises a :class:`CvmError`."""
+    if type(value) is not int:
+        raise CvmError(f"{name}={value!r} is not an integer")
+    return value
+
+
 def truth_from_records(records: Mapping) -> GroundTruth:
+    """The truth a ``truth_records`` document describes, validated.
+
+    ``seed``, the ``n_per_supplier`` counts and ``outcome_threshold`` must be
+    JSON integers: ``42.9`` or ``true`` would otherwise pass for 42 and 1.
+    """
     truth = GroundTruth(
         tree=parse_tree_spec(records["tree_text"]),
         name=str(records["name"]),
-        seed=int(records["seed"]),
+        seed=_integer(records["seed"], "seed"),
         own_supplier=str(records["own_supplier"]),
-        n_per_supplier={k: int(v) for k, v in records["n_per_supplier"].items()},
+        n_per_supplier={
+            k: _integer(v, f"n_per_supplier[{k!r}]") for k, v in records["n_per_supplier"].items()
+        },
         coefficients={
             p: {c: float(v) for c, v in slopes.items()}
             for p, slopes in records["coefficients"].items()
@@ -376,7 +443,7 @@ def truth_from_records(records: Mapping) -> GroundTruth:
             for cls, shifts in records.get("class_shift", {}).items()
         },
         halo_sd=float(records.get("halo_sd", 0.0)),
-        outcome_threshold=int(records.get("outcome_threshold", 8)),
+        outcome_threshold=_integer(records.get("outcome_threshold", 8), "outcome_threshold"),
         decision_maker_share=float(records.get("decision_maker_share", 1.0)),
     )
     truth.validate()
@@ -455,6 +522,28 @@ _DAMP_ROUNDS = 100
 
 
 def _check_targets(targets: TableTargets) -> None:
+    tree = targets.initial.tree
+    internal = set(tree.internal_nodes())
+    for node in targets.r_squared:
+        if node not in internal:
+            raise InconsistentTargetsError(
+                f"R^2 target for {node!r}: not an internal node of tree {tree.name!r}"
+            )
+    for cell in targets.cells:
+        where = f"cell ({cell.parent!r}, {cell.child!r})"
+        if cell.parent not in internal:
+            raise InconsistentTargetsError(
+                f"{where}: {cell.parent!r} is not an internal node of tree {tree.name!r}"
+            )
+        if cell.child not in tree.children_of(cell.parent):
+            raise InconsistentTargetsError(
+                f"{where}: {cell.child!r} is not a child of {cell.parent!r}"
+            )
+    for node_target in targets.nodes:
+        if node_target.node not in tree.nodes:
+            raise InconsistentTargetsError(
+                f"node {node_target.node!r} is not in tree {tree.name!r}"
+            )
     means = [(f"cell ({c.parent!r}, {c.child!r})", c.own_mean, c.competitor_mean)
              for c in targets.cells]
     means += [(f"node {n.node!r}", n.own_mean, n.competitor_mean) for n in targets.nodes]
@@ -567,13 +656,14 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
         if check_only and not converged:
             break
         sample = generate_market(truth)
-        own_sample, comp_sample = split_by_supplier(sample)
-        by_class = {own_label: own_sample, COMPETITOR_CLASS: comp_sample}
         hierarchy = fit_hierarchy(sample, tree)
-        class_means = {cls: node_means(part) for cls, part in by_class.items()}
+        own_means, comp_means, sample_means = split_node_means(sample)
+        class_means = {own_label: own_means, COMPETITOR_CLASS: comp_means}
         means = {(node, cls): class_means[cls][node] for node, cls in mean_targets}
         curve = (
-            loyalty_curve(own_sample, targets.loyalty_outcome, truth.outcome_threshold)
+            loyalty_curve(
+                split_by_supplier(sample)[0], targets.loyalty_outcome, truth.outcome_threshold
+            )
             if anchors
             else None
         )
@@ -594,7 +684,6 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
                     truth.class_shift[cls].get(node, 0.0) + gain * err
                 )
 
-        sample_means = node_means(sample)
         for (parent, child), target in coef_targets.items():
             realized = hierarchy.models[parent].fit.coefficients[child]
             err = target - realized

@@ -62,6 +62,9 @@ the 95% half-width is ``1.96 * sqrt((n*sumsq - sum**2) / (n*(n-1))) / sqrt(n)``,
 whose variance is an exact integer ratio rounded once and whose later steps
 are each correctly rounded.  So no mean, half-width or supplier listing (own
 first, the rest sorted) can depend on row order, BLAS or CPU.
+:func:`split_node_means` takes both sides of a supplier split from one such
+pass that keeps the two groups apart, and the whole sample's moments as
+their exact integer sum.
 
 Survey *sourcing* — panel design, who counts as a decision maker, response
 weighting — is out of scope; samples are taken as given.
@@ -102,6 +105,7 @@ __all__ = [
     "split_by_supplier",
     "node_mean",
     "node_means",
+    "split_node_means",
     "supplier_sums",
     "sample_counts",
     "outcome_values",
@@ -704,20 +708,24 @@ def split_by_supplier(
 
     ``supplier`` defaults to the sample's own supplier.
     """
-    name = sample.own_supplier if supplier is None else supplier
-    names = sample.supplier_names
-    if name in names:
-        mine = sample.supplier_codes == names.index(name)
-    else:
-        mine = np.zeros(len(sample), dtype=bool)
+    mine = _supplier_rows(sample, supplier)
 
     def part(mask: np.ndarray) -> SurveySample:
         return SurveySample(
             sample.tree, sample.own_supplier, sample.ids[mask], sample.role_codes[mask],
-            names, sample.supplier_codes[mask], sample.ratings[mask], sample.outcomes[mask],
+            sample.supplier_names, sample.supplier_codes[mask], sample.ratings[mask],
+            sample.outcomes[mask],
         )
 
     return part(mine), part(~mine)
+
+
+def _supplier_rows(sample: SurveySample, supplier: str | None) -> np.ndarray:
+    """Boolean mask of the rows of ``supplier`` (default: the own supplier)."""
+    name = sample.own_supplier if supplier is None else supplier
+    if name not in sample.supplier_names:
+        return np.zeros(len(sample), dtype=bool)
+    return sample.supplier_codes == sample.supplier_names.index(name)
 
 
 #: Rows histogrammed at a time by :func:`_column_moments`.  1024-row blocks
@@ -729,22 +737,31 @@ _CODES = np.arange(RATING_MAX + 1)
 _MOMENT_WEIGHTS = np.stack([_CODES > 0, _CODES, _CODES * _CODES], axis=1)
 
 
-def _column_moments(ratings: np.ndarray) -> np.ndarray:
+def _column_moments(ratings: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
     """``(3, nodes)`` int64: each column's count, sum and sum of squares of present codes.
 
     Codes are 0 (missing) to 10.  One ``bincount`` per block of rows, with
     column j's codes moved to bins ``11*j`` on, counts every code of every
     column; the moments are exact integer sums of that histogram, so no
-    summation order enters.
+    summation order enters.  With a boolean ``groups`` per row, the same
+    histogram keeps the rows where it is False and where it is True apart,
+    and the result is ``(2, 3, nodes)`` in that order.
     """
     nodes = ratings.shape[1]
     size = nodes * _CODES.size
-    offsets = np.arange(0, size, _CODES.size, dtype=np.min_scalar_type(size))
-    histogram = np.zeros(size, dtype=np.int64)
+    parts = 1 if groups is None else 2
+    dtype = np.min_scalar_type(parts * size)
+    offsets = np.arange(0, size, _CODES.size, dtype=dtype)
+    if groups is not None:
+        row_offsets = (groups * size).astype(dtype)[:, None]
+    histogram = np.zeros(parts * size, dtype=np.int64)
     for start in range(0, len(ratings), _MOMENT_ROWS):
         codes = ratings[start : start + _MOMENT_ROWS].view(np.uint8) + offsets
-        histogram += np.bincount(codes.ravel(), minlength=size)
-    return (histogram.reshape(nodes, _CODES.size) @ _MOMENT_WEIGHTS).T
+        if groups is not None:
+            codes += row_offsets[start : start + _MOMENT_ROWS]
+        histogram += np.bincount(codes.ravel(), minlength=parts * size)
+    moments = (histogram.reshape(parts, nodes, _CODES.size) @ _MOMENT_WEIGHTS).transpose(0, 2, 1)
+    return moments[0] if groups is None else moments
 
 
 def node_mean(sample: SurveySample, node_id: str) -> MeanWithHalfWidth:
@@ -771,11 +788,30 @@ def node_means(sample: SurveySample) -> dict[str, float]:
     Raises :class:`NoRatingsError` for the first node, in preorder, that
     nobody rated.
     """
-    counts, sums, _ = sample._moments
-    for node, n in zip(sample._position, counts):
+    return _means(sample._position, sample._moments)
+
+
+def split_node_means(
+    sample: SurveySample, supplier: str | None = None
+) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
+    """``node_means`` of both parts of ``split_by_supplier(sample, supplier)`` and of ``sample``.
+
+    Both parts come from one histogram of the sample, and the whole
+    sample's moments are their exact integer sum, so each mean equals its
+    ``node_means`` value bit for bit.  Raises :class:`NoRatingsError` as
+    ``node_means`` would for the supplier's part, then for the rest.
+    """
+    mine, rest = _column_moments(sample.ratings, ~_supplier_rows(sample, supplier))
+    return tuple(_means(sample._position, moments) for moments in (mine, rest, mine + rest))
+
+
+def _means(position: dict[str, int], moments: np.ndarray) -> dict[str, float]:
+    """Node id -> sum over count, from ``_column_moments`` rows in preorder."""
+    counts, sums, _ = moments
+    for node, n in zip(position, counts):
         if not n:
             raise NoRatingsError(f"no ratings for node {node!r}")
-    return dict(zip(sample._position, (sums / counts).tolist()))
+    return dict(zip(position, (sums / counts).tolist()))
 
 
 def supplier_sums(sample: SurveySample, node_id: str) -> dict[str, tuple[int, int]]:

@@ -648,9 +648,13 @@ def test_seed_config_without_a_tree_names_the_missing_field(tmp_path):
         (["intercepts", "price"], float("-inf"), "intercepts['price']=-inf is not finite"),
         (["class_shift", "our_co", "worth_what_paid_for"], float("inf"),
          "class_shift['our_co']['worth_what_paid_for']=inf is not finite"),
+        (["seed"], 42.9, "seed=42.9 is not an integer"),
+        (["seed"], True, "seed=True is not an integer"),
+        (["n_per_supplier", "our_co"], 999.7, "n_per_supplier['our_co']=999.7 is not an integer"),
+        (["outcome_threshold"], 8.0, "outcome_threshold=8.0 is not an integer"),
     ],
     ids=["negative-seed", "seed-2**64", "nan-halo", "inf-noise", "nan-slope", "inf-intercept",
-         "inf-shift"],
+         "inf-shift", "fractional-seed", "true-seed", "fractional-count", "float-threshold"],
 )
 def test_a_seed_config_with_a_seed_or_parameter_out_of_range_is_an_error(
     tmp_path, field, value, message

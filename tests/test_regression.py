@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -349,6 +350,33 @@ def test_node_models_equal_fit_linear_on_float_complete_cases(tree, n, top, blan
             for c in children
             if expected.coefficients[c] < 0.0
         )
+
+
+@pytest.mark.parametrize("blank", [False, True], ids=["complete", "one blank cell"])
+def test_a_complete_sample_shares_one_gram_and_fits_as_each_node_alone(
+    monkeypatch, sample, tree, blank
+):
+    if blank:  # one blank rating sends every node through its own complete cases
+        ratings = sample.ratings.copy()
+        ratings[7, 12] = 0
+        sample = dataclasses.replace(sample, ratings=ratings)
+    alone = {node: fit_node_model(sample, tree, node) for node in tree.internal_nodes()}
+    gathered = []
+    complete_cases = regression.complete_cases
+
+    def gather(sample, node, children):
+        gathered.append(node)
+        return complete_cases(sample, node, children)
+
+    monkeypatch.setattr(regression, "complete_cases", gather)
+    hierarchy = fit_hierarchy(sample, tree)
+    assert gathered == (list(tree.internal_nodes()) if blank else [])
+    assert hierarchy.unfit == {}
+    assert list(hierarchy.models) == list(alone)
+    for node, model in hierarchy.models.items():
+        assert fit_bits(model.fit) == fit_bits(alone[node].fit), node
+        assert list(model.fit.coefficients) == list(alone[node].fit.coefficients)
+        assert model == alone[node]
 
 
 @pytest.mark.parametrize(

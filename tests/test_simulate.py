@@ -32,6 +32,8 @@ from cvmkit.simulate import (
 from cvmkit.survey import ROLES, node_mean, split_by_supplier, survey_text
 from cvmkit.tree import ValueTree, parse_tree_spec
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 TREE = parse_tree_spec(
     """\
 tree: t
@@ -290,9 +292,20 @@ def _with_cell(targets, **changes):
          "/0.0 outside [1, 10]"),
         (lambda t: {"r_squared": {"quality": 0.0}}, "R^2 target 0.0 for 'quality' outside (0, 1]"),
         (lambda t: {"r_squared": {"quality": 1.5}}, "R^2 target 1.5 for 'quality' outside (0, 1]"),
+        (lambda t: {"r_squared": {"billing": 0.5}}, "R^2 target for 'billing': not an internal"),
+        (lambda t: {"r_squared": {"nowhere": 0.5}}, "R^2 target for 'nowhere': not an internal"),
+        (lambda t: {"cells": _with_cell(t, parent="billing", child="quality")},
+         "cell ('billing', 'quality'): 'billing' is not an internal node"),
+        (lambda t: {"cells": _with_cell(t, parent="nowhere")},
+         "cell ('nowhere', 'quality'): 'nowhere' is not an internal node"),
+        (lambda t: {"cells": _with_cell(t, child="billing")},
+         "cell ('worth_what_paid_for', 'billing'): 'billing' is not a child of"),
+        (lambda t: {"nodes": (dataclasses.replace(t.nodes[0], node="nowhere"),)},
+         "node 'nowhere' is not in tree"),
     ],
     ids=["score-0.5", "score-11", "nan-score", "nan-cell-mean", "zero-node-mean", "r2-0",
-         "r2-1.5"],
+         "r2-1.5", "r2-leaf", "r2-unknown", "cell-leaf-parent", "cell-unknown-parent",
+         "cell-grandchild", "node-unknown"],
 )
 def test_a_target_off_its_scale_is_rejected(edit, message):
     targets = canonical_targets(datasets.automobile_tree())
@@ -329,6 +342,30 @@ def test_bundled_truth_matches_its_survey_statistics(halves):
     truth = datasets.market_truth()
     assert truth.n_per_supplier == {"our_co": 1000, "comp_a": 500, "comp_b": 500}
     assert node_mean(own, truth.tree.root).mean == pytest.approx(7.297, abs=1e-12)
+
+
+def test_a_second_market_regenerates_its_golden_survey_byte_for_byte():
+    # threshold 9, mixed roles, a competitor with its own leaf profile and
+    # shifts, blocks out of canonical order and an empty supplier
+    truth = load_truth(GOLDEN / "second_market_truth.json")
+    assert truth.outcome_threshold == 9 and truth.decision_maker_share < 1.0
+    assert "comp_a" in truth.leaf_means and "comp_a" in truth.class_shift
+    text = (GOLDEN / "second_market_survey.csv").read_text(encoding="utf-8")
+    assert survey_text(generate_market(truth)) == text
+
+
+@pytest.mark.parametrize("count", [10**30, None], ids=["10**30", "bound+1"])
+def test_a_respondent_count_past_the_bound_is_refused_before_any_draw(monkeypatch, count):
+    truth = tiny_truth()
+    bound = simulate._max_respondents(truth.tree)
+    truth.n_per_supplier = {"us": bound if count is None else count, "them": 1}
+    drawn = []
+    monkeypatch.setattr(simulate, "_draw", lambda *args: drawn.append(args))
+    with pytest.raises(CvmError, match="respondents in all"):
+        generate_market(truth)
+    assert drawn == []
+    truth.n_per_supplier = {"us": bound - 1, "them": 1}
+    truth.validate()  # the bound itself is allowed; nothing is drawn
 
 
 # --- the cached draw
