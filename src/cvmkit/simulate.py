@@ -57,9 +57,9 @@ from .rounding import format_rating, round_half_away
 from .survey import (
     OutcomeKind,
     SurveySample,
+    _split_node_means,
     _supplier_codes,
     split_by_supplier,
-    split_node_means,
 )
 from .tree import ValueTree, parse_tree_spec, serialize_tree
 
@@ -228,7 +228,10 @@ def _max_respondents(tree: ValueTree) -> int:
     noise (one per node), role, two willing and two band draws, at most 48
     for its id (12 characters) and 4 for its cached band picks;
     ``_MAX_DRAW_BYTES`` over that is the bound, about 109 million
-    respondents on the bundled tree.
+    respondents on the bundled tree.  It bounds the cached draw alone:
+    building the ids as a list first, and the market's own columns, take
+    more, and an uncached ``generate_market`` on the bundled tree peaked at
+    576 bytes per respondent under ``tracemalloc`` (about 59 GiB at the bound).
     """
     return _MAX_DRAW_BYTES // (8 * (len(tree.nodes) + 6) + 48 + 4)
 
@@ -657,7 +660,7 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
             break
         sample = generate_market(truth)
         hierarchy = fit_hierarchy(sample, tree)
-        own_means, comp_means, sample_means = split_node_means(sample)
+        own_means, comp_means, sample_means = _split_node_means(sample)
         class_means = {own_label: own_means, COMPETITOR_CLASS: comp_means}
         means = {(node, cls): class_means[cls][node] for node, cls in mean_targets}
         curve = (

@@ -62,9 +62,9 @@ the 95% half-width is ``1.96 * sqrt((n*sumsq - sum**2) / (n*(n-1))) / sqrt(n)``,
 whose variance is an exact integer ratio rounded once and whose later steps
 are each correctly rounded.  So no mean, half-width or supplier listing (own
 first, the rest sorted) can depend on row order, BLAS or CPU.
-:func:`split_node_means` takes both sides of a supplier split from one such
-pass that keeps the two groups apart, and the whole sample's moments as
-their exact integer sum.
+:func:`_split_node_means` takes both sides of the own-supplier split from
+one such pass that keeps the two groups apart, and the whole sample's
+moments as their exact integer sum.
 
 Survey *sourcing* — panel design, who counts as a decision maker, response
 weighting — is out of scope; samples are taken as given.
@@ -105,7 +105,6 @@ __all__ = [
     "split_by_supplier",
     "node_mean",
     "node_means",
-    "split_node_means",
     "supplier_sums",
     "sample_counts",
     "outcome_values",
@@ -791,17 +790,17 @@ def node_means(sample: SurveySample) -> dict[str, float]:
     return _means(sample._position, sample._moments)
 
 
-def split_node_means(
-    sample: SurveySample, supplier: str | None = None
+def _split_node_means(
+    sample: SurveySample,
 ) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
-    """``node_means`` of both parts of ``split_by_supplier(sample, supplier)`` and of ``sample``.
+    """``node_means`` of both parts of ``split_by_supplier(sample)`` and of ``sample``.
 
     Both parts come from one histogram of the sample, and the whole
     sample's moments are their exact integer sum, so each mean equals its
     ``node_means`` value bit for bit.  Raises :class:`NoRatingsError` as
-    ``node_means`` would for the supplier's part, then for the rest.
+    ``node_means`` would for the own supplier's part, then for the rest.
     """
-    mine, rest = _column_moments(sample.ratings, ~_supplier_rows(sample, supplier))
+    mine, rest = _column_moments(sample.ratings, ~_supplier_rows(sample, None))
     return tuple(_means(sample._position, moments) for moments in (mine, rest, mine + rest))
 
 

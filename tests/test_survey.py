@@ -28,7 +28,6 @@ from cvmkit.survey import (
     node_means,
     outcome_values,
     split_by_supplier,
-    split_node_means,
     supplier_sums,
     survey_columns,
     survey_text,
@@ -744,19 +743,16 @@ def test_supplier_sums_give_each_split_part_its_node_mean_bit_for_bit(sample):
                     assert (value / count).hex() == mean.mean.hex(), (supplier, node)
 
 
-def test_split_node_means_equal_node_means_of_the_split_parts_bit_for_bit(sample):
+def test_own_split_means_equal_node_means_of_the_split_parts_bit_for_bit(sample):
     for part in (sample, _with_blank_cells(sample, 0.3, seed=5)):
-        for supplier in (None, *part.suppliers(), "nobody"):
-            if supplier == "nobody":
-                with pytest.raises(NoRatingsError, match="'worth_what_paid_for'"):
-                    split_node_means(part, supplier)
-                continue
-            want = (*map(node_means, split_by_supplier(part, supplier)), node_means(part))
-            got = split_node_means(part, supplier)
-            assert [list(means) for means in got] == [list(means) for means in want]
-            assert [[m.hex() for m in means.values()] for means in got] == [
-                [m.hex() for m in means.values()] for means in want
-            ], supplier
+        want = (*map(node_means, split_by_supplier(part)), node_means(part))
+        got = survey._split_node_means(part)
+        assert [list(means) for means in got] == [list(means) for means in want]
+        assert [[m.hex() for m in means.values()] for means in got] == [
+            [m.hex() for m in means.values()] for means in want
+        ]
+        with pytest.raises(NoRatingsError, match="'worth_what_paid_for'"):
+            survey._split_node_means(split_by_supplier(part)[1])
 
 
 def test_supplier_sums_list_a_supplier_without_ratings_as_zero():
