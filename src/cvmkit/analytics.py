@@ -19,8 +19,12 @@ we fix first":
   inverse lookup ("what value score buys 80% loyalty?").
 * **Value map** — relative quality vs relative price, zoned into
   superior/fair/inferior value around the parity diagonal.
-* **Competitive report** — all of the above from one supplier split, as
-  one value that ``rendering`` turns into text or a records document.
+* **Competitive report** — all of the above, as one value that
+  ``rendering`` turns into text or a records document.  Both sides of the
+  own-supplier split come from one histogram of the sample and the own
+  rows' loyalty pairs from a row mask, so no row is copied; the public
+  profile, priority, CVA and curve functions take split parts and share
+  each routine with the report.
 * **Retention projection** and the **top-box pitfall** helper round out the
   descriptive toolkit.
 """
@@ -41,9 +45,9 @@ from .survey import (
     NoRatingsError,
     OutcomeKind,
     SurveySample,
-    node_mean,
+    _own_sides,
+    _Side,
     root_outcome_pairs,
-    split_by_supplier,
     supplier_sums,
 )
 
@@ -128,18 +132,23 @@ def profile_table(
     parent: str,
 ) -> ProfileTable:
     """Build the profile table for ``parent`` from the two sample halves."""
+    return _profile_table(hierarchy, _Side.of(own), _Side.of(competitors), parent)
+
+
+def _profile_table(
+    hierarchy: FittedHierarchy, own: _Side, competitors: _Side, parent: str
+) -> ProfileTable:
     tree = hierarchy.tree
     if parent not in hierarchy.models:
         reason = hierarchy.unfit.get(parent, "no model was fitted")
         raise MissingModelError(f"no driver model for node {parent!r}: {reason}")
     model = hierarchy.models[parent]
-    has_competitors = len(competitors) > 0
 
     def means_for(node_id: str) -> tuple[MeanWithHalfWidth, MeanWithHalfWidth | None, int | None]:
-        own_m = node_mean(own, node_id)
-        if not has_competitors:
+        own_m = own.mean(node_id)
+        if not competitors.rows:
             return own_m, None, None
-        comp_m = node_mean(competitors, node_id)
+        comp_m = competitors.mean(node_id)
         return own_m, comp_m, relative_rating(own_m.mean, comp_m.mean)
 
     rows = []
@@ -170,12 +179,15 @@ def profile_table(
 
 def cva(hierarchy: FittedHierarchy, own: SurveySample, competitors: SurveySample) -> int:
     """The root-level relative rating: overall customer value versus the market."""
+    return _cva(hierarchy, _Side.of(own), _Side.of(competitors))
+
+
+def _cva(hierarchy: FittedHierarchy, own: _Side, competitors: _Side) -> int:
     root = hierarchy.tree.root
-    own_m = node_mean(own, root)
-    if not len(competitors):
+    own_m = own.mean(root)
+    if not competitors.rows:
         raise NoRatingsError("competitor sample is empty; CVA needs both sides")
-    comp_m = node_mean(competitors, root)
-    return relative_rating(own_m.mean, comp_m.mean)
+    return relative_rating(own_m.mean, competitors.mean(root).mean)
 
 
 def what_if(
@@ -245,14 +257,20 @@ def rank_priorities(
     id.  Leaves lacking a fitted path or ratings on either side are excluded
     with the reason.
     """
+    return _rank_priorities(hierarchy, _Side.of(own), _Side.of(competitors))
+
+
+def _rank_priorities(
+    hierarchy: FittedHierarchy, own: _Side, competitors: _Side
+) -> PriorityRanking:
     tree = hierarchy.tree
     entries: list[PriorityEntry] = []
     excluded: dict[str, str] = {}
     for leaf in tree.leaves():
         try:
             slope = hierarchy.path_slope(leaf)
-            own_m = node_mean(own, leaf)
-            comp_m = node_mean(competitors, leaf)
+            own_m = own.mean(leaf)
+            comp_m = competitors.mean(leaf)
         except (UnfitNodeError, NoRatingsError) as exc:
             excluded[leaf] = str(exc)
             continue
@@ -336,9 +354,16 @@ def loyalty_curve(
     are smoothed to a non-decreasing sequence with pool-adjacent-violators —
     more value should never predict less loyalty, and sparse bins are noisy.
     """
+    return _loyalty_curve(sample, None, outcome, threshold)
+
+
+def _loyalty_curve(
+    sample: SurveySample, rows: np.ndarray | None, outcome: OutcomeKind, threshold: int
+) -> LoyaltyCurve:
+    """``loyalty_curve`` of the rows where the boolean ``rows`` is True (all if None)."""
     if not 1 <= threshold <= 10:
         raise ValueError(f"threshold must be in [1, 10], got {threshold}")
-    scores, answers = root_outcome_pairs(sample, outcome)
+    scores, answers = root_outcome_pairs(sample, outcome, rows)
     if not scores.size:
         raise NoRatingsError(
             f"no respondents with both a root rating and a {outcome.value} outcome"
@@ -454,7 +479,8 @@ def value_map(
 
 @dataclass(frozen=True)
 class CompetitiveReport:
-    """Every part of the competitive report, from one own/competitor split.
+    """Every part of the competitive report of one sample, split into the own
+    supplier's respondents and their competitors'.
 
     A part the data cannot support is ``None`` (``curve``) or empty
     (``value_map``).  ``target`` is kept only with a curve; ``required`` is
@@ -486,20 +512,20 @@ def competitive_report(
     report order, what is missing: competitors, node models, the loyalty
     curve, the value map.
     """
-    own, competitors = split_by_supplier(sample)
-    if not len(competitors):
+    mine, own, competitors = _own_sides(sample)
+    if not competitors.rows:
         warnings.warn("no competitor respondents; relative columns unavailable", stacklevel=2)
     for node_id, reason in hierarchy.unfit.items():
         warnings.warn(f"no model for {node_id}: {reason}", stacklevel=2)
     tables = tuple(
-        profile_table(hierarchy, own, competitors, node_id)
+        _profile_table(hierarchy, own, competitors, node_id)
         for node_id in hierarchy.tree.internal_nodes()
         if node_id in hierarchy.models
     )
-    priorities = rank_priorities(hierarchy, own, competitors)
+    priorities = _rank_priorities(hierarchy, own, competitors)
     curve = required = None
     try:
-        curve = loyalty_curve(own, outcome, threshold)
+        curve = _loyalty_curve(sample, mine, outcome, threshold)
     except NoRatingsError as exc:
         warnings.warn(f"loyalty curve unavailable: {exc}", stacklevel=2)
         target = None

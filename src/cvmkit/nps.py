@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .analytics import cva
+from .analytics import _cva
 from .errors import CvmError
 from .regression import fit_hierarchy
-from .survey import OutcomeKind, SurveySample, outcome_values, split_by_supplier
+from .survey import OutcomeKind, SurveySample, _own_sides, outcome_values
 
 __all__ = [
     "NpsSegment",
@@ -157,21 +157,22 @@ class NpsVsCva:
 def nps_vs_cva_report(sample: SurveySample) -> NpsVsCva:
     """Score the own customers' recommend answers and line them up with CVA.
 
-    The sample is split here, so the score and CVA describe the same own
-    customers.  Own respondents without recommend answers raise
+    The own rows are picked here, by one mask, so the score and CVA describe
+    the same own customers; both sides of CVA come from one histogram and no
+    row is copied.  Own respondents without recommend answers raise
     :class:`CvmError`.  Without competitors, or when the root model cannot
     be fitted, ``warnings.warn`` says why and ``cva`` is ``None``.
     """
-    own, competitors = split_by_supplier(sample)
-    ratings = outcome_values(own, OutcomeKind.RECOMMEND)
+    mine, own, competitors = _own_sides(sample)
+    ratings = outcome_values(sample, OutcomeKind.RECOMMEND, mine)
     if not ratings:
         raise CvmError(f"no recommend outcomes for supplier {sample.own_supplier!r}")
     result = nps(ratings)
     reason = "no competitor respondents"
-    if len(competitors):
+    if competitors.rows:
         hierarchy = fit_hierarchy(sample, sample.tree)
         if sample.tree.root in hierarchy.models:
-            cva_value = cva(hierarchy, own, competitors)
+            cva_value = _cva(hierarchy, own, competitors)
             return NpsVsCva(sample.own_supplier, result, cva_value, tuple(hierarchy.models))
         reason = hierarchy.unfit.get(sample.tree.root, "root model missing")
     warnings.warn(f"CVA comparison unavailable: {reason}", stacklevel=2)

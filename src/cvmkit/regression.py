@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import CvmError, read_json, write_atomic
 from .rounding import round_half_away
-from .survey import SurveySample, complete_cases
+from .survey import RATING_MAX, RATING_MIN, SurveySample, complete_cases
 from .tree import ValueTree, path_to_root
 
 __all__ = [
@@ -419,7 +419,51 @@ def hierarchy_records(hierarchy: FittedHierarchy) -> dict:
     }
 
 
+class _FieldError(CvmError, ValueError):
+    """A field of a hierarchy document that the report cannot use.
+
+    It is a ``ValueError`` too, so a reader of the document's file names the file.
+    """
+
+
+def _slope_shown(slope: float) -> bool:
+    """Whether the report can show ``slope`` and the priority scores made from it.
+
+    A score is the slope times a rating gap of at most the scale's width,
+    and both are shown to 3 decimals; rounding is monotone, so this product
+    bounds every one the report makes.
+    """
+    return math.isfinite(slope * (RATING_MAX - RATING_MIN) * 1000.0)
+
+
+def _finite(value, node_id: str, name: str, scale: float = 1.0) -> float:
+    """``float(value)``, refused unless it is finite and so is ``scale`` times it."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the largest float
+        number = math.inf
+    if not math.isfinite(number):
+        raise _FieldError(f"model {node_id!r}: {name} is {value!r}, not a finite number")
+    if not math.isfinite(number * scale):
+        raise _FieldError(f"model {node_id!r}: {name} is {value!r}, too large to report")
+    return number
+
+
+def _whole(value, node_id: str, name: str) -> int:
+    """``int(value)`` of a ``value`` that :func:`_finite` takes."""
+    _finite(value, node_id, name)
+    return int(value)
+
+
 def hierarchy_from_records(records: Mapping, tree: ValueTree) -> FittedHierarchy:
+    """The :class:`FittedHierarchy` of a ``hierarchy_records`` document for ``tree``.
+
+    Raises :class:`CvmError` naming the model and field for a number that is
+    not finite (JSON readers take ``NaN`` and ``Infinity``), and for one
+    whose report arithmetic would overflow: an R^2 shown as a percentage, or
+    a coefficient whose path slope, times a full-scale rating gap, is shown
+    to 3 decimals.
+    """
     if records.get("root") != tree.root:
         raise CvmError(
             f"hierarchy was fitted for root {records.get('root')!r}, "
@@ -437,19 +481,54 @@ def hierarchy_from_records(records: Mapping, tree: ValueTree) -> FittedHierarchy
                     f"{key} of {node_id!r} name {sorted(rec[key])}, not its children {children}"
                 )
         fit = LinearFit(
-            intercept=float(rec["intercept"]),
-            coefficients={k: float(v) for k, v in rec["coefficients"].items()},
-            r_squared=float(rec["r_squared"]),
-            n=int(rec["n"]),
-            residual_sd=float(rec["residual_sd"]),
+            intercept=_finite(rec["intercept"], node_id, "intercept"),
+            coefficients={
+                k: _finite(v, node_id, f"coefficients[{k!r}]")
+                for k, v in rec["coefficients"].items()
+            },
+            # shown as a percentage
+            r_squared=_finite(rec["r_squared"], node_id, "r_squared", scale=100.0),
+            n=_whole(rec["n"], node_id, "n"),
+            residual_sd=_finite(rec["residual_sd"], node_id, "residual_sd"),
         )
         models[node_id] = NodeModel(
             node=node_id,
             fit=fit,
-            impact_weights={k: int(v) for k, v in rec["impact_weights"].items()},
+            impact_weights={
+                k: _whole(v, node_id, f"impact_weights[{k!r}]")
+                for k, v in rec["impact_weights"].items()
+            },
             flags=tuple(rec.get("flags", ())),
         )
-    return FittedHierarchy(tree=tree, models=models, unfit=dict(records.get("unfit", {})))
+    hierarchy = FittedHierarchy(tree=tree, models=models, unfit=dict(records.get("unfit", {})))
+    _check_path_slopes(hierarchy)
+    return hierarchy
+
+
+def _check_path_slopes(hierarchy: FittedHierarchy) -> None:
+    """Refuse a coefficient that takes a leaf's path slope past what the report shows.
+
+    The coefficient named is the first on the path whose partial product,
+    taken in ``path_slope``'s order, the report could not show.
+    """
+    tree = hierarchy.tree
+    for leaf in tree.leaves():
+        try:
+            slope = hierarchy.path_slope(leaf)
+        except UnfitNodeError:
+            continue  # the report leaves such a leaf out
+        if _slope_shown(slope):
+            continue
+        path = path_to_root(tree, leaf)
+        partial = 1.0
+        for child, parent in zip(path, path[1:]):
+            coefficient = hierarchy.models[parent].fit.coefficients[child]
+            partial *= coefficient
+            if not _slope_shown(partial):
+                raise _FieldError(
+                    f"model {parent!r}: coefficients[{child!r}] is {coefficient!r}, which "
+                    f"takes the path slope of {leaf!r} too large to report"
+                )
 
 
 def save_hierarchy(hierarchy: FittedHierarchy, path: str | Path) -> None:

@@ -49,18 +49,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .analytics import LoyaltyCurve, loyalty_curve, relative_rating
+from .analytics import LoyaltyCurve, _loyalty_curve, relative_rating
 from .errors import CvmError, read_json, write_atomic
 from .regression import FittedHierarchy, fit_hierarchy
 from .rng import RandomStream
 from .rounding import format_rating, round_half_away
-from .survey import (
-    OutcomeKind,
-    SurveySample,
-    _split_node_means,
-    _supplier_codes,
-    split_by_supplier,
-)
+from .survey import OutcomeKind, SurveySample, _own_sides, _Side, _supplier_codes
 from .tree import ValueTree, parse_tree_spec, serialize_tree
 
 __all__ = [
@@ -660,13 +654,11 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
             break
         sample = generate_market(truth)
         hierarchy = fit_hierarchy(sample, tree)
-        own_means, comp_means, sample_means = _split_node_means(sample)
-        class_means = {own_label: own_means, COMPETITOR_CLASS: comp_means}
+        mine, own, rest = _own_sides(sample)
+        class_means = {own_label: own.means(), COMPETITOR_CLASS: rest.means()}
         means = {(node, cls): class_means[cls][node] for node, cls in mean_targets}
         curve = (
-            loyalty_curve(
-                split_by_supplier(sample)[0], targets.loyalty_outcome, truth.outcome_threshold
-            )
+            _loyalty_curve(sample, mine, targets.loyalty_outcome, truth.outcome_threshold)
             if anchors
             else None
         )
@@ -687,6 +679,7 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
                     truth.class_shift[cls].get(node, 0.0) + gain * err
                 )
 
+        sample_means = _Side(sample, own.moments + rest.moments, len(sample)).means()
         for (parent, child), target in coef_targets.items():
             realized = hierarchy.models[parent].fit.coefficients[child]
             err = target - realized

@@ -22,12 +22,14 @@ ids, int8 role codes into :data:`ROLES`, unsigned supplier codes into a
 per-sample table of names in canonical order (own first, the rest sorted),
 an ``(n, nodes)`` int8 rating matrix in tree preorder with 0 for a missing
 rating, and an ``(n, 2)`` int8 outcome matrix in :class:`OutcomeKind` order
-with -1 for a missing answer.  Supplier splits compare codes and keep the
-table; outcome lists and root/outcome pairs are column slices, and complete
-cases one compressed copy of the gathered columns.  Other modules read the
-store only through the functions below.  The class constructor takes the
-columns as given and checks no value; ingest is where a file's values are
-checked.
+with -1 for a missing answer.  A supplier's rows are a mask from comparing
+codes, through which the library's own computations read them; only a
+caller that asks for the two parts as samples gets copies, which keep the
+table.  Outcome lists and root/outcome pairs are column slices, optionally
+masked, and complete cases one compressed copy of the gathered columns.  Other
+modules read the store only through the functions below.  The class
+constructor takes the columns as given and checks no value; ingest is where
+a file's values are checked.
 
 Ingest reads a path through one binary file handle, in chunks of a fixed
 number of bytes each taken on to the end of its last line; a text stream is
@@ -35,8 +37,11 @@ read whole and encoded back to UTF-8 into an in-memory handle.  The line ends
 left in the handle, counted first, bound the rows, so each column is made
 once at that bound and filled in place, chunk after chunk, and the sample
 keeps views of the filled rows.  Byte chunks keep their ids at one byte per
-character until one string column is filled at the end.  Beyond the columns,
-only those bytes and the string column's sorted copy grow with the file.
+character; when every chunk was one, repeated ids are looked for in a sorted
+copy of those bytes, and the string column is made once that check passes.
+Beyond the columns, only the id bytes (held twice while they are sorted)
+grow with the file; a file with a chunk that went through the row loop
+sorts a copy of its string column instead.
 While the file is plain (ASCII, no quote, no CR but in CRLF, which reads as
 LF), a chunk of whole lines without a NUL byte in which every line has the
 header's comma count, every label is non-empty and unpadded, every role is in
@@ -62,9 +67,9 @@ the 95% half-width is ``1.96 * sqrt((n*sumsq - sum**2) / (n*(n-1))) / sqrt(n)``,
 whose variance is an exact integer ratio rounded once and whose later steps
 are each correctly rounded.  So no mean, half-width or supplier listing (own
 first, the rest sorted) can depend on row order, BLAS or CPU.
-:func:`_split_node_means` takes both sides of the own-supplier split from
-one such pass that keeps the two groups apart, and the whole sample's
-moments as their exact integer sum.
+:func:`_own_sides` takes both sides of the own-supplier split from one such
+pass that keeps the two groups apart, and :class:`_Side` reads every mean
+and half-width, of a whole sample or of one side, by the same formula.
 
 Survey *sourcing* — panel design, who counts as a decision maker, response
 weighting — is out of scope; samples are taken as given.
@@ -388,13 +393,22 @@ def _ingest(handle: IO[bytes], tree: ValueTree, own_supplier: str) -> SurveySamp
     except csv.Error as exc:
         raise SurveyFormatError(f"malformed CSV: {exc}", row_number) from None
 
-    id_column = np.empty(filled, dtype=np.result_type("U1", *ids))
+    del scratch
+    # With no row loop run, every id is fixed-width ASCII bytes, whose
+    # equality is that of the strings, at a quarter of their size: the
+    # repeat check sorts the bytes, and the string column is made after it.
+    all_bytes = len(unnoted) == len(ids)
+    id_column = np.empty(filled, dtype=np.result_type("S1" if all_bytes else "U1", *ids))
     if ids:
         np.concatenate(ids, out=id_column)
     del ids  # the row loop's string ids; the bytes of byte chunks stay in ``unnoted``
     ordered = np.sort(id_column, kind="stable")  # fast on ids that come in order
     if (ordered[1:] == ordered[:-1]).any():
         _note_ids(first_row, unnoted)  # raises, naming the first repeat
+    del ordered
+    unnoted.clear()
+    if all_bytes:
+        id_column = id_column.astype(str)
     if not filled:
         warnings.warn("survey has a header but no respondent rows", stacklevel=3)
     roles, suppliers, ratings, outcomes = (column[:filled] for column in columns)
@@ -752,7 +766,8 @@ def _column_moments(ratings: np.ndarray, groups: np.ndarray | None = None) -> np
     dtype = np.min_scalar_type(parts * size)
     offsets = np.arange(0, size, _CODES.size, dtype=dtype)
     if groups is not None:
-        row_offsets = (groups * size).astype(dtype)[:, None]
+        row_offsets = groups.astype(dtype)[:, None]
+        row_offsets *= size
     histogram = np.zeros(parts * size, dtype=np.int64)
     for start in range(0, len(ratings), _MOMENT_ROWS):
         codes = ratings[start : start + _MOMENT_ROWS].view(np.uint8) + offsets
@@ -763,6 +778,55 @@ def _column_moments(ratings: np.ndarray, groups: np.ndarray | None = None) -> np
     return moments[0] if groups is None else moments
 
 
+@dataclass(frozen=True, eq=False)
+class _Side:
+    """Some rows of ``sample``, held only as their ``_column_moments`` and their count.
+
+    :meth:`of` makes the whole sample one side, and :func:`_own_sides` the
+    two sides of the own-supplier split, from one histogram and without
+    copying a row.  Every node mean and half-width is read here.
+    """
+
+    sample: SurveySample
+    moments: np.ndarray
+    rows: int
+
+    @classmethod
+    def of(cls, sample: SurveySample) -> _Side:
+        return cls(sample, sample._moments, len(sample))
+
+    def mean(self, node_id: str) -> MeanWithHalfWidth:
+        """``node_mean`` over these rows."""
+        n, total, squares = self.moments[:, self.sample._column(node_id)].tolist()
+        if not n:
+            raise NoRatingsError(f"no ratings for node {node_id!r}")
+        half = 0.0
+        if n >= 2:
+            sd = math.sqrt((n * squares - total * total) / (n * (n - 1)))
+            half = CONFIDENCE_MULTIPLIER * sd / math.sqrt(n)
+        return MeanWithHalfWidth(mean=total / n, half_width=half, n=n)
+
+    def means(self) -> dict[str, float]:
+        """``node_means`` over these rows."""
+        counts, sums, _ = self.moments
+        for node, n in zip(self.sample._position, counts):
+            if not n:
+                raise NoRatingsError(f"no ratings for node {node!r}")
+        return dict(zip(self.sample._position, (sums / counts).tolist()))
+
+
+def _own_sides(sample: SurveySample) -> tuple[np.ndarray, _Side, _Side]:
+    """The own supplier's row mask, then its side and the rest's, as the two split parts.
+
+    Both sides come from one histogram that keeps the two groups apart, so
+    each mean equals its value on the split part bit for bit.
+    """
+    mine = _supplier_rows(sample, None)
+    own, rest = _column_moments(sample.ratings, ~mine)
+    n_own = int(np.count_nonzero(mine))
+    return mine, _Side(sample, own, n_own), _Side(sample, rest, len(sample) - n_own)
+
+
 def node_mean(sample: SurveySample, node_id: str) -> MeanWithHalfWidth:
     """Mean rating for one node over the respondents who rated it.
 
@@ -771,14 +835,7 @@ def node_mean(sample: SurveySample, node_id: str) -> MeanWithHalfWidth:
     single rating or a constant column gives half-width 0.  Raises
     :class:`NoRatingsError` when nobody rated the node.
     """
-    n, total, squares = sample._moments[:, sample._column(node_id)].tolist()
-    if not n:
-        raise NoRatingsError(f"no ratings for node {node_id!r}")
-    half = 0.0
-    if n >= 2:
-        sd = math.sqrt((n * squares - total * total) / (n * (n - 1)))
-        half = CONFIDENCE_MULTIPLIER * sd / math.sqrt(n)
-    return MeanWithHalfWidth(mean=total / n, half_width=half, n=n)
+    return _Side.of(sample).mean(node_id)
 
 
 def node_means(sample: SurveySample) -> dict[str, float]:
@@ -787,30 +844,7 @@ def node_means(sample: SurveySample) -> dict[str, float]:
     Raises :class:`NoRatingsError` for the first node, in preorder, that
     nobody rated.
     """
-    return _means(sample._position, sample._moments)
-
-
-def _split_node_means(
-    sample: SurveySample,
-) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
-    """``node_means`` of both parts of ``split_by_supplier(sample)`` and of ``sample``.
-
-    Both parts come from one histogram of the sample, and the whole
-    sample's moments are their exact integer sum, so each mean equals its
-    ``node_means`` value bit for bit.  Raises :class:`NoRatingsError` as
-    ``node_means`` would for the own supplier's part, then for the rest.
-    """
-    mine, rest = _column_moments(sample.ratings, ~_supplier_rows(sample, None))
-    return tuple(_means(sample._position, moments) for moments in (mine, rest, mine + rest))
-
-
-def _means(position: dict[str, int], moments: np.ndarray) -> dict[str, float]:
-    """Node id -> sum over count, from ``_column_moments`` rows in preorder."""
-    counts, sums, _ = moments
-    for node, n in zip(position, counts):
-        if not n:
-            raise NoRatingsError(f"no ratings for node {node!r}")
-    return dict(zip(position, (sums / counts).tolist()))
+    return _Side.of(sample).means()
 
 
 def supplier_sums(sample: SurveySample, node_id: str) -> dict[str, tuple[int, int]]:
@@ -851,19 +885,32 @@ def sample_counts(sample: SurveySample) -> SampleCounts:
     )
 
 
-def outcome_values(sample: SurveySample, outcome: OutcomeKind) -> list[int]:
-    """Every answer to ``outcome`` in respondent order; blank answers are skipped."""
+def outcome_values(
+    sample: SurveySample, outcome: OutcomeKind, rows: np.ndarray | None = None
+) -> list[int]:
+    """Every answer to ``outcome`` in respondent order; blank answers are skipped.
+
+    A boolean ``rows`` mask keeps only the rows where it is True.
+    """
     column = sample.outcomes[:, _OUTCOMES.index(outcome)]
-    return column[column >= 0].tolist()
+    keep = column >= 0
+    if rows is not None:
+        keep &= rows
+    return column[keep].tolist()
 
 
 def root_outcome_pairs(
-    sample: SurveySample, outcome: OutcomeKind
+    sample: SurveySample, outcome: OutcomeKind, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(root ratings, ``outcome`` answers) of the respondents who gave both, row-aligned."""
+    """(root ratings, ``outcome`` answers) of the respondents who gave both, row-aligned.
+
+    A boolean ``rows`` mask keeps only the rows where it is True.
+    """
     root = sample.ratings[:, sample._column(sample.tree.root)]
     answers = sample.outcomes[:, _OUTCOMES.index(outcome)]
     both = (root > 0) & (answers >= 0)
+    if rows is not None:
+        both &= rows
     return root[both], answers[both]
 
 

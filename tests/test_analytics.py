@@ -1,5 +1,8 @@
 import dataclasses
+import json
+import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +14,7 @@ from cvmkit import survey
 from cvmkit.analytics import (
     LoyaltyCurve,
     MissingModelError,
+    competitive_report,
     cva,
     loyalty_curve,
     pool_adjacent_violators,
@@ -24,8 +28,22 @@ from cvmkit.analytics import (
     value_target_for_loyalty,
     what_if,
 )
-from cvmkit.survey import NoRatingsError, OutcomeKind, SurveySample, node_mean, split_by_supplier
+from cvmkit.errors import CvmError
+from cvmkit.nps import nps, nps_vs_cva_report
+from cvmkit.regression import fit_hierarchy
+from cvmkit.survey import (
+    NoRatingsError,
+    OutcomeKind,
+    SurveySample,
+    ingest_responses,
+    node_mean,
+    node_means,
+    outcome_values,
+    split_by_supplier,
+)
 from cvmkit.tree import parse_tree_spec
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # Per-bin willing shares of the bundled survey's own half (threshold 8),
 # tallied by hand from the CSV: bins 4..10 with counts 2, 20, 148, 413,
@@ -366,6 +384,121 @@ def test_value_points_of_five_thousand_suppliers_match_group_sums_without_a_spli
         points = supplier_value_points(sample)
     assert split.call_count == made.call_count == 0
     assert points == [(name, float(q), float(p)) for name, q, p in zip(names, *expected)]
+
+
+# --- the report's sides come from one histogram and a row mask
+
+
+def _second_market():
+    truth = json.loads((GOLDEN / "second_market_truth.json").read_text())
+    tree = parse_tree_spec(truth["tree_text"])
+    return ingest_responses(GOLDEN / "second_market_survey.csv", tree, truth["own_supplier"])
+
+
+def _side_case(case, sample):
+    mine = sample.supplier_codes == 0  # the own supplier's code
+    if case == "second-market":
+        return _second_market()
+    if case == "blank-cells":
+        rng = np.random.default_rng(5)
+        return dataclasses.replace(
+            sample,
+            ratings=np.where(rng.random(sample.ratings.shape) < 0.3, 0, sample.ratings),
+            outcomes=np.where(rng.random(sample.outcomes.shape) < 0.3, -1, sample.outcomes),
+        )
+    cases = {"fixture": sample, "no-own": keep(sample, ~mine), "no-competitors": keep(sample, mine)}
+    return cases[case]
+
+
+def _shown(build):
+    """The repr of ``build()``, which shows every float bit for bit, or the error it raised."""
+    try:
+        return repr(build())
+    except CvmError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _report_of_parts(hierarchy, own, competitors):
+    tables = tuple(
+        profile_table(hierarchy, own, competitors, node)
+        for node in hierarchy.tree.internal_nodes()
+        if node in hierarchy.models
+    )
+    priorities = rank_priorities(hierarchy, own, competitors)
+    try:
+        curve = loyalty_curve(own, OutcomeKind.REPURCHASE, 9)
+    except NoRatingsError:
+        curve = None
+    return tables, priorities, curve
+
+
+def _nps_of_parts(sample, own, competitors):
+    ratings = outcome_values(own, OutcomeKind.RECOMMEND)
+    if not ratings:
+        raise CvmError(f"no recommend outcomes for supplier {sample.own_supplier!r}")
+    hierarchy = fit_hierarchy(sample, sample.tree)
+    has_cva = len(competitors) and sample.tree.root in hierarchy.models
+    return nps(ratings), cva(hierarchy, own, competitors) if has_cva else None
+
+
+@pytest.mark.parametrize(
+    "case", ["fixture", "second-market", "blank-cells", "no-own", "no-competitors"]
+)
+def test_report_nps_and_class_means_equal_those_of_the_split_parts_bit_for_bit(case, sample):
+    sample = _side_case(case, sample)
+    own, competitors = split_by_supplier(sample)
+    assert (len(own) == 0) == (case == "no-own")
+    assert (len(competitors) == 0) == (case == "no-competitors")
+    hierarchy = fit_hierarchy(sample, sample.tree)
+
+    def report():
+        built = competitive_report(sample, hierarchy, OutcomeKind.REPURCHASE, 9, target=0.8)
+        return built.tables, built.priorities, built.curve
+
+    def compared():
+        built = nps_vs_cva_report(sample)
+        return built.nps_result, built.cva
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _shown(report) == _shown(lambda: _report_of_parts(hierarchy, own, competitors))
+        assert _shown(compared) == _shown(lambda: _nps_of_parts(sample, own, competitors))
+    _, *sides = survey._own_sides(sample)
+    for side, part in zip(sides, (own, competitors)):
+        assert _shown(side.means) == _shown(lambda: node_means(part))
+    messages = [str(w.message) for w in caught]
+    assert ("no competitor respondents; relative columns unavailable" in messages) == (
+        case == "no-competitors"
+    )
+    assert ("CVA comparison unavailable: no competitor respondents" in messages) == (
+        case == "no-competitors"
+    )
+
+
+def test_a_report_peaks_under_half_the_bytes_of_the_columns_it_reads(sample):
+    """The report copies no row: its sides come from one blockwise histogram,
+    the own rows' curve pairs from a mask, and the value map from per-supplier
+    sums.  Here, on 20 copies of the bundled survey (40,000 rows), its peak
+    is about a fifth of the sample's column bytes."""
+    copies = 20
+    panel = dataclasses.replace(
+        sample,
+        ids=np.array([f"r{k:06d}" for k in range(copies * len(sample))]),
+        role_codes=np.tile(sample.role_codes, copies),
+        supplier_codes=np.tile(sample.supplier_codes, copies),
+        ratings=np.tile(sample.ratings, (copies, 1)),
+        outcomes=np.tile(sample.outcomes, (copies, 1)),
+    )
+    hierarchy = fit_hierarchy(panel, panel.tree)
+    tracemalloc.start()
+    try:
+        report = competitive_report(panel, hierarchy, target=0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_respondents == 40_000
+    columns = (panel.ids, panel.role_codes, panel.supplier_codes, panel.ratings, panel.outcomes)
+    assert peak < sum(column.nbytes for column in columns) / 2
 
 
 def test_retention_projection_compounds():

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import functools
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 from cvmkit.analytics import competitive_report, profile_table
 from cvmkit.cli import _fit_summary, main
 from cvmkit.datasets import fixture_text, market_truth
-from cvmkit.regression import fit_hierarchy
+from cvmkit.errors import CvmError
+from cvmkit.regression import fit_hierarchy, hierarchy_from_records
 from cvmkit.rendering import render_profile_table, render_report, report_records
 from cvmkit.simulate import generate_market
 from cvmkit.survey import ingest_responses, survey_text
@@ -616,6 +619,104 @@ def test_hierarchy_that_does_not_fit_the_tree_names_the_file_and_node(tmp_path, 
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr == f"error: hierarchy {hierarchy}: malformed field: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("intercept", float("nan"), "model 'quality': intercept is nan, not a finite number"),
+        ("residual_sd", float("-inf"),
+         "model 'quality': residual_sd is -inf, not a finite number"),
+        ("n", float("inf"), "model 'quality': n is inf, not a finite number"),
+        ("impact_weights", float("inf"),
+         "model 'quality': impact_weights['automobile'] is inf, not a finite number"),
+        ("r_squared", 1e307, "model 'quality': r_squared is 1e+307, too large to report"),
+        ("coefficients", 1e308,
+         "model 'quality': coefficients['automobile'] is 1e+308, which takes the path slope "
+         "of 'reliability' too large to report"),
+    ],
+    ids=["nan", "minus-infinity", "infinite-count", "infinite-weight", "percent-overflow",
+         "slope-overflow"],
+)
+def test_a_hierarchy_number_the_report_cannot_use_names_the_model_and_field(
+    tmp_path, field, value, message
+):
+    document = json.loads(_small_fit())
+    model = document["models"]["quality"]
+    if isinstance(model[field], dict):
+        model[field]["automobile"] = value
+    else:
+        model[field] = value
+    with pytest.raises(CvmError, match=re.escape(message)):
+        hierarchy_from_records(document, parse_tree_spec(Path(TREE).read_text()))
+    hierarchy = tmp_path / "fit.json"
+    hierarchy.write_text(json.dumps(document))
+    result = invoke("report", "--tree", TREE, "--survey", SURVEY, *OWN,
+                    "--hierarchy", str(hierarchy))
+    assert result.exit_code == 1
+    assert result.stderr == f"error: hierarchy {hierarchy}: malformed field: {message}\n"
+
+
+@functools.cache
+def _small_survey() -> str:
+    """The first 300 respondents of the bundled survey: 150 own, 75 of each competitor."""
+    return "".join(fixture_text("market_survey.csv").splitlines(keepends=True)[:301])
+
+
+@functools.cache
+def _small_fit() -> str:
+    """The saved fit of :func:`_small_survey`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        survey, fit = Path(tmp) / "survey.csv", Path(tmp) / "fit.json"
+        survey.write_text(_small_survey())
+        assert invoke("fit", "--tree", TREE, "--survey", str(survey), *OWN,
+                      "--out", str(fit)).exit_code == 0
+        return fit.read_text()
+
+
+def _fields(document, path=()):
+    """The key path of every value in ``document``'s nested objects."""
+    for key, value in document.items():
+        yield (*path, key)
+        if isinstance(value, dict):
+            yield from _fields(value, (*path, key))
+
+
+_DELETED = object()
+_FIELD_VALUES = [
+    None, "x", "7", -1, 0, 1.5, -0.0, True, [], {}, 10**30, 10**400, 1e308, -1e308, 1e300,
+    float("nan"), float("inf"), float("-inf"), _DELETED,
+]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    field=st.sampled_from(list(_fields(json.loads(_small_fit())))),
+    value=st.sampled_from(_FIELD_VALUES),
+)
+def test_a_saved_fit_with_one_field_changed_reports_or_fails_with_one_error_line(field, value):
+    document = json.loads(_small_fit())
+    *parents, key = field
+    target = functools.reduce(dict.__getitem__, parents, document)
+    if value is _DELETED:
+        del target[key]
+    else:
+        target[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        survey, hierarchy, out = (Path(tmp) / name for name in ("s.csv", "fit.json", "r.txt"))
+        survey.write_text(_small_survey())
+        hierarchy.write_text(json.dumps(document))
+        result = invoke("report", "--tree", TREE, "--survey", str(survey), *OWN,
+                        "--hierarchy", str(hierarchy), "--out", str(out))
+        assert result.exit_code in (0, 1), result.exception
+        if result.exit_code == 0:
+            assert out.is_file()
+        else:
+            assert isinstance(result.exception, SystemExit)
+            lines = [line for line in result.stderr.splitlines()
+                     if not line.startswith("warning: ")]
+            assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+            assert sorted(p.name for p in Path(tmp).iterdir()) == ["fit.json", "s.csv"]
 
 
 def test_malformed_seed_config_names_the_file(tmp_path):

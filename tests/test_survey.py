@@ -608,17 +608,19 @@ def test_a_chunk_in_mid_file_that_is_not_plain(tmp_path, column, token):
 
 
 def test_ingest_peak_memory_stays_under_twice_the_columns(tmp_path, sample, tree):
-    """Ingest holds the columns, a sorted copy of the ids for the repeat
-    check, the chunks' ids as bytes and one chunk's work arrays; in all that
-    is under twice the bytes of the sample's columns.  A stream is read whole
-    and held as its UTF-8 bytes, which come on top."""
+    """Ingest holds the columns, one chunk's work arrays and the ids as
+    bytes, which it sorts a copy of for the repeat check before it makes the
+    string column from them.  From a path that peaks near 1.2 times the
+    bytes of the sample's columns, and under 1.5 times is asserted.  A
+    stream is read whole and held as its UTF-8 bytes, which come on top;
+    its case keeps the bound of twice the columns."""
     header, *body = survey_text(sample).splitlines(keepends=True)
     rows = [f"r{k:06d}{line[line.index(','):]}" for k, line in enumerate(body * 20)]
     text = header + "".join(rows)
     path = tmp_path / "panel.csv"
     path.write_text(text)
     with mock.patch.object(survey, "_CHUNK_BYTES", 1 << 14):
-        for source, held in ((path, 0), (io.StringIO(text), len(text))):
+        for source, held, bound in ((path, 0, 1.5), (io.StringIO(text), len(text), 2)):
             tracemalloc.start()
             try:
                 ingested = ingest_responses(source, tree, "our_co")
@@ -628,7 +630,7 @@ def test_ingest_peak_memory_stays_under_twice_the_columns(tmp_path, sample, tree
             columns = (ingested.ids, ingested.role_codes, ingested.supplier_codes,
                        ingested.ratings, ingested.outcomes)
             assert len(ingested) == 40_000
-            assert peak - held < 2 * sum(column.nbytes for column in columns)
+            assert peak - held < bound * sum(column.nbytes for column in columns)
 
 
 def _three_hundred_suppliers():
@@ -745,14 +747,22 @@ def test_supplier_sums_give_each_split_part_its_node_mean_bit_for_bit(sample):
 
 def test_own_split_means_equal_node_means_of_the_split_parts_bit_for_bit(sample):
     for part in (sample, _with_blank_cells(sample, 0.3, seed=5)):
-        want = (*map(node_means, split_by_supplier(part)), node_means(part))
-        got = survey._split_node_means(part)
+        parts = split_by_supplier(part)
+        mine, *sides = survey._own_sides(part)
+        assert mine.tolist() == [s == "our_co" for s in part._supplier_column()]
+        assert [side.rows for side in sides] == list(map(len, parts))
+        want = [node_means(p) for p in parts]
+        got = [side.means() for side in sides]
         assert [list(means) for means in got] == [list(means) for means in want]
         assert [[m.hex() for m in means.values()] for means in got] == [
             [m.hex() for m in means.values()] for means in want
         ]
+        for side, split in zip(sides, parts):
+            for node in part.tree.preorder():
+                assert side.mean(node) == node_mean(split, node)
+        assert np.array_equal(sides[0].moments + sides[1].moments, part._moments)
         with pytest.raises(NoRatingsError, match="'worth_what_paid_for'"):
-            survey._split_node_means(split_by_supplier(part)[1])
+            survey._own_sides(parts[1])[1].means()
 
 
 def test_supplier_sums_list_a_supplier_without_ratings_as_zero():
