@@ -219,15 +219,15 @@ def _max_respondents(tree: ValueTree) -> int:
     """The most respondents, over all suppliers, of a truth on ``tree``.
 
     The cached draw takes 8 bytes per respondent for each of its halo, node
-    noise (one per node), role, two willing and two band draws, at most 48
-    for its id (12 characters) and 4 for its cached band picks;
-    ``_MAX_DRAW_BYTES`` over that is the bound, about 109 million
+    noise (one per node), role, two willing and two band draws, at most 12
+    for its id (12 UTF-8 bytes) and 4 for its cached band picks;
+    ``_MAX_DRAW_BYTES`` over that is the bound, about 123 million
     respondents on the bundled tree.  It bounds the cached draw alone:
     building the ids as a list first, and the market's own columns, take
     more, and an uncached ``generate_market`` on the bundled tree peaked at
-    576 bytes per respondent under ``tracemalloc`` (about 59 GiB at the bound).
+    576 bytes per respondent under ``tracemalloc`` (about 66 GiB at the bound).
     """
-    return _MAX_DRAW_BYTES // (8 * (len(tree.nodes) + 6) + 48 + 4)
+    return _MAX_DRAW_BYTES // (8 * (len(tree.nodes) + 6) + 12 + 4)
 
 
 def _band_pick(size: int, weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -249,7 +249,7 @@ def _draw(seed: int, total: int, n_leaves: int, n_internal: int) -> tuple[np.nda
 
     In draw order: the unscaled halo ``(n,)``, leaf noise ``(n, leaves)`` and
     node noise ``(n, internal nodes)``; the role ``(n,)``, willing ``(n, 2)``
-    and band ``(n, 2)`` uniforms; then the ids ``r00001...``.  The draws do
+    and band ``(n, 2)`` uniforms; then the ids ``b"r00001"...``.  The draws do
     not depend on the planted parameters, so calibration, which regenerates
     one seed and shape every round, draws them once (common random numbers).
     The cache holds the last draw: about 0.6 MB at 2,000 respondents on the
@@ -263,7 +263,7 @@ def _draw(seed: int, total: int, n_leaves: int, n_internal: int) -> tuple[np.nda
         stream.uniforms(total),
         stream.uniforms(total * 2).reshape(total, 2),
         stream.uniforms(total * 2).reshape(total, 2),
-        np.array([f"r{i + 1:05d}" for i in range(total)]),
+        np.array([b"r%05d" % (i + 1) for i in range(total)], dtype=bytes),
     )
     for block in draw:
         block.flags.writeable = False

@@ -17,31 +17,31 @@ tree node (canonical preorder) and the two outcome columns::
 writer (``csv.writer`` with LF line ends), which the plot-data CSVs of
 ``rendering`` use too.
 
-In memory a :class:`SurveySample` is one columnar store: a string array of
-ids, int8 role codes into :data:`ROLES`, unsigned supplier codes into a
-per-sample table of names in canonical order (own first, the rest sorted),
-an ``(n, nodes)`` int8 rating matrix in tree preorder with 0 for a missing
-rating, and an ``(n, 2)`` int8 outcome matrix in :class:`OutcomeKind` order
-with -1 for a missing answer.  A supplier's rows are a mask from comparing
-codes, through which the library's own computations read them; only a
-caller that asks for the two parts as samples gets copies, which keep the
-table.  Outcome lists and root/outcome pairs are column slices, optionally
-masked, and complete cases one compressed copy of the gathered columns.  Other
-modules read the store only through the functions below.  The class
-constructor takes the columns as given and checks no value; ingest is where
-a file's values are checked.
+In memory a :class:`SurveySample` is one columnar store: a fixed-width
+bytes array of UTF-8 ids, int8 role codes into :data:`ROLES`, unsigned
+supplier codes into a per-sample table of names in canonical order (own
+first, the rest sorted), an ``(n, nodes)`` int8 rating matrix in tree
+preorder with 0 for a missing rating, and an ``(n, 2)`` int8 outcome matrix
+in :class:`OutcomeKind` order with -1 for a missing answer.  A supplier's
+rows are a mask from comparing codes, through which the library's own
+computations read them; only a caller that asks for the two parts as
+samples gets copies, which keep the table.  Outcome lists and root/outcome
+pairs are column slices, optionally masked, and complete cases one
+compressed copy of the gathered columns.  Other modules read the store only
+through the functions below.  The class constructor takes the columns as
+given, encoding str ids, and checks no value; ingest is where a file's
+values are checked.
 
 Ingest reads a path through one binary file handle, in chunks of a fixed
 number of bytes each taken on to the end of its last line; a text stream is
-read whole and encoded back to UTF-8 into an in-memory handle.  The line ends
-left in the handle, counted first, bound the rows, so each column is made
-once at that bound and filled in place, chunk after chunk, and the sample
-keeps views of the filled rows.  Byte chunks keep their ids at one byte per
-character; when every chunk was one, repeated ids are looked for in a sorted
-copy of those bytes, and the string column is made once that check passes.
-Beyond the columns, only the id bytes (held twice while they are sorted)
-grow with the file; a file with a chunk that went through the row loop
-sorts a copy of its string column instead.
+read in pieces of as many characters, each encoded back to UTF-8 into one
+in-memory handle.  The line ends left in the handle, counted first, bound
+the rows, so each column is made once at that bound and filled in place,
+chunk after chunk, and the sample keeps views of the filled rows.  Every
+chunk's ids are UTF-8 bytes, whose equality is that of the strings; they
+are joined into the id column, and repeated ids are looked for in one sorted
+copy of it.  On a file the byte parser reads whole, only that copy grows
+with the file beyond the columns.
 While the file is plain (ASCII, no quote, no CR but in CRLF, which reads as
 LF), a chunk of whole lines without a NUL byte in which every line has the
 header's comma count, every label is non-empty and unpadded, every role is in
@@ -158,7 +158,8 @@ class NoRatingsError(CvmError):
 class SurveySample:
     """An immutable batch of respondents tied to one value tree, held by column.
 
-    ``ids`` is a string array; ``role_codes`` int8 codes into :data:`ROLES`;
+    ``ids`` is a fixed-width bytes array of UTF-8 ids (a sequence or array of
+    str is encoded); ``role_codes`` int8 codes into :data:`ROLES`;
     ``supplier_codes`` unsigned codes into ``supplier_names``, a table of
     distinct names in canonical order (the own supplier first, the rest
     sorted) that may name suppliers no row has; ``ratings`` an ``(n, nodes)``
@@ -178,7 +179,9 @@ class SurveySample:
     outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = np.asarray(self.ids, dtype=str)
+        ids = np.asarray(self.ids)
+        if ids.dtype.kind != "S":
+            ids = np.char.encode(np.asarray(self.ids, dtype=str), "utf-8")
         for column in (ids, self.role_codes, self.supplier_codes, self.ratings, self.outcomes):
             column.flags.writeable = False
         object.__setattr__(self, "ids", ids)
@@ -268,24 +271,25 @@ def ingest_responses(
     that is what catches a typo'd header.  Any bad cell aborts ingest with the
     offending row number; a header-only file yields an empty sample and a
     warning.  A path is read as UTF-8 in chunks of a bounded number of bytes;
-    a stream is read whole.  A leading byte-order mark is skipped in either
-    source.  A NUL byte, a byte that is not UTF-8, or a lone surrogate in a
-    stream's text, is an error naming its row; only a stream whose own
+    a stream is read in pieces of as many characters, each encoded back to
+    UTF-8 into one in-memory file.  A leading byte-order mark is skipped in
+    either source.  A NUL byte, a byte that is not UTF-8, or a lone surrogate
+    in a stream's text, is an error naming its row; only a stream whose own
     decoder fails gives an error naming no row.
     """
     if hasattr(source, "read"):
+        data = io.BytesIO()
+        pieces = iter(functools.partial(source.read, _CHUNK_BYTES), "")  # type: ignore[union-attr]
         try:
-            text = source.read()  # type: ignore[union-attr]
+            for piece in pieces:
+                # surrogatepass lets any str make the round trip through bytes
+                data.write(piece.encode("utf-8", "surrogatepass"))
         except UnicodeDecodeError as exc:
             message = f"byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
             raise SurveyFormatError(message) from None
-        # surrogatepass lets any str make the round trip through bytes
-        data = text.removeprefix("\ufeff").encode("utf-8", "surrogatepass")
-        del text  # ingest holds one copy of the file
-        return _ingest(io.BytesIO(data), tree, own_supplier)
+        data.seek(0)
+        return _ingest(data, tree, own_supplier)
     with reading(source), open(source, "rb") as handle:
-        if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-            handle.seek(0)
         return _ingest(handle, tree, own_supplier)
 
 
@@ -311,6 +315,8 @@ class _Layout:
 
 
 def _ingest(handle: IO[bytes], tree: ValueTree, own_supplier: str) -> SurveySample:
+    if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        handle.seek(0)
     capacity = _line_ends(handle)  # no more respondent rows than this
     records = _records(handle)
     row_number = 1  # of the record being read, which a csv.Error names
@@ -356,10 +362,11 @@ def _ingest(handle: IO[bytes], tree: ValueTree, own_supplier: str) -> SurveySamp
         # (_parse_bytes); any other chunk goes through the row loop
         # (_row_chunk), which accepts and diagnoses exactly as a whole-file
         # row loop would: it gets absolute row numbers, and ``first_row``
-        # gets the id of every row before it.  Ids of byte chunks stay bytes
-        # and wait in ``unnoted`` until a row loop needs them, or a repeat in
-        # the whole sample is to be named.  Suppliers are coded in order of
-        # first appearance (``supplier_code``); the canonical table comes last.
+        # gets the id of every row before it.  Every id is held as its UTF-8
+        # bytes; those of byte chunks wait in ``unnoted`` until a row loop
+        # needs them, or a repeat in the whole sample is to be named.
+        # Suppliers are coded in order of first appearance
+        # (``supplier_code``); the canonical table comes last.
         columns = (
             np.empty(capacity, dtype=np.int8),
             np.empty(capacity, dtype=np.min_scalar_type(capacity)),
@@ -367,8 +374,9 @@ def _ingest(handle: IO[bytes], tree: ValueTree, own_supplier: str) -> SurveySamp
             np.full((capacity, len(_OUTCOMES)), -1, dtype=np.int8),
         )
         ids: list[np.ndarray] = []  # each chunk's ids
+        chunk_ids = None
         filled = 0
-        first_row: dict[str, int] = {}
+        first_row: dict[bytes, int] = {}
         unnoted: list[tuple[np.ndarray, int]] = []
         supplier_code: dict[str, int] = {}
         row_number = 2
@@ -394,21 +402,21 @@ def _ingest(handle: IO[bytes], tree: ValueTree, own_supplier: str) -> SurveySamp
         raise SurveyFormatError(f"malformed CSV: {exc}", row_number) from None
 
     del scratch
-    # With no row loop run, every id is fixed-width ASCII bytes, whose
-    # equality is that of the strings, at a quarter of their size: the
-    # repeat check sorts the bytes, and the string column is made after it.
-    all_bytes = len(unnoted) == len(ids)
-    id_column = np.empty(filled, dtype=np.result_type("S1" if all_bytes else "U1", *ids))
+    # Two ids are equal exactly when their UTF-8 bytes are, and no id holds
+    # the NUL that fixed-width bytes would drop, so one sort of the id column
+    # finds any repeat.  The byte chunks not yet noted are the column's last
+    # rows, on consecutive rows of the file: one view of them replaces the
+    # chunks, and the ids are held at most twice, in the column and sorted.
+    id_column = np.empty(filled, dtype=np.result_type("S1", *ids))
     if ids:
         np.concatenate(ids, out=id_column)
-    del ids  # the row loop's string ids; the bytes of byte chunks stay in ``unnoted``
+    tail = sum(len(chunk) for chunk, _ in unnoted)
+    unnoted = [(id_column[filled - tail :], unnoted[0][1])] if unnoted else []
+    del ids, chunk_ids  # the column holds them now
     ordered = np.sort(id_column, kind="stable")  # fast on ids that come in order
     if (ordered[1:] == ordered[:-1]).any():
         _note_ids(first_row, unnoted)  # raises, naming the first repeat
     del ordered
-    unnoted.clear()
-    if all_bytes:
-        id_column = id_column.astype(str)
     if not filled:
         warnings.warn("survey has a header but no respondent rows", stacklevel=3)
     roles, suppliers, ratings, outcomes = (column[:filled] for column in columns)
@@ -430,19 +438,19 @@ def _supplier_codes(names: Sequence[str], own_supplier: str) -> tuple[tuple[str,
     return table, np.array([code[name] for name in names], dtype=dtype)
 
 
-def _note_ids(first_row: dict[str, int], unnoted: list[tuple[np.ndarray, int]]) -> None:
-    """Move the ids of byte chunks, each with its chunk's first row, into ``first_row``."""
+def _note_ids(first_row: dict[bytes, int], unnoted: list[tuple[np.ndarray, int]]) -> None:
+    """Move the ids of byte chunks, each array with the row of its first id, into ``first_row``."""
     for ids, start in unnoted:
-        for row, respondent_id in enumerate(ids.astype(str).tolist(), start):
+        for row, respondent_id in enumerate(ids.tolist(), start):
             _note_id(first_row, respondent_id, row)
     unnoted.clear()
 
 
-def _note_id(first_row: dict[str, int], respondent_id: str, row: int) -> None:
+def _note_id(first_row: dict[bytes, int], respondent_id: bytes, row: int) -> None:
     first = first_row.setdefault(respondent_id, row)
     if first != row:
         raise SurveyFormatError(
-            f"duplicate respondent_id {respondent_id!r} (first on row {first})", row
+            f"duplicate respondent_id {respondent_id.decode()!r} (first on row {first})", row
         )
 
 
@@ -629,15 +637,15 @@ def _refuse_bad_bytes(cells: list[str], row: int) -> None:
 
 
 def _row_chunk(
-    chunk: list[list[str]], start: int, layout: _Layout, first_row: dict[str, int],
+    chunk: list[list[str]], start: int, layout: _Layout, first_row: dict[bytes, int],
     supplier_code: dict[str, int], out: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Check and convert a chunk row by row into the front of ``out``, as :func:`_parse_bytes`.
 
     Blank rows are skipped; the first bad row raises, naming itself.  Returns
-    the ids of the rows written.
+    the ids of the rows written, as UTF-8 bytes.
     """
-    labels: list[tuple[str, int, int]] = []
+    labels: list[tuple[bytes, int, int]] = []
     rating_rows: list[list[int]] = []
     outcome_rows: list[list[int]] = []
     for row_number, row in enumerate(chunk, start=start):
@@ -653,6 +661,7 @@ def _row_chunk(
         supplier = row[2].strip()
         if not respondent_id:
             raise SurveyFormatError("empty respondent_id", row_number)
+        respondent_id = respondent_id.encode()  # no surrogate is left: see _refuse_bad_bytes
         _note_id(first_row, respondent_id, row_number)
         if role not in ROLES:
             raise SurveyFormatError(
@@ -675,11 +684,11 @@ def _row_chunk(
         rating_rows.append(ratings)
         outcome_rows.append(outcomes)
     if not labels:
-        return np.array([], dtype=str)
+        return np.array([], dtype=bytes)
     ids, roles, suppliers = zip(*labels)
     for column, values in zip(out, (roles, suppliers, rating_rows, outcome_rows)):
         column[: len(labels)] = values
-    return np.array(ids, dtype=str)
+    return np.array(ids, dtype=bytes)
 
 
 # Cell text of each stored code: a rating code v is _RATING_TEXT[v] and an
@@ -692,7 +701,7 @@ _OUTCOME_TEXT = [*map(str, range(OUTCOME_MIN, OUTCOME_MAX + 1)), ""]
 def survey_text(sample: SurveySample) -> str:
     """Canonical CSV text for ``sample`` (the exact ingest round-trip form)."""
     columns = [
-        sample.ids.tolist(),
+        [respondent_id.decode() for respondent_id in sample.ids.tolist()],
         list(map(ROLES.__getitem__, sample.role_codes.tolist())),
         sample._supplier_column(),
     ]

@@ -126,7 +126,7 @@ def test_each_supplier_block_takes_its_class_profile():
     truth.intercepts = {"value": 0.3}
     truth.noise_sd = {"value": 0.0, "a": 0.0, "b": 0.0}
     sample = generate_market(truth)
-    assert sample.ids.tolist() == [f"r{i:05d}" for i in range(1, 10)]
+    assert sample.ids.tolist() == [b"r%05d" % i for i in range(1, 10)]
     planted = {
         # supplier: (a, b, value), value = 0.3 + shift + 0.6 a + 0.4 b
         "us": (6, 5, 6),  # 0.3 + 3.6 + 2.0 = 5.9

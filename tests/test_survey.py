@@ -186,8 +186,8 @@ def test_arbitrary_bytes_after_the_header_ingest_or_raise_survey_format_error(bo
 def test_split_by_supplier():
     sample = ingest_responses(io.StringIO(TINY_CSV), TINY_TREE, "us")
     own, rest = split_by_supplier(sample)
-    assert own.ids.tolist() == ["r1", "r3"]
-    assert rest.ids.tolist() == ["r2"]
+    assert own.ids.tolist() == [b"r1", b"r3"]
+    assert rest.ids.tolist() == [b"r2"]
 
 
 def test_node_mean_small():
@@ -292,9 +292,10 @@ def _store_of(rows):
 
 def _labels(sample):
     """Each row's [id, role, supplier], decoded from the store."""
+    ids = [respondent_id.decode() for respondent_id in sample.ids.tolist()]
     roles = [ROLES[k] for k in sample.role_codes]
     suppliers = [sample.supplier_names[k] for k in sample.supplier_codes]
-    return [list(row) for row in zip(sample.ids.tolist(), roles, suppliers)]
+    return [list(row) for row in zip(ids, roles, suppliers)]
 
 
 def _lists(sample):
@@ -588,11 +589,39 @@ def test_ids_that_widen_across_chunks_and_a_later_repeat_named_at_its_row(tmp_pa
     # two 25-byte rows a chunk: r99998 and r99999 end one, r100000 starts the next
     rows = [[f"r{i}", "user", "us", "5", "5", "5", "5", "5"] for i in range(99_990, 100_010)]
     sample = _against_the_row_loop(_csv_text(rows), tmp_path)
-    assert sample.ids.tolist() == [row[0] for row in rows]
-    assert sample.ids.dtype == np.dtype("<U7")
+    assert sample.ids.tolist() == [row[0].encode() for row in rows]
+    assert sample.ids.dtype == np.dtype("S7")
     rows += [[later, "user", "them", "", "", "", "", ""] for later in ("r100010", "r99999")]
     diagnostic = _against_the_row_loop(_csv_text(rows), tmp_path)
     assert diagnostic == ("row 23: duplicate respondent_id 'r99999' (first on row 11)", 23)
+
+
+def test_ids_are_utf8_bytes_from_the_byte_parser_the_row_loop_and_the_constructor(tmp_path):
+    rows = [[f"r{i}", "user", "us", "5", "5", "5", "5", "5"] for i in range(99_990, 100_010)]
+    path = tmp_path / "survey.csv"
+    path.write_text(_csv_text(rows))
+    with mock.patch.object(survey, "_CHUNK_BYTES", 40):
+        by_bytes = ingest_responses(path, TINY_TREE, "us")
+        with mock.patch.object(survey, "_parse_bytes", lambda *args: None):
+            by_rows = ingest_responses(path, TINY_TREE, "us")
+    for sample in (by_bytes, by_rows):
+        assert sample.ids.dtype == np.dtype("S7")
+        assert sample.ids.tobytes() == by_rows.ids.tobytes()
+    built = SurveySample(
+        TINY_TREE, "us", ["ä1", "r2"], np.zeros(2, dtype=np.int8), ("us",),
+        np.zeros(2, dtype=np.uint8), np.zeros((2, 3), dtype=np.int8), np.full((2, 2), -1, np.int8),
+    )
+    assert built.ids.tolist() == ["ä1".encode(), b"r2"] and built.ids.dtype == np.dtype("S3")
+
+
+def test_a_non_ascii_id_round_trips_byte_for_byte_and_its_repeat_is_named_as_text(tmp_path):
+    text = TINY_CSV.replace("r1,", "ä1,")
+    sample = _against_the_row_loop(text, tmp_path)  # a stream, a path and the row loop
+    assert sample.ids.tolist() == ["ä1".encode(), b"r2", b"r3"]
+    assert survey_text(sample) == text
+    repeat = text.replace("r3,", "ä1,")
+    diagnostic = ("row 4: duplicate respondent_id 'ä1' (first on row 2)", 4)
+    assert _against_the_row_loop(repeat, tmp_path) == diagnostic
 
 
 @pytest.mark.parametrize("column, token", [(3, " 7"), (2, '"us"')])
@@ -656,7 +685,7 @@ def test_three_hundred_suppliers_keep_distinct_codes():
         assert sample.suppliers() == ["s150", *(name for name in names if name != "s150")]
         for name in ("s150", "s000", "s299"):
             mine, rest = split_by_supplier(sample, name)
-            assert mine.ids.tolist() == [row[0] for row in rows if row[2] == name]
+            assert mine.ids.tolist() == [row[0].encode() for row in rows if row[2] == name]
             assert len(mine) == 3 and len(rest) == len(rows) - 3
 
 
