@@ -21,7 +21,7 @@ we fix first":
   superior/fair/inferior value around the parity diagonal.
 * **Competitive report** — all of the above, as one value that
   ``rendering`` turns into text or a records document.  Both sides of the
-  own-supplier split come from one histogram of the sample and the own
+  own-supplier split come from the sample's moments table and the own
   rows' loyalty pairs from a row mask, so no row is copied; the public
   profile, priority, CVA and curve functions take split parts and share
   each routine with the report.
@@ -48,7 +48,6 @@ from .survey import (
     _own_sides,
     _Side,
     root_outcome_pairs,
-    supplier_sums,
 )
 
 __all__ = [
@@ -422,26 +421,22 @@ def supplier_value_points(sample: SurveySample) -> list[tuple[str, float, float]
 
     The axes are the root's two children, in tree order; this is the one place
     that rule is checked, and a root with another number of children raises
-    :class:`CvmError`.  A supplier alone in the sample is left out.  Means come
-    from ``supplier_sums`` (the rest's as total minus the supplier's), so no
-    sample is copied; a side without ratings raises :class:`NoRatingsError`.
+    :class:`CvmError`.  A supplier alone in the sample is left out.  Both means
+    of a point are read from the sample's moments table, so no sample is
+    copied; a side without ratings raises :class:`NoRatingsError`.
     """
     axes = sample.tree.children_of(sample.tree.root)
     if len(axes) != 2:
         raise CvmError(
             f"the value map needs a two-driver root (quality/price), not {len(axes)} drivers"
         )
-    sums = [supplier_sums(sample, axis) for axis in axes]
-    totals = [[sum(column) for column in zip(*by_supplier.values())] for by_supplier in sums]
+    present = np.flatnonzero(sample._supplier_counts).tolist()
     points = []
-    for supplier in sums[0] if len(sums[0]) > 1 else ():
-        ratings = []
-        for axis, by_supplier, (n_all, sum_all) in zip(axes, sums, totals):
-            n, total = by_supplier[supplier]
-            if not n or n == n_all:
-                raise NoRatingsError(f"no ratings for node {axis!r}")
-            ratings.append(float(relative_rating(total / n, (sum_all - total) / (n_all - n))))
-        points.append((supplier, *ratings))
+    for code in present if len(present) > 1 else ():
+        side = _Side.of(sample, code)
+        rest = side.others()
+        ratings = [relative_rating(side.mean(axis).mean, rest.mean(axis).mean) for axis in axes]
+        points.append((sample.supplier_names[code], *map(float, ratings)))
     return points
 
 

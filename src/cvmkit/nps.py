@@ -158,8 +158,8 @@ def nps_vs_cva_report(sample: SurveySample) -> NpsVsCva:
     """Score the own customers' recommend answers and line them up with CVA.
 
     The own rows are picked here, by one mask, so the score and CVA describe
-    the same own customers; both sides of CVA come from one histogram and no
-    row is copied.  Own respondents without recommend answers raise
+    the same own customers; both sides of CVA come from the sample's moments
+    table and no row is copied.  Own respondents without recommend answers raise
     :class:`CvmError`.  Without competitors, or when the root model cannot
     be fitted, ``warnings.warn`` says why and ``cva`` is ``None``.
     """

@@ -54,7 +54,7 @@ from .errors import CvmError, read_json, write_atomic
 from .regression import FittedHierarchy, fit_hierarchy
 from .rng import RandomStream
 from .rounding import format_rating, round_half_away
-from .survey import OutcomeKind, SurveySample, _own_sides, _Side, _supplier_codes
+from .survey import OutcomeKind, SurveySample, _own_sides, _supplier_codes, node_means
 from .tree import ValueTree, parse_tree_spec, serialize_tree
 
 __all__ = [
@@ -83,7 +83,7 @@ class InconsistentTargetsError(CvmError):
 
 
 class CalibrationError(CvmError):
-    """Calibration failed to converge within its iteration budget."""
+    """Calibration failed to converge within its iteration budget, or to fit a targeted node."""
 
 
 @dataclass
@@ -628,8 +628,8 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
     still gets its check.
 
     Raises :class:`InconsistentTargetsError` for self-contradictory targets
-    and :class:`CalibrationError` if the budget runs out before every target
-    cell verifies exactly.
+    and :class:`CalibrationError` for a targeted node a round cannot fit, or
+    when the budget runs out before every target cell verifies exactly.
     """
     _check_targets(targets)
     truth = targets.initial.copy()
@@ -639,6 +639,7 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
     leaves = set(tree.leaves())
     mean_targets = _mean_targets(targets)
     coef_targets = {(c.parent, c.child): c.weight / 100.0 for c in targets.cells}
+    fitted = tuple(dict.fromkeys([*(parent for parent, _ in coef_targets), *targets.r_squared]))
     anchors = targets.loyalty_points
 
     for cls in (own_label, COMPETITOR_CLASS):
@@ -654,6 +655,10 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
             break
         sample = generate_market(truth)
         hierarchy = fit_hierarchy(sample, tree)
+        for node in fitted:
+            if node not in hierarchy.models:
+                unfit = hierarchy.unfit[node]
+                raise CalibrationError(f"round {round_index}: cannot fit {node!r}: {unfit}")
         mine, own, rest = _own_sides(sample)
         class_means = {own_label: own.means(), COMPETITOR_CLASS: rest.means()}
         means = {(node, cls): class_means[cls][node] for node, cls in mean_targets}
@@ -679,7 +684,7 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
                     truth.class_shift[cls].get(node, 0.0) + gain * err
                 )
 
-        sample_means = _Side(sample, own.moments + rest.moments, len(sample)).means()
+        sample_means = node_means(sample)
         for (parent, child), target in coef_targets.items():
             realized = hierarchy.models[parent].fit.coefficients[child]
             err = target - realized
@@ -756,8 +761,7 @@ def _verify(
         )
 
     for cell in targets.cells:
-        model = hierarchy.models.get(cell.parent)
-        if model is None or model.impact_weights.get(cell.child) != cell.weight:
+        if hierarchy.models[cell.parent].impact_weights.get(cell.child) != cell.weight:
             return False
         if not shows(cell.child, cell.own_mean, cell.competitor_mean, cell.relative):
             return False

@@ -60,16 +60,14 @@ rejects exactly what a row loop over the whole file would, so the byte parser
 is only a shortcut.  Repeated ids are looked for once, over the whole sample,
 unless a row loop needs the earlier ids first.
 
-Every node mean and half-width is read from one histogram pass over the
-rating matrix, made once per sample and kept on it, which gives each
-column's exact count n, sum and sum of squares.  A mean is the sum over n;
-the 95% half-width is ``1.96 * sqrt((n*sumsq - sum**2) / (n*(n-1))) / sqrt(n)``,
-whose variance is an exact integer ratio rounded once and whose later steps
-are each correctly rounded.  So no mean, half-width or supplier listing (own
-first, the rest sorted) can depend on row order, BLAS or CPU.
-:func:`_own_sides` takes both sides of the own-supplier split from one such
-pass that keeps the two groups apart, and :class:`_Side` reads every mean
-and half-width, of a whole sample or of one side, by the same formula.
+Every node mean and half-width is read from one table per sample, kept on it:
+each supplier's exact count n, sum and sum of squares of each column, from one
+histogram pass over the rating matrix grouped by supplier code.  The whole
+sample is the table's sum and the rest of the market the whole minus one row.
+:class:`_Side` takes a mean as the sum over n and the 95% half-width as
+``1.96 * sqrt((n*sumsq - sum**2) / (n*(n-1))) / sqrt(n)``, whose variance is an
+exact integer ratio rounded once and whose later steps are correctly rounded, so
+no mean, half-width or supplier listing can depend on row order, BLAS or CPU.
 
 Survey *sourcing* — panel design, who counts as a decision maker, response
 weighting — is out of scope; samples are taken as given.
@@ -215,13 +213,22 @@ class SurveySample:
 
     def suppliers(self) -> list[str]:
         """Distinct supplier labels: the own supplier (when present) first, then sorted."""
-        counts = np.bincount(self.supplier_codes, minlength=len(self.supplier_names))
-        return [self.supplier_names[k] for k in np.flatnonzero(counts)]
+        return [self.supplier_names[k] for k in np.flatnonzero(self._supplier_counts)]
+
+    @functools.cached_property
+    def _supplier_counts(self) -> np.ndarray:
+        """Rows per supplier code."""
+        return np.bincount(self.supplier_codes, minlength=len(self.supplier_names))
+
+    @functools.cached_property
+    def _supplier_moments(self) -> np.ndarray:
+        """Per supplier code, rows (count, sum, sum of squares) of each rating column."""
+        return _column_moments(self.ratings, self.supplier_codes, len(self.supplier_names))
 
     @functools.cached_property
     def _moments(self) -> np.ndarray:
         """Rows (count, sum, sum of squares) of each rating column's present values."""
-        return _column_moments(self.ratings)
+        return self._supplier_moments.sum(axis=0)
 
 
 def _positions(tree: ValueTree) -> dict[str, int]:
@@ -745,12 +752,11 @@ def split_by_supplier(
 def _supplier_rows(sample: SurveySample, supplier: str | None) -> np.ndarray:
     """Boolean mask of the rows of ``supplier`` (default: the own supplier)."""
     name = sample.own_supplier if supplier is None else supplier
-    if name not in sample.supplier_names:
-        return np.zeros(len(sample), dtype=bool)
-    return sample.supplier_codes == sample.supplier_names.index(name)
+    names = sample.supplier_names
+    return sample.supplier_codes == (names.index(name) if name in names else -1)  # -1: no row
 
 
-#: Rows histogrammed at a time by :func:`_column_moments`.  1024-row blocks
+#: Least rows histogrammed at a time by :func:`_column_moments`.  1024-row blocks
 #: ran faster than 8192-row ones on calibration's 1-2k-row samples and at 100k.
 _MOMENT_ROWS = 1024
 
@@ -759,41 +765,32 @@ _CODES = np.arange(RATING_MAX + 1)
 _MOMENT_WEIGHTS = np.stack([_CODES > 0, _CODES, _CODES * _CODES], axis=1)
 
 
-def _column_moments(ratings: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
-    """``(3, nodes)`` int64: each column's count, sum and sum of squares of present codes.
+def _column_moments(ratings: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
+    """``(count, 3, nodes)`` int64: per group, each column's count, sum and sum of squares.
 
-    Codes are 0 (missing) to 10.  One ``bincount`` per block of rows, with
-    column j's codes moved to bins ``11*j`` on, counts every code of every
-    column; the moments are exact integer sums of that histogram, so no
-    summation order enters.  With a boolean ``groups`` per row, the same
-    histogram keeps the rows where it is False and where it is True apart,
-    and the result is ``(2, 3, nodes)`` in that order.
+    Codes are 0 (missing) to 10 and ``groups`` unsigned codes below ``count``.  One
+    ``bincount`` per block of rows, with column j of group g in bins ``11*(nodes*g + j)``
+    on, counts every code; the moments are exact integer sums, so no order enters.
     """
     nodes = ratings.shape[1]
     size = nodes * _CODES.size
-    parts = 1 if groups is None else 2
-    dtype = np.min_scalar_type(parts * size)
+    dtype = np.min_scalar_type(max(count, 1) * size)
     offsets = np.arange(0, size, _CODES.size, dtype=dtype)
-    if groups is not None:
-        row_offsets = groups.astype(dtype)[:, None]
-        row_offsets *= size
-    histogram = np.zeros(parts * size, dtype=np.int64)
-    for start in range(0, len(ratings), _MOMENT_ROWS):
-        codes = ratings[start : start + _MOMENT_ROWS].view(np.uint8) + offsets
-        if groups is not None:
-            codes += row_offsets[start : start + _MOMENT_ROWS]
-        histogram += np.bincount(codes.ravel(), minlength=parts * size)
-    moments = (histogram.reshape(parts, nodes, _CODES.size) @ _MOMENT_WEIGHTS).transpose(0, 2, 1)
-    return moments[0] if groups is None else moments
+    row_offsets = groups.astype(dtype)[:, None] * size
+    histogram = np.zeros(count * size, dtype=np.int64)
+    step = max(_MOMENT_ROWS, count * _CODES.size)  # no fewer codes than bins: linear in rows
+    for start in range(0, len(ratings), step):
+        codes = ratings[start : start + step].view(np.uint8) + offsets
+        codes += row_offsets[start : start + step]
+        histogram += np.bincount(codes.ravel(), minlength=count * size)
+    return (histogram.reshape(count, nodes, _CODES.size) @ _MOMENT_WEIGHTS).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True, eq=False)
 class _Side:
-    """Some rows of ``sample``, held only as their ``_column_moments`` and their count.
+    """Some rows of ``sample``, held only as their count and their moments from its table.
 
-    :meth:`of` makes the whole sample one side, and :func:`_own_sides` the
-    two sides of the own-supplier split, from one histogram and without
-    copying a row.  Every node mean and half-width is read here.
+    No row is copied.  Every node mean and half-width is read here.
     """
 
     sample: SurveySample
@@ -801,8 +798,15 @@ class _Side:
     rows: int
 
     @classmethod
-    def of(cls, sample: SurveySample) -> _Side:
-        return cls(sample, sample._moments, len(sample))
+    def of(cls, sample: SurveySample, code: int | None = None) -> _Side:
+        """The whole sample, or the rows of supplier ``code``."""
+        if code is None:
+            return cls(sample, sample._moments, len(sample))
+        return cls(sample, sample._supplier_moments[code], int(sample._supplier_counts[code]))
+
+    def others(self) -> _Side:
+        """The rows of the sample that are not on this side."""
+        return _Side(self.sample, self.sample._moments - self.moments, len(self.sample) - self.rows)
 
     def mean(self, node_id: str) -> MeanWithHalfWidth:
         """``node_mean`` over these rows."""
@@ -827,13 +831,13 @@ class _Side:
 def _own_sides(sample: SurveySample) -> tuple[np.ndarray, _Side, _Side]:
     """The own supplier's row mask, then its side and the rest's, as the two split parts.
 
-    Both sides come from one histogram that keeps the two groups apart, so
-    each mean equals its value on the split part bit for bit.
+    Each side's means equal those of its split part bit for bit.
     """
     mine = _supplier_rows(sample, None)
-    own, rest = _column_moments(sample.ratings, ~mine)
-    n_own = int(np.count_nonzero(mine))
-    return mine, _Side(sample, own, n_own), _Side(sample, rest, len(sample) - n_own)
+    if sample.own_supplier not in sample.supplier_names:
+        return mine, _Side.of(sample).others(), _Side.of(sample)
+    own = _Side.of(sample, sample.supplier_names.index(sample.own_supplier))
+    return mine, own, own.others()
 
 
 def node_mean(sample: SurveySample, node_id: str) -> MeanWithHalfWidth:
@@ -859,15 +863,12 @@ def node_means(sample: SurveySample) -> dict[str, float]:
 def supplier_sums(sample: SurveySample, node_id: str) -> dict[str, tuple[int, int]]:
     """Each present supplier's exact (count, sum) of ``node_id`` ratings, in canonical order.
 
-    From one ``bincount``; ``sum / count`` equals ``node_mean`` of the supplier's split
+    From the moments table; ``sum / count`` equals ``node_mean`` of the supplier's split
     part bit for bit, and a supplier whose rows hold no rating of the node has (0, 0).
     """
-    keys = sample.supplier_codes * np.intp(_CODES.size) + sample.ratings[:, sample._column(node_id)]
-    size = len(sample.supplier_names) * _CODES.size
-    histogram = np.bincount(keys, minlength=size).reshape(-1, _CODES.size)
-    sums = (histogram @ _MOMENT_WEIGHTS[:, :2]).tolist()
-    present = histogram.any(axis=1).tolist()
-    return {name: tuple(s) for name, s, p in zip(sample.supplier_names, sums, present) if p}
+    sums = sample._supplier_moments[:, :2, sample._column(node_id)].tolist()
+    rows = sample._supplier_counts.tolist()
+    return {name: tuple(s) for name, s, n in zip(sample.supplier_names, sums, rows) if n}
 
 
 @dataclass(frozen=True)
@@ -883,12 +884,12 @@ class SampleCounts:
 
 def sample_counts(sample: SurveySample) -> SampleCounts:
     """Count ``sample``'s respondents and blank cells from its codes."""
-    per_supplier = np.bincount(sample.supplier_codes, minlength=len(sample.supplier_names))
+    per_supplier = zip(sample.supplier_names, sample._supplier_counts.tolist())
     per_role = np.bincount(sample.role_codes, minlength=len(ROLES))
     blank = np.concatenate([len(sample) - sample._moments[0], (sample.outcomes < 0).sum(axis=0)])
     columns = [*sample._position, *(kind.column for kind in _OUTCOMES)]
     return SampleCounts(
-        suppliers={s: n for s, n in zip(sample.supplier_names, per_supplier.tolist()) if n},
+        suppliers={s: n for s, n in per_supplier if n},
         roles=dict(zip(ROLES, per_role.tolist())),
         missing=dict(zip(columns, blank.tolist())),
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import tracemalloc
 import warnings
@@ -42,6 +43,7 @@ from cvmkit.survey import (
     split_by_supplier,
 )
 from cvmkit.tree import parse_tree_spec
+from test_survey import TINY_TREE, _csv_text, _three_hundred_suppliers
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -340,7 +342,10 @@ def test_value_points_equal_the_points_of_split_parts(sample):
     blank = dataclasses.replace(
         sample, ratings=np.where(rng.random(sample.ratings.shape) < 0.3, 0, sample.ratings)
     )
-    for part in (sample, blank, keep(sample, sample.supplier_codes > 0)):
+    _, rows = _three_hundred_suppliers()
+    three_hundred = ingest_responses(io.StringIO(_csv_text(rows)), TINY_TREE, "s150")
+    assert three_hundred.supplier_codes.dtype == np.uint16
+    for part in (sample, blank, keep(sample, sample.supplier_codes > 0), three_hundred):
         assert supplier_value_points(part) == _split_value_points(part)
     assert supplier_value_points(keep(sample, sample.supplier_codes == 0)) == []
 

@@ -143,6 +143,21 @@ def test_fit_prints_summary_and_writes_document(tmp_path):
     log = Path(str(out) + ".log")
     assert log.exists()
     assert "fit" in log.read_text()
+    # without a billing rating no respondent is a complete case of delivery_process
+    header, *rows = fixture_text("market_survey.csv").splitlines(keepends=True)
+    billing = header.split(",").index("billing")
+    for k, row in enumerate(rows):
+        cells = row.split(",")
+        cells[billing] = ""
+        rows[k] = ",".join(cells)
+    survey = tmp_path / "no_billing.csv"
+    survey.write_text(header + "".join(rows))
+    result = invoke("fit", "--tree", TREE, "--survey", str(survey), *OWN)
+    assert result.exit_code == 0
+    assert (
+        "delivery_process: not fitted (node 'delivery_process': 0 complete cases for 5 "
+        "children; need at least 7)\n"
+    ) in result.stdout
 
 
 def test_an_r_squared_on_a_tie_rounds_half_away_from_zero(hierarchy, halves):
@@ -566,6 +581,10 @@ def test_config_file_must_be_json(tmp_path):
     result = invoke("--config", str(config), "validate", "--tree", TREE)
     assert result.exit_code == 1
     assert "config is not valid JSON" in result.stderr
+    config.write_text(json.dumps([{"tree": TREE}]))
+    result = invoke("--config", str(config), "validate", "--tree", TREE)
+    assert result.exit_code == 1
+    assert result.stderr == "error: config must be a JSON object\n"
 
 
 def test_config_that_is_not_utf8_names_the_file(tmp_path):

@@ -56,6 +56,10 @@ def test_fit_linear_exact_on_noiseless_plane():
     assert fit.coefficients["b"] == pytest.approx(-0.25, abs=1e-10)
     assert fit.r_squared == pytest.approx(1.0)
     assert fit.residual_sd == pytest.approx(0.0, abs=1e-9)
+    # a constant y: the intercept alone fits it, and R^2 is 1 by convention
+    constant = fit_linear(np.full(50, 3.0), {"a": a, "b": b})
+    assert constant.r_squared == 1.0
+    assert constant.coefficients == {"a": 0.0, "b": 0.0}
 
 
 def test_fit_linear_agrees_with_normal_equations_oracle():
@@ -240,6 +244,9 @@ def test_path_slope_multiplies_down_the_tree(hierarchy):
         wwpf_quality * quality_delivery * delivery_billing
     )
     assert hierarchy.path_slope("worth_what_paid_for") == 1.0
+    with pytest.raises(UnfitNodeError) as err:
+        hierarchy.coefficient("worth_what_paid_for", "billing")
+    assert str(err.value) == "'billing' is not a regressor in the model for 'worth_what_paid_for'"
 
 
 def test_path_slope_unfit_raises():

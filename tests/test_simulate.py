@@ -275,6 +275,24 @@ def test_decreasing_loyalty_targets_are_rejected():
         calibrate_to_tables(broken)
 
 
+@pytest.mark.parametrize("targeted", ["cell", "r2"])
+def test_a_targeted_node_the_market_cannot_fit_names_itself(targeted):
+    # a huge halo makes every rating a copy of one draw, so delivery_process's
+    # regressors are collinear in the first round's market
+    targets = canonical_targets(datasets.automobile_tree())
+    targets.initial.halo_sd = 1e4
+    if targeted == "r2":  # only the R^2 target reaches the node
+        cells = tuple(c for c in targets.cells if c.parent != "delivery_process")
+        targets = dataclasses.replace(targets, cells=cells)
+    with pytest.raises(CalibrationError) as err:
+        calibrate_to_tables(targets, max_rounds=3)
+    assert str(err.value) == (
+        "round 0: cannot fit 'delivery_process': collinear regressors: ordering_process, "
+        "delivery_timing, repair_service, billing (each is linearly dependent on the columns "
+        "before it)"
+    )
+
+
 def _with_cell(targets, **changes):
     return tuple(
         dataclasses.replace(c, **changes) if c.child == "quality" else c for c in targets.cells
@@ -320,6 +338,16 @@ def test_recalibration_reproduces_the_bundled_truth():
     truth = calibrate_to_tables(canonical_targets(tree))
     shipped = json.loads(datasets.fixture_text("market_truth.json"))
     assert truth_records(truth) == shipped
+
+
+def test_rebuilding_every_fixture_and_golden_file_changes_no_byte():
+    # recalibrates seed 42 and rebuilds each file in a temporary directory
+    tool = Path(__file__).resolve().parents[1] / "tools" / "build_fixture.py"
+    result = subprocess.run(
+        [sys.executable, str(tool), "--check"], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.endswith("no file drifted\n")
 
 
 @pytest.mark.parametrize("seed", [13, 28])

@@ -144,16 +144,29 @@ def test_bad_role_rejected():
     assert "buyer" in str(err.value)
 
 
-def test_header_only_warns_and_yields_empty():
+def test_header_only_warns_and_yields_empty(tree):
     header = TINY_CSV.splitlines()[0] + "\n"
     with pytest.warns(UserWarning):
         sample = ingest_responses(io.StringIO(header), TINY_TREE, "us")
     assert len(sample) == 0
+    # a tree of 27 nodes has more moment bins than a uint8 holds, and no supplier
+    with pytest.warns(UserWarning):
+        empty = ingest_responses(io.StringIO(",".join(survey_columns(tree))), tree, "us")
+    assert empty.supplier_names == ()
+    with pytest.raises(NoRatingsError, match="'worth_what_paid_for'"):
+        node_means(empty)
 
 
 def test_missing_header_is_error():
     with pytest.raises(SurveyFormatError):
         ingest_responses(io.StringIO(""), TINY_TREE, "us")
+    with pytest.raises(SurveyFormatError) as err:
+        ingest_responses(io.StringIO("id,role,supplier,value\n"), TINY_TREE, "us")
+    assert err.value.row == 1
+    assert str(err.value) == (
+        "row 1: header must start with respondent_id, role, supplier; "
+        "got ['id', 'role', 'supplier']"
+    )
 
 
 # Pieces of survey rows, so generated inputs also reach the field checks.

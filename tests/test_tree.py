@@ -169,3 +169,40 @@ def test_bundled_tree_is_valid(tree):
     assert validate_tree(tree) == []
     assert len(tree.leaves()) == 20
     assert tree.root == "worth_what_paid_for"
+
+
+_TWO_LEAVES = "node: a | A | root | b c\nnode: b | B | attribute |\nnode: c | C | attribute |\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message, line",
+    [
+        ("tree: t\nroot: a\nnonsense\n" + _TWO_LEAVES,
+         "expected 'key: value', got 'nonsense'", 3),
+        ("tree: t\ntree: u\n", "duplicate 'tree:' directive", 2),
+        ("tree: t\nroot: a\nroot: b\n", "duplicate 'root:' directive", 3),
+        ("# comment\ntree:\n", "'tree:' requires a name", 2),
+        ("tree: t\nroot:  \n", "'root:' requires a node id", 2),
+        ("tree: t\nroot: a\nnode:  | A | root | b c\n", "node id is empty", 3),
+        ("tree: t\nleaf: a\n", "unknown directive 'leaf'", 2),
+        ("root: a\n" + _TWO_LEAVES, "missing 'tree:' directive", None),
+        ("tree: t\nroot: a\n", "document defines no nodes", None),
+        ("tree: t\nroot: z\n" + _TWO_LEAVES,
+         "invalid tree: missing-root: root pointer 'z' names no node", None),
+        (SMALL.replace("| root |", "| driver |"),
+         "invalid tree: root-kind: root node has kind 'driver', expected 'root'", None),
+        (SMALL.replace("| Quality | driver |", "| Quality | root |"),
+         "invalid tree: extra-root: 'quality' has kind 'root' but is not the root", None),
+        (SMALL.replace("fees rates", "fees rates fees"),
+         "invalid tree: repeated-child: 'price' lists a child twice; multiple-parents: 'fees' "
+         "has 2 parents; cycle: the children graph revisits a node", None),
+    ],
+    ids=["no-colon", "duplicate-tree", "duplicate-root", "tree-without-name",
+         "root-without-id", "empty-node-id", "unknown-directive", "missing-tree", "no-nodes",
+         "missing-root", "root-kind", "extra-root", "repeated-child"],
+)
+def test_each_tree_spec_diagnostic_names_its_line(doc, message, line):
+    with pytest.raises(TreeFormatError) as err:
+        parse_tree_spec(doc)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
