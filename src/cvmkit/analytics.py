@@ -397,13 +397,10 @@ def value_target_for_loyalty(curve: LoyaltyCurve, target: float) -> float | None
     if target > max(ys):
         return None
     for i in range(1, len(xs)):
-        if ys[i] >= target:
+        if ys[i] >= target:  # the first such i, so ys[i - 1] < target <= ys[i]
             lo_x, lo_y = xs[i - 1], ys[i - 1]
             hi_x, hi_y = xs[i], ys[i]
-            if hi_y == lo_y:
-                return hi_x
             return lo_x + (hi_x - lo_x) * (target - lo_y) / (hi_y - lo_y)
-    return None  # pragma: no cover - guarded by the max() check
 
 
 @dataclass(frozen=True)

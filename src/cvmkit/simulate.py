@@ -582,7 +582,10 @@ def _check_targets(targets: TableTargets) -> None:
 
 
 def _mean_targets(targets: TableTargets) -> dict[tuple[str, str], float]:
-    """(node, class) -> target mean, combined from cells, node rows and leaves."""
+    """(node, class) -> target mean, combined from cells, node rows and leaves.
+
+    The initial truth has a leaf-mean profile for both classes.
+    """
     truth = targets.initial
     own = truth.own_supplier
     out: dict[tuple[str, str], float] = {}
@@ -602,9 +605,8 @@ def _mean_targets(targets: TableTargets) -> dict[tuple[str, str], float]:
         put(node_target.node, own, node_target.own_mean)
         put(node_target.node, COMPETITOR_CLASS, node_target.competitor_mean)
     for cls in (own, COMPETITOR_CLASS):
-        means = truth.leaf_means.get(cls if cls in truth.leaf_means else COMPETITOR_CLASS, {})
         for leaf in truth.tree.leaves():
-            out.setdefault((leaf, cls), means[leaf])
+            out.setdefault((leaf, cls), truth.leaf_means[cls][leaf])
     return out
 
 
@@ -637,15 +639,15 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
     tree = truth.tree
     own_label = truth.own_supplier
     leaves = set(tree.leaves())
-    mean_targets = _mean_targets(targets)
-    coef_targets = {(c.parent, c.child): c.weight / 100.0 for c in targets.cells}
-    fitted = tuple(dict.fromkeys([*(parent for parent, _ in coef_targets), *targets.r_squared]))
-    anchors = targets.loyalty_points
-
     for cls in (own_label, COMPETITOR_CLASS):
         truth.class_shift.setdefault(cls, {})
         if cls not in truth.leaf_means:
             raise CvmError(f"initial truth lacks a {cls!r} leaf-mean profile")
+
+    mean_targets = _mean_targets(targets)
+    coef_targets = {(c.parent, c.child): c.weight / 100.0 for c in targets.cells}
+    fitted = tuple(dict.fromkeys([*(parent for parent, _ in coef_targets), *targets.r_squared]))
+    anchors = targets.loyalty_points
 
     worst: dict[str, float] = {}
     converged = False

@@ -37,28 +37,30 @@ number of bytes each taken on to the end of its last line; a text stream is
 read in pieces of as many characters, each encoded back to UTF-8 into one
 in-memory handle.  The line ends left in the handle, counted first, bound
 the rows, so each column is made once at that bound and filled in place,
-chunk after chunk, and the sample keeps views of the filled rows.  Every
-chunk's ids are UTF-8 bytes, whose equality is that of the strings; they
-are joined into the id column, and repeated ids are looked for in one sorted
-copy of it.  On a file the byte parser reads whole, only that copy grows
-with the file beyond the columns.
-While the file is plain (ASCII, no quote, no CR but in CRLF, which reads as
-LF), a chunk of whole lines without a NUL byte in which every line has the
-header's comma count, every label is non-empty and unpadded, every role is in
-:data:`ROLES` and every value cell is canonical (blank or ``1``-``10``, and
-``0`` for outcomes) is parsed straight from its bytes, in work arrays made
-once per ingest that grow only for a chunk larger than any before: delimiters
-found with one array scan, each value cell decoded from its first two bytes,
-labels gathered as fixed-width bytes.  Any other chunk goes through the row
-loop, which strips cells, parses ASCII integers (digits after an optional
-sign) and raises the first row-numbered diagnostic; from the first chunk that
-is not plain, ``csv.reader`` reads the rest of the file for it, with each byte
-that is not UTF-8 read as one character U+DC80-U+DCFF (``surrogateescape``),
-which the row loop names as its row's first fault, as it does a NUL byte
-(which fixed-width ids and labels would drop).  The row loop accepts and
-rejects exactly what a row loop over the whole file would, so the byte parser
-is only a shortcut.  Repeated ids are looked for once, over the whole sample,
-unless a row loop needs the earlier ids first.
+and the sample keeps views of the filled rows.  Every id is held as its
+UTF-8 bytes, whose equality is that of the strings; repeated ids are looked
+for in one sorted copy of the id column.
+
+Two readers write into the columns.  While the file is plain (ASCII, no
+quote, no CR but in CRLF, which reads as LF), the byte parser reads a chunk
+of whole lines without a NUL byte in which every line has the header's comma
+count, every label is non-empty and unpadded, every role is in :data:`ROLES`
+and every value cell is canonical (blank or ``1``-``10``, and ``0`` for
+outcomes) straight from its bytes, in work arrays made once per ingest that
+grow only for a chunk larger than any before: delimiters found with one
+array scan, each value cell decoded from its first two bytes, labels
+gathered as fixed-width bytes.  The row loop reads every other record, one
+at a time, into the next row of the columns: the lines of a plain chunk the
+byte parser declines, split at commas (``_split_lines``), and from the first
+chunk that is not plain the records of one ``csv.reader`` over the rest of
+the file, which reads each byte that is not UTF-8 as one character
+U+DC80-U+DCFF (``surrogateescape``).  It strips cells, parses ASCII integers
+(digits after an optional sign) and raises the first row-numbered
+diagnostic; a NUL byte (which fixed-width ids and labels would drop) or a
+byte that is not UTF-8 is its row's first fault.  The row loop accepts and
+rejects exactly what it would over the whole file, so the byte parser is only
+a shortcut.  Repeated ids are looked for once, over the whole sample, unless
+the row loop needs the earlier ids first.
 
 Every node mean and half-width is read from one table per sample, kept on it:
 each supplier's exact count n, sum and sum of squares of each column, from one
@@ -306,8 +308,6 @@ def ingest_responses(
 #: benchmark panel 256 KiB ingested fastest of 64 KiB-1 MiB, with 7,800 minor
 #: page faults against 65,900 for fresh int64 index arrays per 1 MiB chunk.
 _CHUNK_BYTES = 1 << 18
-#: Rows read at a time once ``csv.reader`` reads the file.
-_CHUNK_ROWS = 8192
 
 
 @dataclass
@@ -321,92 +321,98 @@ class _Layout:
     outcome_cols: dict[int, tuple[int, str]] = field(default_factory=dict)
 
 
+def _layout(header: list[str] | None, tree: ValueTree) -> _Layout:
+    """Check the header row (None: the file has none) against ``tree``, and lay out its columns."""
+    if header is None:
+        raise SurveyFormatError("empty file: no header row")
+    _refuse_bad_bytes(header, 1)
+    header = [h.strip() for h in header]
+    fixed = ["respondent_id", "role", "supplier"]
+    if header[: len(fixed)] != fixed:
+        raise SurveyFormatError(
+            f"header must start with {', '.join(fixed)}; got {header[:3]}", row=1
+        )
+    outcome_by_column = {kind.column: k for k, kind in enumerate(_OUTCOMES)}
+    position = _positions(tree)
+    layout = _Layout(len(header), len(position))
+    seen: set[str] = set()
+    for idx, name in enumerate(header[len(fixed) :], start=len(fixed)):
+        if name in seen:
+            raise SurveyFormatError(f"duplicate column {name!r}", row=1)
+        seen.add(name)
+        if name in outcome_by_column:
+            layout.outcome_cols[idx] = (outcome_by_column[name], name)
+        elif name in position:
+            layout.node_cols[idx] = (position[name], f"rating for {name!r}")
+        else:
+            raise SurveyFormatError(
+                f"unknown column {name!r}: not a node of tree {tree.name!r} "
+                "and not an outcome column",
+                row=1,
+            )
+    return layout
+
+
 def _ingest(handle: IO[bytes], tree: ValueTree, own_supplier: str) -> SurveySample:
     if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         handle.seek(0)
     capacity = _line_ends(handle)  # no more respondent rows than this
     records = _records(handle)
-    row_number = 1  # of the record being read, which a csv.Error names
-    try:
-        first = next(records, [])
-        if isinstance(first, bytes):
-            line, _, first = first.partition(b"\n")
-            header = _split_lines(line.decode("ascii") + "\n")[0]
-        elif first:
-            header, first = first[0], first[1:]
-        else:
-            raise SurveyFormatError("empty file: no header row")
-        _refuse_bad_bytes(header, 1)
-        header = [h.strip() for h in header]
+    first = header = next(records, None)
+    if isinstance(first, bytes):
+        line, _, first = first.partition(b"\n")
+        header = _split_lines(line.decode("ascii") + "\n")[0]
+    elif first is not None:
+        try:
+            header = next(first, None)
+        except csv.Error as exc:
+            raise SurveyFormatError(f"malformed CSV: {exc}", 1) from None
+    layout = _layout(header, tree)
 
-        fixed = ["respondent_id", "role", "supplier"]
-        if header[: len(fixed)] != fixed:
-            raise SurveyFormatError(
-                f"header must start with {', '.join(fixed)}; got {header[:3]}", row=1
-            )
-        outcome_by_column = {kind.column: k for k, kind in enumerate(_OUTCOMES)}
-        position = _positions(tree)
-        layout = _Layout(len(header), len(position))
-        seen: set[str] = set()
-        for idx, name in enumerate(header[len(fixed) :], start=len(fixed)):
-            if name in seen:
-                raise SurveyFormatError(f"duplicate column {name!r}", row=1)
-            seen.add(name)
-            if name in outcome_by_column:
-                layout.outcome_cols[idx] = (outcome_by_column[name], name)
-            elif name in position:
-                layout.node_cols[idx] = (position[name], f"rating for {name!r}")
-            else:
-                raise SurveyFormatError(
-                    f"unknown column {name!r}: not a node of tree {tree.name!r} "
-                    "and not an outcome column",
-                    row=1,
-                )
-
-        # Each chunk's rows go straight into the next rows of the columns,
-        # made once at the bound; cells of columns the header omits keep
-        # their missing codes.  A chunk of bytes is parsed straight from them
-        # (_parse_bytes); any other chunk goes through the row loop
-        # (_row_chunk), which accepts and diagnoses exactly as a whole-file
-        # row loop would: it gets absolute row numbers, and ``first_row``
-        # gets the id of every row before it.  Every id is held as its UTF-8
-        # bytes; those of byte chunks wait in ``unnoted`` until a row loop
-        # needs them, or a repeat in the whole sample is to be named.
-        # Suppliers are coded in order of first appearance
-        # (``supplier_code``); the canonical table comes last.
-        columns = (
-            np.empty(capacity, dtype=np.int8),
-            np.empty(capacity, dtype=np.min_scalar_type(capacity)),
-            np.zeros((capacity, layout.n_nodes), dtype=np.int8),
-            np.full((capacity, len(_OUTCOMES)), -1, dtype=np.int8),
-        )
-        ids: list[np.ndarray] = []  # each chunk's ids
+    # Each piece's rows go straight into the next rows of the columns, made
+    # once at the bound; cells of columns the header omits keep their
+    # missing codes.  A chunk of bytes is parsed straight from them
+    # (_parse_bytes); the rows of any other piece go through the row loop
+    # (_row_chunk), which accepts and diagnoses exactly as a whole-file row
+    # loop would: it gets absolute row numbers, and ``first_row`` gets the
+    # id of every row before it.  Every id is held as its UTF-8 bytes; those
+    # of byte chunks wait in ``unnoted`` until a row loop needs them, or a
+    # repeat in the whole sample is to be named.  Suppliers are coded in
+    # order of first appearance (``supplier_code``); the canonical table
+    # comes last.
+    columns = (
+        np.empty(capacity, dtype=np.int8),
+        np.empty(capacity, dtype=np.min_scalar_type(capacity)),
+        np.zeros((capacity, layout.n_nodes), dtype=np.int8),
+        np.full((capacity, len(_OUTCOMES)), -1, dtype=np.int8),
+    )
+    ids: list[np.ndarray] = []  # each piece's ids
+    chunk_ids = None
+    filled = 0
+    first_row: dict[bytes, int] = {}
+    unnoted: list[tuple[np.ndarray, int]] = []
+    supplier_code: dict[str, int] = {}
+    row_number = 2
+    scratch: dict[str, np.ndarray] = {}  # the byte parser's work arrays
+    for piece in itertools.chain([first], records):
+        if not piece:
+            continue
+        rest = [column[filled:] for column in columns]
         chunk_ids = None
-        filled = 0
-        first_row: dict[bytes, int] = {}
-        unnoted: list[tuple[np.ndarray, int]] = []
-        supplier_code: dict[str, int] = {}
-        row_number = 2
-        scratch: dict[str, np.ndarray] = {}  # the byte parser's work arrays
-        for piece in itertools.chain([first], records):
-            if not piece:
-                continue
-            rest = [column[filled:] for column in columns]
-            chunk_ids = None
-            if isinstance(piece, bytes):
-                chunk_ids = _parse_bytes(piece, layout, supplier_code, scratch, rest)
-                if chunk_ids is None:
-                    piece = _split_lines(piece.decode("ascii"))
-                else:
-                    unnoted.append((chunk_ids, row_number))
+        if isinstance(piece, bytes):
+            chunk_ids = _parse_bytes(piece, layout, supplier_code, scratch, rest)
             if chunk_ids is None:
-                _note_ids(first_row, unnoted)
-                chunk_ids = _row_chunk(piece, row_number, layout, first_row, supplier_code, rest)
-            ids.append(chunk_ids)
-            filled += len(chunk_ids)
-            row_number += len(chunk_ids) if isinstance(piece, bytes) else len(piece)
-    except csv.Error as exc:
-        raise SurveyFormatError(f"malformed CSV: {exc}", row_number) from None
+                piece = _split_lines(piece.decode("ascii"))
+            else:
+                unnoted.append((chunk_ids, row_number))
+                row_number += len(chunk_ids)
+        if chunk_ids is None:
+            _note_ids(first_row, unnoted)
+            chunk_ids, row_number = _row_chunk(
+                piece, row_number, layout, first_row, supplier_code, rest
+            )
+        ids.append(chunk_ids)
+        filled += len(chunk_ids)
 
     del scratch
     # Two ids are equal exactly when their UTF-8 bytes are, and no id holds
@@ -477,13 +483,15 @@ def _line_ends(handle: IO[bytes]) -> int:
     return count
 
 
-def _records(handle: IO[bytes]) -> Iterator[bytes | list[list[str]]]:
-    """The records of ``handle`` from its position on, in chunks of whole lines.
+def _records(handle: IO[bytes]) -> Iterator[bytes | Iterator[list[str]]]:
+    """The records of ``handle`` from its position on: chunks of whole lines, then one reader.
 
     While the file is plain (ASCII, no quote, no CR but in CRLF, which reads
     as LF), a chunk comes as its bytes, and each line is a record whose
     fields are split at every comma.  From the first chunk that is not
-    plain, ``csv.reader`` reads the rest of the file in lists of rows.
+    plain, one ``csv.reader`` reads the rest of the file, with each byte that
+    is not UTF-8 read as one character U+DC80-U+DCFF (``surrogateescape``),
+    which the row loop names.
     """
     while True:
         start = handle.tell()
@@ -491,34 +499,13 @@ def _records(handle: IO[bytes]) -> Iterator[bytes | list[list[str]]]:
         if b"\r" in chunk:
             chunk = chunk.replace(b"\r\n", b"\n")
         if b'"' in chunk or b"\r" in chunk or not chunk.isascii():
-            handle.seek(start)
-            yield from _csv_records(handle)
-            return
+            break
         if not chunk:
             return
         yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
-
-
-def _csv_records(handle: IO[bytes]) -> Iterator[list[list[str]]]:
-    """Rows of ``csv.reader`` over the rest of ``handle``, in lists.
-
-    Each byte that is not UTF-8 becomes one character U+DC80-U+DCFF
-    (``surrogateescape``), which the row loop names.  A malformed record
-    raises ``csv.Error`` after the rows before it come.
-    """
-    reader = csv.reader(io.TextIOWrapper(handle, "utf-8", "surrogateescape", newline=""))
-    while True:
-        rows: list[list[str]] = []
-        try:
-            for record in itertools.islice(reader, _CHUNK_ROWS):
-                rows.append(record)
-        except csv.Error:
-            if rows:
-                yield rows
-            raise
-        if not rows:
-            return
-        yield rows
+    del chunk  # not held while csv.reader reads
+    handle.seek(start)
+    yield csv.reader(io.TextIOWrapper(handle, "utf-8", "surrogateescape", newline=""))
 
 
 def _split_lines(text: str) -> list[list[str]]:
@@ -644,58 +631,54 @@ def _refuse_bad_bytes(cells: list[str], row: int) -> None:
 
 
 def _row_chunk(
-    chunk: list[list[str]], start: int, layout: _Layout, first_row: dict[bytes, int],
+    rows: Iterable[list[str]], start: int, layout: _Layout, first_row: dict[bytes, int],
     supplier_code: dict[str, int], out: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Check and convert a chunk row by row into the front of ``out``, as :func:`_parse_bytes`.
+) -> tuple[np.ndarray, int]:
+    """Check and convert ``rows`` one at a time into the front of ``out``, as :func:`_parse_bytes`.
 
-    Blank rows are skipped; the first bad row raises, naming itself.  Returns
-    the ids of the rows written, as UTF-8 bytes.
+    ``start`` is the file row of the first record.  Blank rows are skipped;
+    the first bad row raises, naming itself, and so does a record
+    ``csv.reader`` cannot read.  Returns the ids of the rows written, as
+    UTF-8 bytes, and the file row of the next record.
     """
-    labels: list[tuple[bytes, int, int]] = []
-    rating_rows: list[list[int]] = []
-    outcome_rows: list[list[int]] = []
-    for row_number, row in enumerate(chunk, start=start):
-        _refuse_bad_bytes(row, row_number)
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != layout.width:
-            raise SurveyFormatError(
-                f"expected {layout.width} fields, got {len(row)}", row_number
-            )
-        respondent_id = row[0].strip()
-        role = row[1].strip()
-        supplier = row[2].strip()
-        if not respondent_id:
-            raise SurveyFormatError("empty respondent_id", row_number)
-        respondent_id = respondent_id.encode()  # no surrogate is left: see _refuse_bad_bytes
-        _note_id(first_row, respondent_id, row_number)
-        if role not in ROLES:
-            raise SurveyFormatError(
-                f"unknown role {role!r} (expected one of {', '.join(ROLES)})", row_number
-            )
-        if not supplier:
-            raise SurveyFormatError("empty supplier", row_number)
-        ratings = [0] * layout.n_nodes
-        for idx, (j, what) in layout.node_cols.items():
-            token = row[idx].strip()
-            if token:
-                ratings[j] = _parse_int(token, RATING_MIN, RATING_MAX, what, row_number)
-        outcomes = [-1] * len(_OUTCOMES)
-        for idx, (k, what) in layout.outcome_cols.items():
-            token = row[idx].strip()
-            if token:
-                outcomes[k] = _parse_int(token, OUTCOME_MIN, OUTCOME_MAX, what, row_number)
-        code = supplier_code.setdefault(supplier, len(supplier_code))
-        labels.append((respondent_id, ROLES.index(role), code))
-        rating_rows.append(ratings)
-        outcome_rows.append(outcomes)
-    if not labels:
-        return np.array([], dtype=bytes)
-    ids, roles, suppliers = zip(*labels)
-    for column, values in zip(out, (roles, suppliers, rating_rows, outcome_rows)):
-        column[: len(labels)] = values
-    return np.array(ids, dtype=bytes)
+    role_codes, supplier_codes, ratings, outcomes = out
+    cells = ((ratings, layout.node_cols, RATING_MIN, RATING_MAX),
+             (outcomes, layout.outcome_cols, OUTCOME_MIN, OUTCOME_MAX))
+    ids: list[bytes] = []
+    row_number = start - 1  # of the last record read
+    try:
+        for row_number, row in enumerate(rows, start):
+            _refuse_bad_bytes(row, row_number)
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != layout.width:
+                raise SurveyFormatError(
+                    f"expected {layout.width} fields, got {len(row)}", row_number
+                )
+            respondent_id = row[0].strip()
+            role = row[1].strip()
+            supplier = row[2].strip()
+            if not respondent_id:
+                raise SurveyFormatError("empty respondent_id", row_number)
+            respondent_id = respondent_id.encode()  # no surrogate is left: see _refuse_bad_bytes
+            _note_id(first_row, respondent_id, row_number)
+            if role not in ROLES:
+                raise SurveyFormatError(
+                    f"unknown role {role!r} (expected one of {', '.join(ROLES)})", row_number
+                )
+            if not supplier:
+                raise SurveyFormatError("empty supplier", row_number)
+            k = len(ids)
+            for matrix, columns, lo, hi in cells:
+                for idx, (j, what) in columns.items():
+                    if token := row[idx].strip():
+                        matrix[k, j] = _parse_int(token, lo, hi, what, row_number)
+            role_codes[k] = ROLES.index(role)
+            supplier_codes[k] = supplier_code.setdefault(supplier, len(supplier_code))
+            ids.append(respondent_id)
+    except csv.Error as exc:
+        raise SurveyFormatError(f"malformed CSV: {exc}", row_number + 1) from None
+    return np.array(ids, dtype=bytes), row_number + 1
 
 
 # Cell text of each stored code: a rating code v is _RATING_TEXT[v] and an

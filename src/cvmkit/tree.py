@@ -269,7 +269,7 @@ def validate_tree(tree: ValueTree) -> list[Violation]:
 
     parent_count: dict[str, int] = {}
     for key, node in tree.nodes.items():
-        for child in node.children:
+        for child in dict.fromkeys(node.children):  # a repeat is one parent, reported below
             if child not in tree.nodes:
                 out.append(
                     Violation("dangling-child", key, f"{key!r} lists unknown child {child!r}")
@@ -285,22 +285,26 @@ def validate_tree(tree: ValueTree) -> list[Violation]:
     if tree.root in parent_count:
         out.append(Violation("root-has-parent", tree.root, "the root is listed as a child"))
 
-    # Reachability; the cycle check rides on it (a cycle not involving the
-    # root shows up as unreachable nodes, one involving it as a re-visit).
+    # Peel off every node whose parents are all peeled: what is left lies on
+    # a cycle or below one.  A shared child is peeled with its last parent.
+    unpeeled = dict(parent_count)
+    ready = [key for key in tree.nodes if key not in parent_count]
+    while ready:
+        for child in set(tree.nodes[ready.pop()].children) & unpeeled.keys():
+            unpeeled[child] -= 1
+            if not unpeeled[child]:
+                ready.append(child)
+    if any(unpeeled.values()):
+        out.append(Violation("cycle", None, "the children graph revisits a node"))
+
     reachable: set[str] = set()
     stack = [tree.root]
-    cycle = False
     while stack:
         node_id = stack.pop()
-        if node_id in reachable:
-            cycle = True
-            continue
-        if node_id not in tree.nodes:
+        if node_id in reachable or node_id not in tree.nodes:
             continue
         reachable.add(node_id)
         stack.extend(tree.nodes[node_id].children)
-    if cycle:
-        out.append(Violation("cycle", None, "the children graph revisits a node"))
     for key in tree.nodes:
         if key not in reachable:
             out.append(Violation("unreachable", key, f"{key!r} is not reachable from the root"))

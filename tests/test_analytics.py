@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cvmkit import survey
 from cvmkit.analytics import (
+    DEFAULT_CATEGORIES,
     LoyaltyCurve,
     MissingModelError,
     competitive_report,
@@ -535,3 +536,18 @@ def test_top_box_rate_validation():
         top_box_rate(["good"], ["poor", "excellent"])  # not the top of the scale
     with pytest.raises(ValueError):
         top_box_rate(["terrific"], ["excellent"])
+
+
+@pytest.mark.parametrize(
+    "box, categories, message",
+    [
+        (["excellent"], ("poor", "good", "good", "excellent"), "categories contains duplicates"),
+        ([], DEFAULT_CATEGORIES, "box is empty"),
+        (["excellent", "excellent"], DEFAULT_CATEGORIES, "box contains duplicates"),
+    ],
+    ids=["duplicate-category", "empty-box", "duplicate-box"],
+)
+def test_each_malformed_top_box_names_its_fault(box, categories, message):
+    with pytest.raises(ValueError) as err:
+        top_box_rate(["good"], box, categories)
+    assert str(err.value) == message

@@ -33,6 +33,15 @@ def test_a_library_writer_names_a_path_it_cannot_write_and_leaves_no_temp_file(
     assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
 
 
+def test_write_atomic_passes_on_another_error_and_leaves_no_temp_file(tmp_path):
+    with pytest.raises(UnicodeEncodeError) as raised:
+        write_atomic(tmp_path / "out.txt", "\ud800")  # a lone surrogate has no UTF-8 form
+    assert str(raised.value) == (
+        "'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed"
+    )
+    assert os.listdir(tmp_path) == []
+
+
 def test_write_atomic_gives_the_mode_open_gives_and_leaves_the_umask_alone(tmp_path, monkeypatch):
     (tmp_path / "plain.txt").write_text("x")
 

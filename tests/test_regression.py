@@ -109,6 +109,13 @@ def test_constant_column_collides_with_intercept():
     assert "const" in str(err.value)
 
 
+def test_a_two_dimensional_y_is_refused():
+    with pytest.raises(ValueError) as err:
+        fit_linear(np.ones((4, 2)), {"a": np.arange(4.0)})
+    assert str(err.value) == "y must be one-dimensional"
+
+
+
 def test_nan_in_a_column_is_refused_by_name():
     a = np.arange(1.0, 21.0)
     b = a[::-1].copy()

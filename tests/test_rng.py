@@ -94,6 +94,13 @@ def test_negative_count_rejected():
         RandomStream(1).uniforms(-1)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError) as err:
+        RandomStream(-1)
+    assert str(err.value) == "seed must be a non-negative integer"
+
+
+
 def test_normals_cover_tails():
     z = RandomStream(7).normals(100_000)
     # ~31 expected beyond 3 sigma per side; just require both tails occupied

@@ -333,6 +333,55 @@ def test_a_target_off_its_scale_is_rejected(edit, message):
     assert message in str(err.value)
 
 
+def _initial(targets, **changes):
+    return dataclasses.replace(targets.initial, **changes)
+
+
+def _calibrate(targets, **changes):
+    return calibrate_to_tables(dataclasses.replace(targets, **changes), max_rounds=2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda t: _initial(t, leaf_means={}).validate(), CvmError, "leaf_means is empty"),
+        (lambda t: _initial(t, class_shift={"our_co": {"billing": 0.1}}).validate(), CvmError,
+         "class_shift['our_co'] names non-internal nodes ['billing']"),
+        (lambda t: _initial(t, willingness_link={**t.initial.willingness_link, 10: 1.5}).validate(),
+         CvmError, "willingness_link[10]=1.5 outside [0, 1]"),
+        (lambda t: _initial(t, leaf_means={"our_co": t.initial.leaf_means["our_co"]}).validate(),
+         CvmError,
+         "supplier 'comp_a' has no own leaf-mean profile and no 'competitors' profile exists"),
+        (lambda t: _calibrate(t, nodes=(dataclasses.replace(t.nodes[0], relative=98),)),
+         InconsistentTargetsError,
+         "node 'worth_what_paid_for': means imply relative 97, target says 98"),
+        (lambda t: _calibrate(t, loyalty_points=((7.0, 1.0),)), InconsistentTargetsError,
+         "loyalty proportion 1.0 outside (0, 1)"),
+        (lambda t: _calibrate(t, nodes=(*t.nodes, NodeTarget("quality", 7.9, 7.7))),
+         InconsistentTargetsError,
+         "node 'quality' has conflicting our_co mean targets 7.4 and 7.9"),
+        (lambda t: _calibrate(t, initial=_initial(
+            t, leaf_means={"competitors": t.initial.leaf_means["competitors"]})),
+         CvmError, "initial truth lacks a 'our_co' leaf-mean profile"),
+        (lambda t: _calibrate(t, initial=_initial(
+            t, leaf_means={"our_co": t.initial.leaf_means["our_co"]},
+            n_per_supplier={"our_co": 1000, "comp_a": 0, "comp_b": 0})),
+         CvmError, "initial truth lacks a 'competitors' leaf-mean profile"),
+        (lambda t: canonical_targets(TREE), CvmError,
+         "tree leaves do not match the canonical fixture (class 'our_co')"),
+    ],
+    ids=["no-leaf-means", "shift-on-a-leaf", "link-above-1", "competitor-without-profile",
+         "node-relative", "loyalty-proportion-1", "conflicting-means", "no-own-profile",
+         "no-competitor-profile", "foreign-tree"],
+)
+def test_each_refused_truth_or_target_names_its_fault(call, error, message):
+    with pytest.raises(error) as err:
+        call(canonical_targets(datasets.automobile_tree()))
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+
 def test_recalibration_reproduces_the_bundled_truth():
     tree = datasets.automobile_tree()
     truth = calibrate_to_tables(canonical_targets(tree))

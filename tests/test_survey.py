@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import itertools
@@ -473,18 +474,22 @@ def _ingest_each_source(text, path):
     return _ingest_or_diagnostic(io.StringIO(text)), _ingest_or_diagnostic(path)
 
 
+def _one_reader(handle):
+    """Records as ``survey._records`` gives them from a first chunk that is not plain."""
+    yield csv.reader(io.TextIOWrapper(handle, "utf-8", "surrogateescape", newline=""))
+
+
 def _both_paths(text):
-    """Ingest ``text`` in chunks of 40 bytes (3 rows once csv.reader reads),
-    then again with csv.reader reading every record and the byte parser
-    declining every chunk, so that only the row loop converts them."""
+    """Ingest ``text`` in chunks of 40 bytes, then again with csv.reader
+    reading every record and the byte parser declining every chunk, so that
+    only the row loop converts them."""
     with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(survey, "_CHUNK_BYTES", 40), \
-            mock.patch.object(survey, "_CHUNK_ROWS", 3):
+            mock.patch.object(survey, "_CHUNK_BYTES", 40):
         warnings.simplefilter("ignore")  # a file without respondent rows warns
         path = Path(tmp) / "survey.csv"
         chunked = _ingest_each_source(text, path)
         with mock.patch.object(survey, "_parse_bytes", lambda *args: None), \
-                mock.patch.object(survey, "_records", survey._csv_records):
+                mock.patch.object(survey, "_records", _one_reader):
             return chunked, _ingest_each_source(text, path)
 
 
@@ -675,6 +680,28 @@ def test_ingest_peak_memory_stays_under_twice_the_columns(tmp_path, sample, tree
             assert peak - held < bound * sum(column.nbytes for column in columns)
 
 
+def test_a_quoted_survey_peaks_under_five_times_the_columns(tmp_path, sample, tree):
+    """From a quoted first record on, csv.reader hands the row loop one
+    record at a time, which it writes straight into the columns.  Beside
+    them ingest holds each id as bytes, as the key that names its first row,
+    and in the fixed-width id column and its sorted copy: near four times
+    the columns' bytes at 4,000 rows."""
+    header, *body = survey_text(sample).splitlines(keepends=True)
+    rows = [f'"r{k:06d}"{line[line.index(","):]}' for k, line in enumerate(body * 2)]
+    path = tmp_path / "quoted.csv"
+    path.write_text(header + "".join(rows))
+    tracemalloc.start()
+    try:
+        ingested = ingest_responses(path, tree, "our_co")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = (ingested.ids, ingested.role_codes, ingested.supplier_codes,
+               ingested.ratings, ingested.outcomes)
+    assert len(ingested) == 4_000 and ingested.ids[0] == b"r000000"
+    assert peak < 5 * sum(column.nbytes for column in columns)
+
+
 def _three_hundred_suppliers():
     """(supplier names, rows): more suppliers than an int8 code can tell apart."""
     names = [f"s{k:03d}" for k in range(300)]
@@ -847,6 +874,14 @@ def test_a_quoted_newline_shifts_no_diagnostic_off_its_record(tmp_path, fault):
     assert err.value.row == 5
     if fault == b"caf\xff":
         assert str(err.value) == "row 5: byte 0xff is not valid UTF-8"
+
+
+def test_a_header_record_csv_reader_cannot_read_is_named_at_row_1(tmp_path):
+    path = tmp_path / "survey.csv"
+    path.write_text('"' + "x" * 200_000 + '"\n')
+    with pytest.raises(SurveyFormatError) as err:
+        ingest_responses(path, TINY_TREE, "us")
+    assert str(err.value) == "row 1: malformed CSV: field larger than field limit (131072)"
 
 
 def test_a_malformed_record_past_the_first_chunk_is_named_by_its_record_number(tmp_path):

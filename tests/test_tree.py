@@ -155,6 +155,32 @@ def test_validate_tree_reports_unreachable():
     assert any(v.rule == "unreachable" and v.node == "z" for v in violations)
 
 
+_OFF_THE_TREE = ValueTree(name="t", root="a", nodes={
+    "a": TreeNode("a", "A", "root", ("b", "c")),
+    "b": TreeNode("b", "B", "attribute", ()),
+    "c": TreeNode("c", "C", "attribute", ()),
+    "z": TreeNode("z", "Z", "attribute", ()),
+    "x": TreeNode("x", "X", "driver", ("y",)),
+    "y": TreeNode("y", "Y", "driver", ("x",)),
+})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tree: tree.node("ghost"), "unknown node id: 'ghost'"),
+        (lambda tree: path_to_root(tree, "z"), "node 'z' is not connected to the root 'a'"),
+        (lambda tree: path_to_root(tree, "x"), "cycle encountered walking up from 'x'"),
+    ],
+    ids=["unknown-id", "disconnected", "cycle"],
+)
+def test_each_walk_off_the_tree_is_refused(call, message):
+    with pytest.raises(UnknownNodeError) as err:
+        call(_OFF_THE_TREE)
+    assert str(err.value) == message
+
+
+
 def test_attribute_with_children_is_violation():
     nodes = {
         "a": TreeNode("a", "A", "root", ("b", "c")),
@@ -194,12 +220,13 @@ _TWO_LEAVES = "node: a | A | root | b c\nnode: b | B | attribute |\nnode: c | C 
         (SMALL.replace("| Quality | driver |", "| Quality | root |"),
          "invalid tree: extra-root: 'quality' has kind 'root' but is not the root", None),
         (SMALL.replace("fees rates", "fees rates fees"),
-         "invalid tree: repeated-child: 'price' lists a child twice; multiple-parents: 'fees' "
-         "has 2 parents; cycle: the children graph revisits a node", None),
+         "invalid tree: repeated-child: 'price' lists a child twice", None),
+        (SMALL.replace("fees rates", "fees rates speed"),
+         "invalid tree: multiple-parents: 'speed' has 2 parents", None),
     ],
     ids=["no-colon", "duplicate-tree", "duplicate-root", "tree-without-name",
          "root-without-id", "empty-node-id", "unknown-directive", "missing-tree", "no-nodes",
-         "missing-root", "root-kind", "extra-root", "repeated-child"],
+         "missing-root", "root-kind", "extra-root", "repeated-child", "shared-child"],
 )
 def test_each_tree_spec_diagnostic_names_its_line(doc, message, line):
     with pytest.raises(TreeFormatError) as err:
