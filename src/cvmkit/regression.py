@@ -32,10 +32,7 @@ rating per point of child rating".  Negative slopes are kept, flagged, and
 left for the analyst to judge.
 
 Missing data policy is listwise deletion per node model: a respondent enters
-the model for node P only when they rated P and every child of P.  When no
-rating is blank every node keeps every row, so :func:`fit_hierarchy` takes
-one exact Gram matrix of ``[1, ratings]`` and solves each node from its
-block; the integers, hence the fits, are those of the per-node path.
+the model for node P only when they rated P and every child of P.
 """
 
 from __future__ import annotations
@@ -196,20 +193,13 @@ def _solve(data: np.ndarray, names: Sequence[str]) -> LinearFit:
     columns and at least that many rows.
     """
     gram, shifts = _exact_gram(data)
-    return _solve_gram(gram, shifts, data.shape[0], names)
-
-
-def _solve_gram(
-    gram: list[list[int]], shifts: Sequence[int], n: int, names: Sequence[str]
-) -> LinearFit:
-    """The exact fit whose rescaled Gram matrix of ``[1, columns..., y]`` is ``gram``."""
-    k = len(names)
+    n = data.shape[0]
     labels = ["intercept", *names]
     numerators, determinant = _solve_normal_equations(gram, labels)
 
     # data[:, j] == z_j * 2**shifts[j] with integer z_j, so the solution g of
     # the integer system gives beta_j = g_j * 2**(shift_y - shift_j).
-    p = k + 1
+    p = len(labels)
     y_shift = shifts[p]
     beta = [_ratio(numerators[j], determinant, y_shift - shifts[j]) for j in range(p)]
     # SSE = y'y - b'X'y over `determinant` and SST = y'y - (sum y)**2/n over
@@ -337,23 +327,15 @@ def fit_node_model(sample: SurveySample, tree: ValueTree, node_id: str) -> NodeM
     if not children:
         raise ValueError(f"{node_id!r} is a leaf; only internal nodes have driver models")
     data = complete_cases(sample, node_id, children)
-    _check_cases(node_id, children, data.shape[0])
-    # Stored ratings are integers 1-10, so fit_linear's NaN and shape checks
-    # cannot fail; _solve reads the int8 design matrix as it is.
-    return _node_model(node_id, _solve(data, children))
-
-
-def _check_cases(node_id: str, children: Sequence[str], n: int) -> None:
+    n = data.shape[0]
     if n < len(children) + 2:
         raise InsufficientDataError(
             f"node {node_id!r}: {n} complete cases for "
             f"{len(children)} children; need at least {len(children) + 2}"
         )
-
-
-def _node_model(node_id: str, fit: LinearFit) -> NodeModel:
-    """``fit`` with its displayed impact weights and negative-slope flags."""
-    children = list(fit.coefficients)
+    # Stored ratings are integers 1-10, so fit_linear's NaN and shape checks
+    # cannot fail; _solve reads the int8 design matrix as it is.
+    fit = _solve(data, children)
     weights = {c: round_half_away(100.0 * fit.coefficients[c]) for c in children}
     flags = tuple(
         f"negative coefficient for {c} ({fit.coefficients[c]:.3f})"
@@ -368,31 +350,12 @@ def fit_hierarchy(sample: SurveySample, tree: ValueTree) -> FittedHierarchy:
 
     Node models are independent of each other (each is a plain least-squares
     fit on its own complete cases), so fitting order cannot change any result.
-    When no rating is blank, every node keeps every row, so one exact Gram
-    matrix of ``[1, ratings]`` holds every node's Gram matrix as a block and
-    each model is solved from its block; a blank cell sends each node through
-    :func:`fit_node_model`.  Both give the same integers, hence the same fits.
     """
     models: dict[str, NodeModel] = {}
     unfit: dict[str, str] = {}
-    n = len(sample)
-    shared = None
-    if n and sample.ratings.all():
-        design = np.empty((n, sample.ratings.shape[1] + 1), dtype=np.int8)
-        design[:, 0] = 1
-        design[:, 1:] = sample.ratings
-        shared, _ = _exact_gram(design)  # integer data: every shift is 0
     for node_id in tree.internal_nodes():
         try:
-            if shared is None:
-                models[node_id] = fit_node_model(sample, tree, node_id)
-                continue
-            children = tree.children_of(node_id)
-            _check_cases(node_id, children, n)
-            block = [0, *(1 + sample._column(c) for c in (*children, node_id))]
-            gram = [[shared[a][b] for b in block] for a in block]
-            fit = _solve_gram(gram, [0] * len(block), n, children)
-            models[node_id] = _node_model(node_id, fit)
+            models[node_id] = fit_node_model(sample, tree, node_id)
         except (InsufficientDataError, SingularMatrixError) as exc:
             unfit[node_id] = str(exc)
     return FittedHierarchy(tree=tree, models=models, unfit=unfit)

@@ -51,7 +51,7 @@ import numpy as np
 
 from .analytics import LoyaltyCurve, _loyalty_curve, relative_rating
 from .errors import CvmError, read_json, write_atomic
-from .regression import FittedHierarchy, fit_hierarchy
+from .regression import InsufficientDataError, NodeModel, SingularMatrixError, fit_node_model
 from .rng import RandomStream
 from .rounding import format_rating, round_half_away
 from .survey import OutcomeKind, SurveySample, _own_sides, _supplier_codes, node_means
@@ -626,8 +626,10 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
 
     Each round draws one market; its statistics drive the update and check
     every target cell exactly, so the returned truth is the one whose drawn
-    market was checked.  ``max_rounds`` bounds the updates; the last update
-    still gets its check.
+    market was checked.  A round fits only the node models its targets name
+    (each through :func:`~cvmkit.regression.fit_node_model`, in target order),
+    not the whole hierarchy.  ``max_rounds`` bounds the updates; the last
+    update still gets its check.
 
     Raises :class:`InconsistentTargetsError` for self-contradictory targets
     and :class:`CalibrationError` for a targeted node a round cannot fit, or
@@ -656,11 +658,12 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
         if check_only and not converged:
             break
         sample = generate_market(truth)
-        hierarchy = fit_hierarchy(sample, tree)
+        models: dict[str, NodeModel] = {}
         for node in fitted:
-            if node not in hierarchy.models:
-                unfit = hierarchy.unfit[node]
-                raise CalibrationError(f"round {round_index}: cannot fit {node!r}: {unfit}")
+            try:
+                models[node] = fit_node_model(sample, tree, node)
+            except (InsufficientDataError, SingularMatrixError) as exc:
+                raise CalibrationError(f"round {round_index}: cannot fit {node!r}: {exc}") from None
         mine, own, rest = _own_sides(sample)
         class_means = {own_label: own.means(), COMPETITOR_CLASS: rest.means()}
         means = {(node, cls): class_means[cls][node] for node, cls in mean_targets}
@@ -669,7 +672,7 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
             if anchors
             else None
         )
-        if converged and _verify(targets, hierarchy, means, curve):
+        if converged and _verify(targets, models, means, curve):
             return truth
         if check_only:
             break
@@ -688,7 +691,7 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
 
         sample_means = node_means(sample)
         for (parent, child), target in coef_targets.items():
-            realized = hierarchy.models[parent].fit.coefficients[child]
+            realized = models[parent].fit.coefficients[child]
             err = target - realized
             worst["coef"] = max(worst["coef"], abs(err))
             step = gain * err
@@ -699,7 +702,7 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
             truth.intercepts[parent] -= step * sample_means[child]
 
         for node, target in targets.r_squared.items():
-            realized = hierarchy.models[node].fit.r_squared
+            realized = models[node].fit.r_squared
             worst["r2"] = max(worst["r2"], abs(target - realized))
             if 0.0 < realized < 1.0:
                 variance_ratio = ((1.0 - target) * realized) / ((1.0 - realized) * target)
@@ -743,14 +746,15 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
 
 def _verify(
     targets: TableTargets,
-    hierarchy: FittedHierarchy,
+    models: Mapping[str, NodeModel],
     means: Mapping[tuple[str, str], float],
     curve: LoyaltyCurve | None,
 ) -> bool:
     """Whether one round's statistics show every displayed target cell exactly.
 
-    ``means`` maps (node, class) to the realized mean for every mean target,
-    and ``curve`` is the own supplier's loyalty curve (None without anchors).
+    ``models`` maps each targeted node to its fitted model, ``means`` maps
+    (node, class) to the realized mean for every mean target, and ``curve``
+    is the own supplier's loyalty curve (None without anchors).
     """
     own = targets.initial.own_supplier
 
@@ -763,7 +767,7 @@ def _verify(
         )
 
     for cell in targets.cells:
-        if hierarchy.models[cell.parent].impact_weights.get(cell.child) != cell.weight:
+        if models[cell.parent].impact_weights.get(cell.child) != cell.weight:
             return False
         if not shows(cell.child, cell.own_mean, cell.competitor_mean, cell.relative):
             return False
@@ -772,7 +776,7 @@ def _verify(
                      node_target.relative):
             return False
     for node, target in targets.r_squared.items():
-        realized = hierarchy.models[node].fit.r_squared
+        realized = models[node].fit.r_squared
         if round_half_away(100.0 * realized) != round_half_away(100.0 * target):
             return False
     return curve is None or all(

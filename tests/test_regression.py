@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvmkit import regression
@@ -333,6 +332,7 @@ def float_complete_case_fit(sample, tree, node):
     blank_share=st.floats(0.0, 0.3),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(tree=automobile_tree(), n=60, top=10, blank_share=0.0, seed=0)  # every row complete
 def test_node_models_equal_fit_linear_on_float_complete_cases(tree, n, top, blank_share, seed):
     # ``top`` narrows the ratings to 1..top, so constant and collinear columns occur
     rng = np.random.default_rng(seed)
@@ -343,6 +343,8 @@ def test_node_models_equal_fit_linear_on_float_complete_cases(tree, n, top, blan
     outcomes = np.full((n, 2), -1, dtype=np.int8)
     sample = SurveySample(tree, "us", ids, roles, ("us",), suppliers, ratings, outcomes)
     hierarchy = fit_hierarchy(sample, tree)
+    internal = tree.internal_nodes()
+    assert list(hierarchy.models) == [node for node in internal if node in hierarchy.models]
     for node in tree.internal_nodes():
         try:
             expected = float_complete_case_fit(sample, tree, node)
@@ -364,33 +366,6 @@ def test_node_models_equal_fit_linear_on_float_complete_cases(tree, n, top, blan
             for c in children
             if expected.coefficients[c] < 0.0
         )
-
-
-@pytest.mark.parametrize("blank", [False, True], ids=["complete", "one blank cell"])
-def test_a_complete_sample_shares_one_gram_and_fits_as_each_node_alone(
-    monkeypatch, sample, tree, blank
-):
-    if blank:  # one blank rating sends every node through its own complete cases
-        ratings = sample.ratings.copy()
-        ratings[7, 12] = 0
-        sample = dataclasses.replace(sample, ratings=ratings)
-    alone = {node: fit_node_model(sample, tree, node) for node in tree.internal_nodes()}
-    gathered = []
-    complete_cases = regression.complete_cases
-
-    def gather(sample, node, children):
-        gathered.append(node)
-        return complete_cases(sample, node, children)
-
-    monkeypatch.setattr(regression, "complete_cases", gather)
-    hierarchy = fit_hierarchy(sample, tree)
-    assert gathered == (list(tree.internal_nodes()) if blank else [])
-    assert hierarchy.unfit == {}
-    assert list(hierarchy.models) == list(alone)
-    for node, model in hierarchy.models.items():
-        assert fit_bits(model.fit) == fit_bits(alone[node].fit), node
-        assert list(model.fit.coefficients) == list(alone[node].fit.coefficients)
-        assert model == alone[node]
 
 
 @pytest.mark.parametrize(

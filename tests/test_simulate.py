@@ -450,8 +450,8 @@ def test_a_respondent_count_past_the_bound_is_refused_before_any_draw(monkeypatc
 
 def test_a_canonical_calibration_draws_its_noise_once(monkeypatch):
     # generate_market is patched the way cvmbench/worker.py counts its calls
-    generate_calls, normals_calls = [], []
-    generate, normals = simulate.generate_market, RandomStream.normals
+    generate_calls, normals_calls, fit_calls = [], [], []
+    generate, normals, fit = simulate.generate_market, RandomStream.normals, simulate.fit_node_model
 
     def counted_generate(truth):
         generate_calls.append(truth.seed)
@@ -461,12 +461,19 @@ def test_a_canonical_calibration_draws_its_noise_once(monkeypatch):
         normals_calls.append(n)
         return normals(self, n)
 
+    def counted_fit(sample, tree, node_id):
+        fit_calls.append(node_id)
+        return fit(sample, tree, node_id)
+
     monkeypatch.setattr(simulate, "generate_market", counted_generate)
     monkeypatch.setattr(RandomStream, "normals", counted_normals)
+    monkeypatch.setattr(simulate, "fit_node_model", counted_fit)
     simulate._draw.cache_clear()
     truth = simulate.calibrate_to_tables(canonical_targets(datasets.automobile_tree()))
     assert len(generate_calls) == 99
     assert normals_calls == [2000, 2000 * 20, 2000 * 7]
+    # a round fits only the nodes its targets name, in target order
+    assert fit_calls == 99 * ["worth_what_paid_for", "quality", "delivery_process"]
     assert truth_records(truth) == json.loads(datasets.fixture_text("market_truth.json"))
 
 
