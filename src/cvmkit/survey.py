@@ -38,8 +38,7 @@ read in pieces of as many characters, each encoded back to UTF-8 into one
 in-memory handle.  The line ends left in the handle, counted first, bound
 the rows, so each column is made once at that bound and filled in place,
 and the sample keeps views of the filled rows.  Every id is held as its
-UTF-8 bytes, whose equality is that of the strings; repeated ids are looked
-for in one sorted copy of the id column.
+UTF-8 bytes, whose equality is that of the strings.
 
 Two readers write into the columns.  While the file is plain (ASCII, no
 quote, no CR but in CRLF, which reads as LF), the byte parser reads a chunk
@@ -59,8 +58,9 @@ U+DC80-U+DCFF (``surrogateescape``).  It strips cells, parses ASCII integers
 diagnostic; a NUL byte (which fixed-width ids and labels would drop) or a
 byte that is not UTF-8 is its row's first fault.  The row loop accepts and
 rejects exactly what it would over the whole file, so the byte parser is only
-a shortcut.  Repeated ids are looked for once, over the whole sample, unless
-the row loop needs the earlier ids first.
+a shortcut.  Both readers leave the repeat check to one sort: of the id column
+once every row is read, or of the ids read so far when a row raises, so a
+repeat on an earlier row is the file's first fault whichever reader met it.
 
 Every node mean and half-width is read from one table per sample, kept on it:
 each supplier's exact count n, sum and sum of squares of each column, from one
@@ -77,6 +77,7 @@ weighting — is out of scope; samples are taken as given.
 
 from __future__ import annotations
 
+import bisect
 import codecs
 import csv
 import functools
@@ -374,62 +375,47 @@ def _ingest(handle: IO[bytes], tree: ValueTree, own_supplier: str) -> SurveySamp
     # missing codes.  A chunk of bytes is parsed straight from them
     # (_parse_bytes); the rows of any other piece go through the row loop
     # (_row_chunk), which accepts and diagnoses exactly as a whole-file row
-    # loop would: it gets absolute row numbers, and ``first_row`` gets the
-    # id of every row before it.  Every id is held as its UTF-8 bytes; those
-    # of byte chunks wait in ``unnoted`` until a row loop needs them, or a
-    # repeat in the whole sample is to be named.  Suppliers are coded in
-    # order of first appearance (``supplier_code``); the canonical table
-    # comes last.
+    # loop would.  Repeats are looked for once, in the id column, or in the
+    # ids read so far when a row raises; the row loop keeps each id from the
+    # moment it reads it, so a repeat on an earlier row or on the faulting
+    # row itself is the file's first fault.  Suppliers are coded in order of
+    # first appearance (``supplier_code``); the canonical table comes last.
     columns = (
         np.empty(capacity, dtype=np.int8),
         np.empty(capacity, dtype=np.min_scalar_type(capacity)),
         np.zeros((capacity, layout.n_nodes), dtype=np.int8),
         np.full((capacity, len(_OUTCOMES)), -1, dtype=np.int8),
     )
-    ids: list[np.ndarray] = []  # each piece's ids
+    # each piece's ids, after an empty one that a sample without rows takes
+    ids: list[np.ndarray | list[bytes]] = [np.empty(0, dtype="S1")]
+    blanks: list[int] = []  # the id index at which each blank record sat
     chunk_ids = None
     filled = 0
-    first_row: dict[bytes, int] = {}
-    unnoted: list[tuple[np.ndarray, int]] = []
     supplier_code: dict[str, int] = {}
-    row_number = 2
     scratch: dict[str, np.ndarray] = {}  # the byte parser's work arrays
-    for piece in itertools.chain([first], records):
-        if not piece:
-            continue
-        rest = [column[filled:] for column in columns]
-        chunk_ids = None
-        if isinstance(piece, bytes):
-            chunk_ids = _parse_bytes(piece, layout, supplier_code, scratch, rest)
+    try:
+        for piece in itertools.chain([first], records):
+            if not piece:
+                continue
+            rest = [column[filled:] for column in columns]
+            chunk_ids = None
+            if isinstance(piece, bytes):
+                chunk_ids = _parse_bytes(piece, layout, supplier_code, scratch, rest)
+                if chunk_ids is None:
+                    piece = _split_lines(piece.decode("ascii"))
+                else:
+                    ids.append(chunk_ids)
             if chunk_ids is None:
-                piece = _split_lines(piece.decode("ascii"))
-            else:
-                unnoted.append((chunk_ids, row_number))
-                row_number += len(chunk_ids)
-        if chunk_ids is None:
-            _note_ids(first_row, unnoted)
-            chunk_ids, row_number = _row_chunk(
-                piece, row_number, layout, first_row, supplier_code, rest
-            )
-        ids.append(chunk_ids)
-        filled += len(chunk_ids)
+                chunk_ids = _row_chunk(piece, filled, layout, supplier_code, rest, ids, blanks)
+            filled += len(chunk_ids)
+    except SurveyFormatError:
+        _refuse_repeats(np.concatenate([np.asarray(read, dtype=bytes) for read in ids]), blanks)
+        raise
 
     del scratch
-    # Two ids are equal exactly when their UTF-8 bytes are, and no id holds
-    # the NUL that fixed-width bytes would drop, so one sort of the id column
-    # finds any repeat.  The byte chunks not yet noted are the column's last
-    # rows, on consecutive rows of the file: one view of them replaces the
-    # chunks, and the ids are held at most twice, in the column and sorted.
-    id_column = np.empty(filled, dtype=np.result_type("S1", *ids))
-    if ids:
-        np.concatenate(ids, out=id_column)
-    tail = sum(len(chunk) for chunk, _ in unnoted)
-    unnoted = [(id_column[filled - tail :], unnoted[0][1])] if unnoted else []
+    id_column = np.concatenate(ids)
     del ids, chunk_ids  # the column holds them now
-    ordered = np.sort(id_column, kind="stable")  # fast on ids that come in order
-    if (ordered[1:] == ordered[:-1]).any():
-        _note_ids(first_row, unnoted)  # raises, naming the first repeat
-    del ordered
+    _refuse_repeats(id_column, blanks)
     if not filled:
         warnings.warn("survey has a header but no respondent rows", stacklevel=3)
     roles, suppliers, ratings, outcomes = (column[:filled] for column in columns)
@@ -451,20 +437,23 @@ def _supplier_codes(names: Sequence[str], own_supplier: str) -> tuple[tuple[str,
     return table, np.array([code[name] for name in names], dtype=dtype)
 
 
-def _note_ids(first_row: dict[bytes, int], unnoted: list[tuple[np.ndarray, int]]) -> None:
-    """Move the ids of byte chunks, each array with the row of its first id, into ``first_row``."""
-    for ids, start in unnoted:
-        for row, respondent_id in enumerate(ids.tolist(), start):
-            _note_id(first_row, respondent_id, row)
-    unnoted.clear()
+def _refuse_repeats(ids: np.ndarray, blanks: Sequence[int]) -> None:
+    """Refuse the first row whose id an earlier row has, naming both rows.
 
-
-def _note_id(first_row: dict[bytes, int], respondent_id: bytes, row: int) -> None:
-    first = first_row.setdefault(respondent_id, row)
-    if first != row:
-        raise SurveyFormatError(
-            f"duplicate respondent_id {respondent_id.decode()!r} (first on row {first})", row
-        )
+    Id ``k`` is on file row ``k + 2 + bisect_right(blanks, k)``.  Equal ids
+    have equal UTF-8 bytes, none with the NUL that fixed-width bytes drop,
+    so one sort finds any repeat; only then does a stable argsort tell which.
+    """
+    ordered = np.sort(ids, kind="stable")  # fast on ids that come in order
+    if not (ordered[1:] == ordered[:-1]).any():
+        return
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    later = int(order[1:][ordered[1:] == ordered[:-1]].min())
+    earliest = int(order[np.searchsorted(ordered, ids[later])])
+    first, row = (k + 2 + bisect.bisect_right(blanks, k) for k in (earliest, later))
+    message = f"duplicate respondent_id {ids[later].decode()!r} (first on row {first})"
+    raise SurveyFormatError(message, row) from None  # alone, even while a later fault is handled
 
 
 def _line_ends(handle: IO[bytes]) -> int:
@@ -631,25 +620,30 @@ def _refuse_bad_bytes(cells: list[str], row: int) -> None:
 
 
 def _row_chunk(
-    rows: Iterable[list[str]], start: int, layout: _Layout, first_row: dict[bytes, int],
-    supplier_code: dict[str, int], out: Sequence[np.ndarray],
-) -> tuple[np.ndarray, int]:
+    rows: Iterable[list[str]], first: int, layout: _Layout, supplier_code: dict[str, int],
+    out: Sequence[np.ndarray], ids: list[np.ndarray | list[bytes]], blanks: list[int],
+) -> np.ndarray:
     """Check and convert ``rows`` one at a time into the front of ``out``, as :func:`_parse_bytes`.
 
-    ``start`` is the file row of the first record.  Blank rows are skipped;
-    the first bad row raises, naming itself, and so does a record
-    ``csv.reader`` cannot read.  Returns the ids of the rows written, as
-    UTF-8 bytes, and the file row of the next record.
+    ``first`` is the id index of the first row.  Blank rows are skipped,
+    each noted in ``blanks`` at its id index; the first bad row raises, naming
+    itself, and so does a record ``csv.reader`` cannot read.  Each id is
+    appended as soon as it is read, as UTF-8 bytes, to a list added to
+    ``ids``; once every row is written, the list becomes the fixed-width
+    array of its ids, which is returned.
     """
     role_codes, supplier_codes, ratings, outcomes = out
     cells = ((ratings, layout.node_cols, RATING_MIN, RATING_MAX),
              (outcomes, layout.outcome_cols, OUTCOME_MIN, OUTCOME_MAX))
-    ids: list[bytes] = []
+    read: list[bytes] = []
+    ids.append(read)
+    start = first + len(blanks) + 2  # every record before is the header, a row or a blank
     row_number = start - 1  # of the last record read
     try:
         for row_number, row in enumerate(rows, start):
             _refuse_bad_bytes(row, row_number)
             if not row or all(not cell.strip() for cell in row):
+                blanks.append(first + len(read))
                 continue
             if len(row) != layout.width:
                 raise SurveyFormatError(
@@ -660,25 +654,24 @@ def _row_chunk(
             supplier = row[2].strip()
             if not respondent_id:
                 raise SurveyFormatError("empty respondent_id", row_number)
-            respondent_id = respondent_id.encode()  # no surrogate is left: see _refuse_bad_bytes
-            _note_id(first_row, respondent_id, row_number)
+            k = len(read)
+            read.append(respondent_id.encode())  # no surrogate is left: see _refuse_bad_bytes
             if role not in ROLES:
                 raise SurveyFormatError(
                     f"unknown role {role!r} (expected one of {', '.join(ROLES)})", row_number
                 )
             if not supplier:
                 raise SurveyFormatError("empty supplier", row_number)
-            k = len(ids)
             for matrix, columns, lo, hi in cells:
                 for idx, (j, what) in columns.items():
                     if token := row[idx].strip():
                         matrix[k, j] = _parse_int(token, lo, hi, what, row_number)
             role_codes[k] = ROLES.index(role)
             supplier_codes[k] = supplier_code.setdefault(supplier, len(supplier_code))
-            ids.append(respondent_id)
     except csv.Error as exc:
         raise SurveyFormatError(f"malformed CSV: {exc}", row_number + 1) from None
-    return np.array(ids, dtype=bytes), row_number + 1
+    ids[-1] = np.array(read, dtype=bytes)
+    return ids[-1]
 
 
 # Cell text of each stored code: a rating code v is _RATING_TEXT[v] and an

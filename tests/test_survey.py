@@ -610,8 +610,16 @@ def test_ids_that_widen_across_chunks_and_a_later_repeat_named_at_its_row(tmp_pa
     assert sample.ids.tolist() == [row[0].encode() for row in rows]
     assert sample.ids.dtype == np.dtype("S7")
     rows += [[later, "user", "them", "", "", "", "", ""] for later in ("r100010", "r99999")]
-    diagnostic = _against_the_row_loop(_csv_text(rows), tmp_path)
-    assert diagnostic == ("row 23: duplicate respondent_id 'r99999' (first on row 11)", 23)
+    bad_rating = ["r100011", "user", "them", "11", "", "", "", ""]
+    blank_line, blank_cells = [], [""] * 8
+    for body, first, row in (
+        (rows, 11, 23),
+        (rows + [bad_rating], 11, 23),  # the repeat stays the file's first fault
+        (rows[:5] + [blank_line] + rows[5:15] + [blank_cells] + rows[15:], 12, 25),
+    ):
+        diagnostic = _against_the_row_loop(_csv_text(body), tmp_path)
+        message = f"row {row}: duplicate respondent_id 'r99999' (first on row {first})"
+        assert diagnostic == (message, row) and type(diagnostic[1]) is int
 
 
 def test_ids_are_utf8_bytes_from_the_byte_parser_the_row_loop_and_the_constructor(tmp_path):
@@ -639,7 +647,10 @@ def test_a_non_ascii_id_round_trips_byte_for_byte_and_its_repeat_is_named_as_tex
     assert survey_text(sample) == text
     repeat = text.replace("r3,", "ä1,")
     diagnostic = ("row 4: duplicate respondent_id 'ä1' (first on row 2)", 4)
-    assert _against_the_row_loop(repeat, tmp_path) == diagnostic
+    bad_role = text.replace("r3,decision_maker", "ä1,boss")  # the repeat's own row faults too
+    for body in (repeat, repeat + "r4,boss,us,5,5,5,5,5\n", bad_role):
+        result = _against_the_row_loop(body, tmp_path)
+        assert result == diagnostic and type(result[1]) is int
 
 
 @pytest.mark.parametrize("column, token", [(3, " 7"), (2, '"us"')])
@@ -656,11 +667,11 @@ def test_a_chunk_in_mid_file_that_is_not_plain(tmp_path, column, token):
 
 def test_ingest_peak_memory_stays_under_twice_the_columns(tmp_path, sample, tree):
     """Ingest holds the columns, one chunk's work arrays and the ids as
-    bytes, which it sorts a copy of for the repeat check before it makes the
-    string column from them.  From a path that peaks near 1.2 times the
-    bytes of the sample's columns, and under 1.5 times is asserted.  A
-    stream is read whole and held as its UTF-8 bytes, which come on top;
-    its case keeps the bound of twice the columns."""
+    fixed-width bytes, whose column it sorts a copy of for the repeat check.
+    From a path that peaks near 1.2 times the bytes of the sample's columns,
+    and under 1.5 times is asserted.  A stream is read whole and held as its
+    UTF-8 bytes, which come on top; its case keeps the bound of twice the
+    columns."""
     header, *body = survey_text(sample).splitlines(keepends=True)
     rows = [f"r{k:06d}{line[line.index(','):]}" for k, line in enumerate(body * 20)]
     text = header + "".join(rows)
@@ -680,12 +691,11 @@ def test_ingest_peak_memory_stays_under_twice_the_columns(tmp_path, sample, tree
             assert peak - held < bound * sum(column.nbytes for column in columns)
 
 
-def test_a_quoted_survey_peaks_under_five_times_the_columns(tmp_path, sample, tree):
+def test_a_quoted_survey_peaks_under_four_times_the_columns(tmp_path, sample, tree):
     """From a quoted first record on, csv.reader hands the row loop one
     record at a time, which it writes straight into the columns.  Beside
-    them ingest holds each id as bytes, as the key that names its first row,
-    and in the fixed-width id column and its sorted copy: near four times
-    the columns' bytes at 4,000 rows."""
+    them ingest holds each id as bytes, and in the fixed-width id column
+    and its sorted copy: near 3.5 times the columns' bytes at 4,000 rows."""
     header, *body = survey_text(sample).splitlines(keepends=True)
     rows = [f'"r{k:06d}"{line[line.index(","):]}' for k, line in enumerate(body * 2)]
     path = tmp_path / "quoted.csv"
@@ -699,7 +709,7 @@ def test_a_quoted_survey_peaks_under_five_times_the_columns(tmp_path, sample, tr
     columns = (ingested.ids, ingested.role_codes, ingested.supplier_codes,
                ingested.ratings, ingested.outcomes)
     assert len(ingested) == 4_000 and ingested.ids[0] == b"r000000"
-    assert peak < 5 * sum(column.nbytes for column in columns)
+    assert peak < 4 * sum(column.nbytes for column in columns)
 
 
 def _three_hundred_suppliers():
