@@ -413,19 +413,22 @@ def _finite(value, node_id: str, name: str, scale: float = 1.0) -> float:
 
 
 def _whole(value, node_id: str, name: str) -> int:
-    """``int(value)`` of a ``value`` that :func:`_finite` takes."""
+    """``value`` if :func:`_finite` takes it and it is a JSON integer, not a float or a bool."""
     _finite(value, node_id, name)
-    return int(value)
+    if type(value) is not int:
+        raise _FieldError(f"model {node_id!r}: {name} is {value!r}, not an integer")
+    return value
 
 
 def hierarchy_from_records(records: Mapping, tree: ValueTree) -> FittedHierarchy:
     """The :class:`FittedHierarchy` of a ``hierarchy_records`` document for ``tree``.
 
     Raises :class:`CvmError` naming the model and field for a number that is
-    not finite (JSON readers take ``NaN`` and ``Infinity``), and for one
-    whose report arithmetic would overflow: an R^2 shown as a percentage, or
-    a coefficient whose path slope, times a full-scale rating gap, is shown
-    to 3 decimals.
+    not finite (JSON readers take ``NaN`` and ``Infinity``), for an ``n`` or
+    impact weight that is not a JSON integer (``38.6`` or ``true`` would pass
+    for 38 and 1), and for one whose report arithmetic would overflow: an
+    R^2 shown as a percentage, or a coefficient whose path slope, times a
+    full-scale rating gap, is shown to 3 decimals.
     """
     if records.get("root") != tree.root:
         raise CvmError(

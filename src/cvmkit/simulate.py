@@ -518,7 +518,27 @@ _DAMP = 0.5
 _DAMP_ROUNDS = 100
 
 
-def _check_targets(targets: TableTargets) -> None:
+def _rows(targets: TableTargets):
+    """Each table row as ``(label, node, own_mean, competitor_mean, relative)``.
+
+    Cells come first, in order, each standing for its child; then the node
+    rows.  A node row's ``relative`` may be None.
+    """
+    for cell in targets.cells:
+        yield (f"cell ({cell.parent!r}, {cell.child!r})", cell.child, cell.own_mean,
+               cell.competitor_mean, cell.relative)
+    for row in targets.nodes:
+        yield f"node {row.node!r}", row.node, row.own_mean, row.competitor_mean, row.relative
+
+
+def _check_targets(targets: TableTargets) -> dict[tuple[str, str], float]:
+    """(node, class) -> target mean of every table row, once the targets are consistent.
+
+    Raises :class:`InconsistentTargetsError` for a target whose node the tree
+    does not hold in that place, whose value leaves its scale, whose means
+    imply another relative rating than it names, or that gives a node a
+    second, different mean for one class.
+    """
     tree = targets.initial.tree
     internal = set(tree.internal_nodes())
     for node in targets.r_squared:
@@ -541,33 +561,21 @@ def _check_targets(targets: TableTargets) -> None:
             raise InconsistentTargetsError(
                 f"node {node_target.node!r} is not in tree {tree.name!r}"
             )
-    means = [(f"cell ({c.parent!r}, {c.child!r})", c.own_mean, c.competitor_mean)
-             for c in targets.cells]
-    means += [(f"node {n.node!r}", n.own_mean, n.competitor_mean) for n in targets.nodes]
-    for what, own_mean, competitor_mean in means:
+    for label, _, own_mean, competitor_mean, _ in _rows(targets):
         if not (1.0 <= own_mean <= 10.0 and 1.0 <= competitor_mean <= 10.0):
             raise InconsistentTargetsError(
-                f"{what}: means {own_mean}/{competitor_mean} outside [1, 10]"
+                f"{label}: means {own_mean}/{competitor_mean} outside [1, 10]"
             )
     for node, r_squared in targets.r_squared.items():
         if not 0.0 < r_squared <= 1.0:
             raise InconsistentTargetsError(f"R^2 target {r_squared} for {node!r} outside (0, 1]")
-    for cell in targets.cells:
-        implied = relative_rating(cell.own_mean, cell.competitor_mean)
-        if implied != cell.relative:
+    for label, _, own_mean, competitor_mean, relative in _rows(targets):
+        implied = relative_rating(own_mean, competitor_mean)
+        if relative is not None and implied != relative:
             raise InconsistentTargetsError(
-                f"cell ({cell.parent!r}, {cell.child!r}): means "
-                f"{cell.own_mean}/{cell.competitor_mean} imply relative {implied}, "
-                f"target says {cell.relative}"
+                f"{label}: means {own_mean}/{competitor_mean} imply relative {implied}, "
+                f"target says {relative}"
             )
-    for node_target in targets.nodes:
-        if node_target.relative is not None:
-            implied = relative_rating(node_target.own_mean, node_target.competitor_mean)
-            if implied != node_target.relative:
-                raise InconsistentTargetsError(
-                    f"node {node_target.node!r}: means imply relative {implied}, "
-                    f"target says {node_target.relative}"
-                )
     last_score, last_prop = -math.inf, -math.inf
     for score, prop in targets.loyalty_points:
         if not 1.0 <= score <= 10.0:
@@ -579,35 +587,16 @@ def _check_targets(targets: TableTargets) -> None:
                 "loyalty points must increase in score and be non-decreasing in proportion"
             )
         last_score, last_prop = score, prop
-
-
-def _mean_targets(targets: TableTargets) -> dict[tuple[str, str], float]:
-    """(node, class) -> target mean, combined from cells, node rows and leaves.
-
-    The initial truth has a leaf-mean profile for both classes.
-    """
-    truth = targets.initial
-    own = truth.own_supplier
-    out: dict[tuple[str, str], float] = {}
-
-    def put(node: str, cls: str, value: float) -> None:
-        existing = out.get((node, cls))
-        if existing is not None and abs(existing - value) > 1e-9:
-            raise InconsistentTargetsError(
-                f"node {node!r} has conflicting {cls} mean targets {existing} and {value}"
-            )
-        out[(node, cls)] = value
-
-    for cell in targets.cells:
-        put(cell.child, own, cell.own_mean)
-        put(cell.child, COMPETITOR_CLASS, cell.competitor_mean)
-    for node_target in targets.nodes:
-        put(node_target.node, own, node_target.own_mean)
-        put(node_target.node, COMPETITOR_CLASS, node_target.competitor_mean)
-    for cls in (own, COMPETITOR_CLASS):
-        for leaf in truth.tree.leaves():
-            out.setdefault((leaf, cls), truth.leaf_means[cls][leaf])
-    return out
+    own = targets.initial.own_supplier
+    means: dict[tuple[str, str], float] = {}
+    for _, node, own_mean, competitor_mean, _ in _rows(targets):
+        for cls, value in ((own, own_mean), (COMPETITOR_CLASS, competitor_mean)):
+            existing = means.setdefault((node, cls), value)
+            if abs(existing - value) > 1e-9:
+                raise InconsistentTargetsError(
+                    f"node {node!r} has conflicting {cls} mean targets {existing} and {value}"
+                )
+    return means
 
 
 def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundTruth:
@@ -635,7 +624,7 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
     and :class:`CalibrationError` for a targeted node a round cannot fit, or
     when the budget runs out before every target cell verifies exactly.
     """
-    _check_targets(targets)
+    mean_targets = _check_targets(targets)
     truth = targets.initial.copy()
     truth.validate()
     tree = truth.tree
@@ -645,8 +634,8 @@ def calibrate_to_tables(targets: TableTargets, max_rounds: int = 200) -> GroundT
         truth.class_shift.setdefault(cls, {})
         if cls not in truth.leaf_means:
             raise CvmError(f"initial truth lacks a {cls!r} leaf-mean profile")
-
-    mean_targets = _mean_targets(targets)
+        for leaf in tree.leaves():  # an untargeted leaf keeps its initial mean
+            mean_targets.setdefault((leaf, cls), truth.leaf_means[cls][leaf])
     coef_targets = {(c.parent, c.child): c.weight / 100.0 for c in targets.cells}
     fitted = tuple(dict.fromkeys([*(parent for parent, _ in coef_targets), *targets.r_squared]))
     anchors = targets.loyalty_points
@@ -757,23 +746,16 @@ def _verify(
     is the own supplier's loyalty curve (None without anchors).
     """
     own = targets.initial.own_supplier
-
-    def shows(node: str, own_mean: float, competitor_mean: float, relative: int | None) -> bool:
-        realized_own, realized_comp = means[node, own], means[node, COMPETITOR_CLASS]
-        return (
-            format_rating(realized_own) == format_rating(own_mean)
-            and format_rating(realized_comp) == format_rating(competitor_mean)
-            and (relative is None or relative_rating(realized_own, realized_comp) == relative)
-        )
-
     for cell in targets.cells:
         if models[cell.parent].impact_weights.get(cell.child) != cell.weight:
             return False
-        if not shows(cell.child, cell.own_mean, cell.competitor_mean, cell.relative):
-            return False
-    for node_target in targets.nodes:
-        if not shows(node_target.node, node_target.own_mean, node_target.competitor_mean,
-                     node_target.relative):
+    for _, node, own_mean, competitor_mean, relative in _rows(targets):
+        realized_own, realized_comp = means[node, own], means[node, COMPETITOR_CLASS]
+        if (
+            format_rating(realized_own) != format_rating(own_mean)
+            or format_rating(realized_comp) != format_rating(competitor_mean)
+            or (relative is not None and relative_rating(realized_own, realized_comp) != relative)
+        ):
             return False
     for node, target in targets.r_squared.items():
         realized = models[node].fit.r_squared

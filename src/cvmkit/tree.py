@@ -297,14 +297,7 @@ def validate_tree(tree: ValueTree) -> list[Violation]:
     if any(unpeeled.values()):
         out.append(Violation("cycle", None, "the children graph revisits a node"))
 
-    reachable: set[str] = set()
-    stack = [tree.root]
-    while stack:
-        node_id = stack.pop()
-        if node_id in reachable or node_id not in tree.nodes:
-            continue
-        reachable.add(node_id)
-        stack.extend(tree.nodes[node_id].children)
+    reachable = set(tree.preorder())
     for key in tree.nodes:
         if key not in reachable:
             out.append(Violation("unreachable", key, f"{key!r} is not reachable from the root"))

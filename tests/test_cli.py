@@ -653,9 +653,14 @@ def test_hierarchy_that_does_not_fit_the_tree_names_the_file_and_node(tmp_path, 
         ("coefficients", 1e308,
          "model 'quality': coefficients['automobile'] is 1e+308, which takes the path slope "
          "of 'reliability' too large to report"),
+        ("n", 1811.5, "model 'quality': n is 1811.5, not an integer"),
+        ("impact_weights", 38.6,
+         "model 'quality': impact_weights['automobile'] is 38.6, not an integer"),
+        ("impact_weights", True,
+         "model 'quality': impact_weights['automobile'] is True, not an integer"),
     ],
     ids=["nan", "minus-infinity", "infinite-count", "infinite-weight", "percent-overflow",
-         "slope-overflow"],
+         "slope-overflow", "fractional-count", "fractional-weight", "boolean-weight"],
 )
 def test_a_hierarchy_number_the_report_cannot_use_names_the_model_and_field(
     tmp_path, field, value, message

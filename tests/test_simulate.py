@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from cvmkit import datasets, simulate
+from cvmkit.analytics import _loyalty_curve
 from cvmkit.errors import CvmError
-from cvmkit.regression import fit_hierarchy
+from cvmkit.regression import fit_hierarchy, fit_node_model
 from cvmkit.rng import RandomStream
 from cvmkit.simulate import (
+    COMPETITOR_CLASS,
     CalibrationError,
     CellTarget,
     GroundTruth,
@@ -29,7 +31,7 @@ from cvmkit.simulate import (
     truth_from_records,
     truth_records,
 )
-from cvmkit.survey import ROLES, node_mean, split_by_supplier, survey_text
+from cvmkit.survey import ROLES, _own_sides, node_mean, split_by_supplier, survey_text
 from cvmkit.tree import ValueTree, parse_tree_spec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -354,7 +356,7 @@ def _calibrate(targets, **changes):
          "supplier 'comp_a' has no own leaf-mean profile and no 'competitors' profile exists"),
         (lambda t: _calibrate(t, nodes=(dataclasses.replace(t.nodes[0], relative=98),)),
          InconsistentTargetsError,
-         "node 'worth_what_paid_for': means imply relative 97, target says 98"),
+         "node 'worth_what_paid_for': means 7.3/7.5 imply relative 97, target says 98"),
         (lambda t: _calibrate(t, loyalty_points=((7.0, 1.0),)), InconsistentTargetsError,
          "loyalty proportion 1.0 outside (0, 1)"),
         (lambda t: _calibrate(t, nodes=(*t.nodes, NodeTarget("quality", 7.9, 7.7))),
@@ -379,6 +381,45 @@ def test_each_refused_truth_or_target_names_its_fault(call, error, message):
         call(canonical_targets(datasets.automobile_tree()))
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+def test_the_bundled_market_verifies_and_each_moved_cell_does_not():
+    truth = datasets.market_truth()
+    targets = canonical_targets(truth.tree)
+    sample = generate_market(truth)
+    models = {
+        node: fit_node_model(sample, truth.tree, node)
+        for node in ("worth_what_paid_for", "quality", "delivery_process")
+    }
+    mine, own, rest = _own_sides(sample)
+    means = {
+        (node, cls): mean
+        for cls, side in ((truth.own_supplier, own), (COMPETITOR_CLASS, rest))
+        for node, mean in side.means().items()
+    }
+    curve = _loyalty_curve(sample, mine, targets.loyalty_outcome, truth.outcome_threshold)
+    assert simulate._verify(targets, models, means, curve)
+
+    def moved(node, cls, step):  # one realized mean, one display step away
+        return {**means, (node, cls): means[node, cls] + step}
+
+    first_cell, first_node = targets.cells[0], targets.nodes[0]
+    refused = {
+        "cell weight": (dataclasses.replace(
+            targets, cells=(dataclasses.replace(first_cell, weight=first_cell.weight + 1),
+                            *targets.cells[1:])), means),
+        "cell own mean": (targets, moved("price", truth.own_supplier, 0.1)),
+        "node competitor mean": (targets, moved("worth_what_paid_for", COMPETITOR_CLASS, -0.1)),
+        "node relative": (dataclasses.replace(
+            targets, nodes=(dataclasses.replace(first_node, relative=first_node.relative + 1),
+                            *targets.nodes[1:])), means),
+        "R^2": (dataclasses.replace(
+            targets, r_squared={**targets.r_squared, "quality": 0.90}), means),
+        "loyalty point": (dataclasses.replace(
+            targets, loyalty_points=((7.3, 0.66), (7.8, 0.80))), means),
+    }
+    for what, (changed, realized) in refused.items():
+        assert not simulate._verify(changed, models, realized, curve), what
 
 
 
