@@ -1,15 +1,16 @@
 """Command-line interface: validate, fit, report, nps, simulate.
 
 Commands parse flags, read files and write bytes.  The library builds each
-document (``competitive_report``, ``nps_vs_cva_report``, ``rendering``); its
-warnings print as ``warning:`` lines.
+document (``competitive_report``, ``nps_vs_cva_report``, ``rendering``).  The
+command group prints each warning raised under it as a ``warning:`` line when
+it is raised, and each ``CvmError`` as one ``error:`` line with exit status 1.
 
 Every command is deterministic given its inputs and flags: artifacts carry
 no timestamps (those go to a ``<out>.log`` sidecar), files are written
 atomically (write-then-rename), and all number formatting goes through the
 package's single rounding policy.  Exit status is 0 exactly when no
-error-class diagnostic was emitted; errors print to stderr with file/row
-context where available.
+error-class diagnostic was emitted; errors carry file/row context where
+available.
 
 A JSON config file may supply defaults for any flag of any subcommand::
 
@@ -46,19 +47,10 @@ from .survey import OutcomeKind, ingest_responses, sample_counts, supplier_sums,
 from .tree import TreeFormatError, parse_tree_spec
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
-
-
-def _warn(message: str) -> None:
-    click.echo(f"warning: {message}", err=True)
-
-
 def _require_file(path: str, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
-        _fail(f"{what} file not found: {path}")
+        raise CvmError(f"{what} file not found: {path}")
     return p
 
 
@@ -83,23 +75,9 @@ def _load_tree(path: str):
     return parse_tree_spec(decode_utf8(data, TreeFormatError))
 
 
-def _warned(build, *args):
-    """``build(*args)``, printing each library warning it raised as a ``warning:`` line.
-
-    The lines print even when ``build`` fails, so they precede its error.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            return build(*args)
-        finally:
-            for warning in caught:
-                _warn(str(warning.message))
-
-
 def _load_sample(survey_path: str, tree, own: str):
     _require_file(survey_path, "survey")
-    return _warned(ingest_responses, survey_path, tree, own)
+    return ingest_responses(survey_path, tree, own)
 
 
 def _finite(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
@@ -120,7 +98,21 @@ def _flag_aliases(command: click.Command) -> dict[str, str]:
     return aliases
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _Boundary(click.Group):
+    """The one place where any command's warnings and ``CvmError`` are printed."""
+
+    def invoke(self, ctx: click.Context):
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+            try:
+                return super().invoke(ctx)
+            except CvmError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(1)
+
+
+@click.group(cls=_Boundary, context_settings={"help_option_names": ["-h", "--help"]})
 @click.option(
     "--config",
     "config_path",
@@ -133,12 +125,9 @@ def main(ctx: click.Context, config_path: str | None) -> None:
     """Customer-value analytics: value trees, driver models, competitive reports."""
     if config_path is None:
         return
-    try:
-        data = read_json(_require_file(config_path, "config"), "config", lambda d: d)
-    except CvmError as exc:
-        _fail(str(exc))
+    data = read_json(_require_file(config_path, "config"), "config", lambda d: d)
     if not isinstance(data, dict):
-        _fail("config must be a JSON object")
+        raise CvmError("config must be a JSON object")
     if data and set(data) <= set(main.commands) and all(
         isinstance(v, dict) for v in data.values()
     ):
@@ -149,7 +138,7 @@ def main(ctx: click.Context, config_path: str | None) -> None:
     for name, values in sections.items():
         null = [key for key, value in values.items() if value is None]
         if null:
-            _fail(f"config key {null[0]!r} is null; give a value or leave the key out")
+            raise CvmError(f"config key {null[0]!r} is null; give a value or leave the key out")
         aliases = _flag_aliases(main.commands[name])
         # keys that fit the subcommand become its defaults, read as command-line
         # text (so 2.5 is no integer); a flat config's other keys are for others
@@ -167,29 +156,26 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 @click.option("--own", "own_label", default=None, metavar="LABEL")
 def validate(tree_path: str, survey_path: str | None, own_label: str | None) -> None:
     """Check a tree file (and optionally a survey against it)."""
-    try:
-        tree = _load_tree(tree_path)  # the parser rejects invalid trees
+    tree = _load_tree(tree_path)  # the parser rejects invalid trees
+    click.echo(
+        f"tree ok: {len(tree.nodes)} nodes, "
+        f"{len(tree.internal_nodes())} internal, {len(tree.leaves())} leaves"
+    )
+    if survey_path is not None:
+        sample = _load_sample(survey_path, tree, own_label or "")
+        counts = sample_counts(sample)
         click.echo(
-            f"tree ok: {len(tree.nodes)} nodes, "
-            f"{len(tree.internal_nodes())} internal, {len(tree.leaves())} leaves"
+            f"survey ok: {len(sample)} respondents, "
+            f"suppliers: {', '.join(counts.suppliers)}"
         )
-        if survey_path is not None:
-            sample = _load_sample(survey_path, tree, own_label or "")
-            counts = sample_counts(sample)
-            click.echo(
-                f"survey ok: {len(sample)} respondents, "
-                f"suppliers: {', '.join(counts.suppliers)}"
-            )
-            missing = {column: n for column, n in counts.missing.items() if n}
-            for title, tally in (
-                ("respondents per supplier", counts.suppliers),
-                ("roles", counts.roles),
-                ("missing cells", missing),
-            ):
-                listed = ", ".join(f"{name} {n}" for name, n in tally.items())
-                click.echo(f"{title}: {listed or 'none'}")
-    except CvmError as exc:
-        _fail(str(exc))
+        missing = {column: n for column, n in counts.missing.items() if n}
+        for title, tally in (
+            ("respondents per supplier", counts.suppliers),
+            ("roles", counts.roles),
+            ("missing cells", missing),
+        ):
+            listed = ", ".join(f"{name} {n}" for name, n in tally.items())
+            click.echo(f"{title}: {listed or 'none'}")
 
 
 def _fit_summary(hierarchy) -> str:
@@ -218,20 +204,17 @@ def _fit_summary(hierarchy) -> str:
               help="write the fitted-hierarchy document (JSON) here")
 def fit(tree_path: str, survey_path: str, own_label: str, out_path: str | None) -> None:
     """Fit the per-node driver models and print a fit summary."""
-    try:
-        tree = _load_tree(tree_path)
-        sample = _load_sample(survey_path, tree, own_label)
-        hierarchy = fit_hierarchy(sample, tree)
-        if not hierarchy.models:
-            _fail("no node could be fitted: " + "; ".join(
-                f"{node} ({reason})" for node, reason in hierarchy.unfit.items()
-            ))
-        if out_path is not None:
-            save_hierarchy(hierarchy, out_path)
-            _write_sidecar(out_path, "fit")
-        click.echo(_fit_summary(hierarchy), nl=False)
-    except CvmError as exc:
-        _fail(str(exc))
+    tree = _load_tree(tree_path)
+    sample = _load_sample(survey_path, tree, own_label)
+    hierarchy = fit_hierarchy(sample, tree)
+    if not hierarchy.models:
+        raise CvmError("no node could be fitted: " + "; ".join(
+            f"{node} ({reason})" for node, reason in hierarchy.unfit.items()
+        ))
+    if out_path is not None:
+        save_hierarchy(hierarchy, out_path)
+        _write_sidecar(out_path, "fit")
+    click.echo(_fit_summary(hierarchy), nl=False)
 
 
 @main.command()
@@ -269,30 +252,26 @@ def report(
 ) -> None:
     """The full competitive report: profile tables, CVA, priorities, loyalty, value map."""
     if fmt == "plotdata" and out_path is None:
-        _fail("--format plotdata needs --out STEM to name its files")
-    try:
-        tree = _load_tree(tree_path)
-        sample = _load_sample(survey_path, tree, own_label)
-        if own_label not in sample.suppliers():
-            _fail(f"no respondents with supplier {own_label!r} in {survey_path}")
-        if hierarchy_path is not None:
-            hierarchy = load_hierarchy(_require_file(hierarchy_path, "hierarchy"), tree)
-        else:
-            hierarchy = fit_hierarchy(sample, tree)
-        built = _warned(
-            competitive_report, sample, hierarchy,
-            OutcomeKind(outcome), loyalty_threshold, target_loyalty, band,
-        )
-        if fmt == "plotdata":
-            if built.curve is not None:
-                _emit(loyalty_plot_csv(built.curve), f"{out_path}_loyalty_curve.csv", "report")
-            if built.value_map:
-                _emit(value_map_plot_csv(built.value_map), f"{out_path}_value_map.csv", "report")
-        else:
-            text = report_records(built) if fmt == "records" else render_report(built)
-            _emit(text, out_path, "report")
-    except CvmError as exc:
-        _fail(str(exc))
+        raise CvmError("--format plotdata needs --out STEM to name its files")
+    tree = _load_tree(tree_path)
+    sample = _load_sample(survey_path, tree, own_label)
+    if own_label not in sample.suppliers():
+        raise CvmError(f"no respondents with supplier {own_label!r} in {survey_path}")
+    if hierarchy_path is not None:
+        hierarchy = load_hierarchy(_require_file(hierarchy_path, "hierarchy"), tree)
+    else:
+        hierarchy = fit_hierarchy(sample, tree)
+    built = competitive_report(
+        sample, hierarchy, OutcomeKind(outcome), loyalty_threshold, target_loyalty, band,
+    )
+    if fmt == "plotdata":
+        if built.curve is not None:
+            _emit(loyalty_plot_csv(built.curve), f"{out_path}_loyalty_curve.csv", "report")
+        if built.value_map:
+            _emit(value_map_plot_csv(built.value_map), f"{out_path}_value_map.csv", "report")
+    else:
+        text = report_records(built) if fmt == "records" else render_report(built)
+        _emit(text, out_path, "report")
 
 
 @main.command("nps")
@@ -316,16 +295,13 @@ def nps_command(
     """Net promoter score for the own supplier, next to CVA when computable."""
     from .nps import aggregate_nps, nps_vs_cva_report
 
-    try:
-        tree = _load_tree(tree_path)
-        sample = _load_sample(survey_path, tree, own_label)
-        if aggregate_method == "average-of-units":
-            aggregate_nps((), method="average_of_units")  # always refuses
-        comparison = _warned(nps_vs_cva_report, sample)
-        text = nps_records(comparison) if fmt == "records" else render_nps_vs_cva(comparison)
-        _emit(text, out_path, "nps")
-    except CvmError as exc:
-        _fail(str(exc))
+    tree = _load_tree(tree_path)
+    sample = _load_sample(survey_path, tree, own_label)
+    if aggregate_method == "average-of-units":
+        aggregate_nps((), method="average_of_units")  # always refuses
+    comparison = nps_vs_cva_report(sample)
+    text = nps_records(comparison) if fmt == "records" else render_nps_vs_cva(comparison)
+    _emit(text, out_path, "nps")
 
 
 @main.command()
@@ -337,24 +313,21 @@ def simulate(config_path: str, out_path: str) -> None:
     """Generate a survey sample from a ground-truth config, deterministically."""
     from .simulate import generate_market, load_truth
 
-    try:
-        truth = load_truth(_require_file(config_path, "seed-config"))
-        sample = generate_market(truth)
-        write_survey(sample, out_path)
-        _write_sidecar(out_path, "simulate")
-        if len(sample) == 0:
-            _warn("n = 0: wrote a header-only survey file")
-            return
-        root = truth.tree.root
-        lines = [f"wrote {len(sample)} respondents to {out_path}"]
-        sums = supplier_sums(sample, root)
-        for supplier in truth.n_per_supplier:
-            n, total = sums.get(supplier, (0, 0))
-            if n:
-                lines.append(f"  {supplier}: n = {n}, mean {root} = {format_rating(total / n)}")
-        click.echo("\n".join(lines))
-    except CvmError as exc:
-        _fail(str(exc))
+    truth = load_truth(_require_file(config_path, "seed-config"))
+    sample = generate_market(truth)
+    write_survey(sample, out_path)
+    _write_sidecar(out_path, "simulate")
+    if len(sample) == 0:
+        warnings.warn("n = 0: wrote a header-only survey file")
+        return
+    root = truth.tree.root
+    lines = [f"wrote {len(sample)} respondents to {out_path}"]
+    sums = supplier_sums(sample, root)
+    for supplier in truth.n_per_supplier:
+        n, total = sums.get(supplier, (0, 0))
+        if n:
+            lines.append(f"  {supplier}: n = {n}, mean {root} = {format_rating(total / n)}")
+    click.echo("\n".join(lines))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ Two deliberate design stances, both surfaced to callers:
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -72,9 +73,9 @@ class NpsResult:
 
 
 def classify(rating: int) -> NpsSegment:
-    """Band one 0-10 recommendation rating."""
-    if not 0 <= rating <= 10:
-        raise ValueError(f"rating must be in [0, 10], got {rating}")
+    """Band one 0-10 recommendation rating; anything else (7.5, 11) is a ``ValueError``."""
+    if not isinstance(rating, numbers.Integral) or not 0 <= rating <= 10:
+        raise ValueError(f"rating must be an integer in [0, 10], got {rating}")
     if rating >= PROMOTER_MIN:
         return NpsSegment.PROMOTER
     if rating >= PASSIVE_MIN:

@@ -400,7 +400,9 @@ def _slope_shown(slope: float) -> bool:
 
 
 def _finite(value, node_id: str, name: str, scale: float = 1.0) -> float:
-    """``float(value)``, refused unless it is finite and so is ``scale`` times it."""
+    """``float(value)`` of a JSON number, refused unless it and ``scale`` times it are finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _FieldError(f"model {node_id!r}: {name} is {value!r}, not a number")
     try:
         number = float(value)
     except OverflowError:  # an integer past the largest float
@@ -414,7 +416,8 @@ def _finite(value, node_id: str, name: str, scale: float = 1.0) -> float:
 
 def _whole(value, node_id: str, name: str) -> int:
     """``value`` if :func:`_finite` takes it and it is a JSON integer, not a float or a bool."""
-    _finite(value, node_id, name)
+    if type(value) is not bool:
+        _finite(value, node_id, name)
     if type(value) is not int:
         raise _FieldError(f"model {node_id!r}: {name} is {value!r}, not an integer")
     return value
@@ -423,12 +426,13 @@ def _whole(value, node_id: str, name: str) -> int:
 def hierarchy_from_records(records: Mapping, tree: ValueTree) -> FittedHierarchy:
     """The :class:`FittedHierarchy` of a ``hierarchy_records`` document for ``tree``.
 
-    Raises :class:`CvmError` naming the model and field for a number that is
-    not finite (JSON readers take ``NaN`` and ``Infinity``), for an ``n`` or
-    impact weight that is not a JSON integer (``38.6`` or ``true`` would pass
-    for 38 and 1), and for one whose report arithmetic would overflow: an
-    R^2 shown as a percentage, or a coefficient whose path slope, times a
-    full-scale rating gap, is shown to 3 decimals.
+    Raises :class:`CvmError` naming the model and field for a value that is
+    not a JSON number (``true``, ``"0.9"``) or not finite (JSON readers take
+    ``NaN`` and ``Infinity``), for an ``n`` or impact weight that is not a
+    JSON integer (``38.6`` or ``true`` would pass for 38 and 1), and for one
+    whose report arithmetic would overflow: an R^2 shown as a percentage, or
+    a coefficient whose path slope, times a full-scale rating gap, is shown
+    to 3 decimals.
     """
     if records.get("root") != tree.root:
         raise CvmError(

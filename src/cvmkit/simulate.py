@@ -410,11 +410,22 @@ def _integer(value: object, name: str) -> int:
     return value
 
 
+def _number(value: object, name: str) -> float:
+    """``float(value)`` if it is a JSON number; a bool or a string raises a :class:`CvmError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CvmError(f"{name}={value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the largest float
+        raise CvmError(f"{name}={value!r} is not finite") from None
+
+
 def truth_from_records(records: Mapping) -> GroundTruth:
     """The truth a ``truth_records`` document describes, validated.
 
-    ``seed``, the ``n_per_supplier`` counts and ``outcome_threshold`` must be
-    JSON integers: ``42.9`` or ``true`` would otherwise pass for 42 and 1.
+    ``seed``, the ``n_per_supplier`` counts and ``outcome_threshold`` must be JSON
+    integers and every other number a JSON number: ``42.9``, ``true`` or ``"0.8"``
+    would otherwise pass for 42, 1 and 0.8.
     """
     truth = GroundTruth(
         tree=parse_tree_spec(records["tree_text"]),
@@ -425,23 +436,28 @@ def truth_from_records(records: Mapping) -> GroundTruth:
             k: _integer(v, f"n_per_supplier[{k!r}]") for k, v in records["n_per_supplier"].items()
         },
         coefficients={
-            p: {c: float(v) for c, v in slopes.items()}
+            p: {c: _number(v, f"coefficients[{p!r}][{c!r}]") for c, v in slopes.items()}
             for p, slopes in records["coefficients"].items()
         },
-        intercepts={k: float(v) for k, v in records["intercepts"].items()},
+        intercepts={k: _number(v, f"intercepts[{k!r}]") for k, v in records["intercepts"].items()},
         leaf_means={
-            cls: {leaf: float(v) for leaf, v in means.items()}
+            cls: {leaf: _number(v, f"leaf_means[{cls!r}][{leaf!r}]") for leaf, v in means.items()}
             for cls, means in records["leaf_means"].items()
         },
-        noise_sd={k: float(v) for k, v in records["noise_sd"].items()},
-        willingness_link={int(r): float(p) for r, p in records["willingness_link"].items()},
+        noise_sd={k: _number(v, f"noise_sd[{k!r}]") for k, v in records["noise_sd"].items()},
+        willingness_link={
+            int(r): _number(p, f"willingness_link[{r}]")
+            for r, p in records["willingness_link"].items()
+        },
         class_shift={
-            cls: {node: float(v) for node, v in shifts.items()}
+            cls: {node: _number(v, f"class_shift[{cls!r}][{node!r}]") for node, v in shifts.items()}
             for cls, shifts in records.get("class_shift", {}).items()
         },
-        halo_sd=float(records.get("halo_sd", 0.0)),
+        halo_sd=_number(records.get("halo_sd", 0.0), "halo_sd"),
         outcome_threshold=_integer(records.get("outcome_threshold", 8), "outcome_threshold"),
-        decision_maker_share=float(records.get("decision_maker_share", 1.0)),
+        decision_maker_share=_number(
+            records.get("decision_maker_share", 1.0), "decision_maker_share"
+        ),
     )
     truth.validate()
     return truth

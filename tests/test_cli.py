@@ -658,9 +658,13 @@ def test_hierarchy_that_does_not_fit_the_tree_names_the_file_and_node(tmp_path, 
          "model 'quality': impact_weights['automobile'] is 38.6, not an integer"),
         ("impact_weights", True,
          "model 'quality': impact_weights['automobile'] is True, not an integer"),
+        ("r_squared", True, "model 'quality': r_squared is True, not a number"),
+        ("r_squared", "0.9", "model 'quality': r_squared is '0.9', not a number"),
+        ("intercept", False, "model 'quality': intercept is False, not a number"),
     ],
     ids=["nan", "minus-infinity", "infinite-count", "infinite-weight", "percent-overflow",
-         "slope-overflow", "fractional-count", "fractional-weight", "boolean-weight"],
+         "slope-overflow", "fractional-count", "fractional-weight", "boolean-weight",
+         "boolean-r-squared", "string-r-squared", "boolean-intercept"],
 )
 def test_a_hierarchy_number_the_report_cannot_use_names_the_model_and_field(
     tmp_path, field, value, message
@@ -743,6 +747,34 @@ def test_a_saved_fit_with_one_field_changed_reports_or_fails_with_one_error_line
             assert sorted(p.name for p in Path(tmp).iterdir()) == ["fit.json", "s.csv"]
 
 
+def _warn_then_fail(*args):
+    warnings.warn("w")
+    raise CvmError("boom")
+
+
+@pytest.mark.parametrize(
+    "command, target, args",
+    [
+        ("validate", "cvmkit.cli._load_tree", ["--tree", TREE]),
+        ("fit", "cvmkit.cli._load_tree", ["--tree", TREE, "--survey", SURVEY, *OWN]),
+        ("report", "cvmkit.cli._load_tree", ["--tree", TREE, "--survey", SURVEY, *OWN]),
+        ("nps", "cvmkit.cli._load_tree", ["--tree", TREE, "--survey", SURVEY, *OWN]),
+        ("simulate", "cvmkit.simulate.load_truth", ["--seed-config", TRUTH]),
+    ],
+    ids=["validate", "fit", "report", "nps", "simulate"],
+)
+def test_every_command_prints_a_library_warning_and_error_as_one_line_each(
+    tmp_path, command, target, args
+):
+    if command == "simulate":
+        args = [*args, "--out", str(tmp_path / "s.csv")]
+    with mock.patch(target, _warn_then_fail):
+        result = invoke(command, *args)
+    assert result.exit_code == 1
+    assert result.stderr == "warning: w\nerror: boom\n"
+    assert "Traceback" not in result.output
+
+
 def test_malformed_seed_config_names_the_file(tmp_path):
     config = tmp_path / "truth.json"
     config.write_text("{")
@@ -777,9 +809,15 @@ def test_seed_config_without_a_tree_names_the_missing_field(tmp_path):
         (["seed"], True, "seed=True is not an integer"),
         (["n_per_supplier", "our_co"], 999.7, "n_per_supplier['our_co']=999.7 is not an integer"),
         (["outcome_threshold"], 8.0, "outcome_threshold=8.0 is not an integer"),
+        (["halo_sd"], True, "halo_sd=True is not a number"),
+        (["decision_maker_share"], "0.8", "decision_maker_share='0.8' is not a number"),
+        (["coefficients", "quality", "automobile"], True,
+         "coefficients['quality']['automobile']=True is not a number"),
+        (["halo_sd"], 10**400, f"halo_sd={10**400} is not finite"),
     ],
     ids=["negative-seed", "seed-2**64", "nan-halo", "inf-noise", "nan-slope", "inf-intercept",
-         "inf-shift", "fractional-seed", "true-seed", "fractional-count", "float-threshold"],
+         "inf-shift", "fractional-seed", "true-seed", "fractional-count", "float-threshold",
+         "true-halo", "string-share", "true-slope", "huge-halo"],
 )
 def test_a_seed_config_with_a_seed_or_parameter_out_of_range_is_an_error(
     tmp_path, field, value, message

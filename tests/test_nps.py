@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -26,10 +27,12 @@ def test_classify_bands():
     assert classify(8) is NpsSegment.PASSIVE
     assert classify(9) is NpsSegment.PROMOTER
     assert classify(10) is NpsSegment.PROMOTER
-    with pytest.raises(ValueError):
-        classify(11)
-    with pytest.raises(ValueError):
-        classify(-1)
+    for rating in (11, -1, 7.5):
+        message = re.escape(f"rating must be an integer in [0, 10], got {rating}")
+        with pytest.raises(ValueError, match=message):
+            classify(rating)
+    with pytest.raises(ValueError, match=r"got 7\.5$"):
+        nps([7.5])
 
 
 def test_nps_known_mix():
