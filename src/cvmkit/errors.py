@@ -3,14 +3,19 @@ that raise it, and the one writer every artifact goes through.
 
 Every domain error raised by cvmkit derives from :class:`CvmError` so callers
 (and the command-line layer) can catch one type and translate it into a
-diagnostic plus a nonzero exit status.  :func:`write_atomic` is the only code
-in the package that writes a file: a reader never sees a half-written
-artifact, and a path it cannot write is a :class:`CvmError` as well.
+diagnostic plus a nonzero exit status.  A JSON document a user hands in (a
+saved fit, a seed config) is read through :func:`read_json`, and each of its
+fields through one of :func:`number`, :func:`integer`, :func:`mapping` and
+:func:`string`, which name the field one way: ``"<name> is <value>, not ..."``.
+:func:`write_atomic` is the only code in the package that writes a file: a
+reader never sees a half-written artifact, and a path it cannot write is a
+:class:`CvmError` as well.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import uuid
 from contextlib import contextmanager
@@ -50,12 +55,49 @@ def decode_utf8(data: bytes, error: Callable[[str, int], CvmError]) -> str:
     return text.removeprefix("\ufeff")
 
 
+def number(value: object, name: str) -> float:
+    """``float(value)`` of a finite JSON number: not ``true`` or ``"0.9"``, nor NaN,
+    an infinity or an integer past the largest float, which JSON readers all take."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CvmError(f"{name} is {value!r}, not a number")
+    try:
+        result = float(value)
+    except OverflowError:  # an integer past the largest float
+        result = math.inf
+    if not math.isfinite(result):
+        raise CvmError(f"{name} is {value!r}, not a finite number")
+    return result
+
+
+def integer(value: object, name: str) -> int:
+    """``value`` if :func:`number` takes it and it is a JSON integer: not ``38.6`` or ``true``."""
+    if type(value) is not bool:
+        number(value, name)
+    if type(value) is not int:
+        raise CvmError(f"{name} is {value!r}, not an integer")
+    return value
+
+
+def mapping(value: object, name: str) -> dict:
+    """``value`` if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise CvmError(f"{name} is {value!r}, not an object")
+    return value
+
+
+def string(value: object, name: str) -> str:
+    """``value`` if it is a JSON string (``null`` or ``5`` would pass ``str()`` as a name)."""
+    if not isinstance(value, str):
+        raise CvmError(f"{name} is {value!r}, not a string")
+    return value
+
+
 def read_json(path: str | Path, what: str, build: Callable[[Any], T]) -> T:
     """``build`` applied to the JSON document in the file at ``path``.
 
     A file that cannot be read, bytes that are not UTF-8, text that is not
-    JSON, and a document that ``build`` cannot read (a missing key, a value
-    of the wrong type) raise :class:`CvmError` naming the file.
+    JSON, a key ``build`` misses and a :class:`CvmError` from ``build`` raise
+    :class:`CvmError` naming the file.
     """
     with reading(path):
         text = decode_utf8(
@@ -64,14 +106,14 @@ def read_json(path: str | Path, what: str, build: Callable[[Any], T]) -> T:
         )
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise CvmError(f"{what} is not valid JSON: {path}: {exc}") from None
     try:
         return build(document)
     except KeyError as exc:
         raise CvmError(f"{what} {path}: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CvmError(f"{what} {path}: malformed field: {exc}") from None
+    except CvmError as exc:
+        raise CvmError(f"{what} {path}: {exc}") from None
 
 
 def write_atomic(path: str | Path, text: str) -> None:

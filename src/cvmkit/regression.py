@@ -45,7 +45,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CvmError, read_json, write_atomic
+from .errors import CvmError, integer, mapping, number, read_json, string, write_atomic
 from .rounding import round_half_away
 from .survey import RATING_MAX, RATING_MIN, SurveySample, complete_cases
 from .tree import ValueTree, path_to_root
@@ -382,13 +382,6 @@ def hierarchy_records(hierarchy: FittedHierarchy) -> dict:
     }
 
 
-class _FieldError(CvmError, ValueError):
-    """A field of a hierarchy document that the report cannot use.
-
-    It is a ``ValueError`` too, so a reader of the document's file names the file.
-    """
-
-
 def _slope_shown(slope: float) -> bool:
     """Whether the report can show ``slope`` and the priority scores made from it.
 
@@ -399,41 +392,15 @@ def _slope_shown(slope: float) -> bool:
     return math.isfinite(slope * (RATING_MAX - RATING_MIN) * 1000.0)
 
 
-def _finite(value, node_id: str, name: str, scale: float = 1.0) -> float:
-    """``float(value)`` of a JSON number, refused unless it and ``scale`` times it are finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _FieldError(f"model {node_id!r}: {name} is {value!r}, not a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer past the largest float
-        number = math.inf
-    if not math.isfinite(number):
-        raise _FieldError(f"model {node_id!r}: {name} is {value!r}, not a finite number")
-    if not math.isfinite(number * scale):
-        raise _FieldError(f"model {node_id!r}: {name} is {value!r}, too large to report")
-    return number
-
-
-def _whole(value, node_id: str, name: str) -> int:
-    """``value`` if :func:`_finite` takes it and it is a JSON integer, not a float or a bool."""
-    if type(value) is not bool:
-        _finite(value, node_id, name)
-    if type(value) is not int:
-        raise _FieldError(f"model {node_id!r}: {name} is {value!r}, not an integer")
-    return value
-
-
 def hierarchy_from_records(records: Mapping, tree: ValueTree) -> FittedHierarchy:
     """The :class:`FittedHierarchy` of a ``hierarchy_records`` document for ``tree``.
 
-    Raises :class:`CvmError` naming the model and field for a value that is
-    not a JSON number (``true``, ``"0.9"``) or not finite (JSON readers take
-    ``NaN`` and ``Infinity``), for an ``n`` or impact weight that is not a
-    JSON integer (``38.6`` or ``true`` would pass for 38 and 1), and for one
-    whose report arithmetic would overflow: an R^2 shown as a percentage, or
-    a coefficient whose path slope, times a full-scale rating gap, is shown
-    to 3 decimals.
+    Every field is read through the :mod:`.errors` readers, an ``n`` or impact
+    weight as an integer; a value whose report arithmetic would overflow (an
+    R^2 shown as a percentage, a path slope) raises :class:`CvmError` too.
+    ``flags`` is not read: only ``cvmkit fit``, which refits, prints them.
     """
+    mapping(records, "document")
     if records.get("root") != tree.root:
         raise CvmError(
             f"hierarchy was fitted for root {records.get('root')!r}, "
@@ -441,36 +408,37 @@ def hierarchy_from_records(records: Mapping, tree: ValueTree) -> FittedHierarchy
         )
     internal = set(tree.internal_nodes())
     models = {}
-    for node_id, rec in records["models"].items():
+    for node_id, rec in mapping(records["models"], "models").items():
         if node_id not in internal:
-            raise ValueError(f"model for {node_id!r}, not an internal node of tree {tree.name!r}")
+            raise CvmError(f"model for {node_id!r}, not an internal node of tree {tree.name!r}")
+        mapping(rec, f"model {node_id!r}")
+        at = f"model {node_id!r}: "
         children = sorted(tree.children_of(node_id))
-        for key in ("coefficients", "impact_weights"):
-            if sorted(rec[key]) != children:
-                raise ValueError(
-                    f"{key} of {node_id!r} name {sorted(rec[key])}, not its children {children}"
+        tables = {}
+        for key, read in (("coefficients", number), ("impact_weights", integer)):
+            table = mapping(rec[key], at + key)
+            if sorted(table) != children:
+                raise CvmError(
+                    f"{key} of {node_id!r} name {sorted(table)}, not its children {children}"
                 )
+            tables[key] = {k: read(v, f"{at}{key}[{k!r}]") for k, v in table.items()}
+        r_squared = number(rec["r_squared"], at + "r_squared")
+        if not math.isfinite(100.0 * r_squared):  # shown as a percentage
+            raise CvmError(f"{at}r_squared is {r_squared!r}, too large to report")
         fit = LinearFit(
-            intercept=_finite(rec["intercept"], node_id, "intercept"),
-            coefficients={
-                k: _finite(v, node_id, f"coefficients[{k!r}]")
-                for k, v in rec["coefficients"].items()
-            },
-            # shown as a percentage
-            r_squared=_finite(rec["r_squared"], node_id, "r_squared", scale=100.0),
-            n=_whole(rec["n"], node_id, "n"),
-            residual_sd=_finite(rec["residual_sd"], node_id, "residual_sd"),
+            intercept=number(rec["intercept"], at + "intercept"),
+            coefficients=tables["coefficients"],
+            r_squared=r_squared,
+            n=integer(rec["n"], at + "n"),
+            residual_sd=number(rec["residual_sd"], at + "residual_sd"),
         )
-        models[node_id] = NodeModel(
-            node=node_id,
-            fit=fit,
-            impact_weights={
-                k: _whole(v, node_id, f"impact_weights[{k!r}]")
-                for k, v in rec["impact_weights"].items()
-            },
-            flags=tuple(rec.get("flags", ())),
-        )
-    hierarchy = FittedHierarchy(tree=tree, models=models, unfit=dict(records.get("unfit", {})))
+        models[node_id] = NodeModel(node=node_id, fit=fit, impact_weights=tables["impact_weights"])
+    unfit = mapping(records.get("unfit", {}), "unfit")
+    for node_id, reason in unfit.items():
+        if node_id not in internal or node_id in models:
+            raise CvmError(f"unfit names {node_id!r}, not an internal node without a model")
+        string(reason, f"unfit[{node_id!r}]")
+    hierarchy = FittedHierarchy(tree=tree, models=models, unfit=dict(unfit))
     _check_path_slopes(hierarchy)
     return hierarchy
 
@@ -495,7 +463,7 @@ def _check_path_slopes(hierarchy: FittedHierarchy) -> None:
             coefficient = hierarchy.models[parent].fit.coefficients[child]
             partial *= coefficient
             if not _slope_shown(partial):
-                raise _FieldError(
+                raise CvmError(
                     f"model {parent!r}: coefficients[{child!r}] is {coefficient!r}, which "
                     f"takes the path slope of {leaf!r} too large to report"
                 )

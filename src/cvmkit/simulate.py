@@ -45,12 +45,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .analytics import LoyaltyCurve, _loyalty_curve, relative_rating
-from .errors import CvmError, read_json, write_atomic
+from .errors import CvmError, integer, mapping, number, read_json, string, write_atomic
 from .regression import InsufficientDataError, NodeModel, SingularMatrixError, fit_node_model
 from .rng import RandomStream
 from .rounding import format_rating, round_half_away
@@ -403,59 +403,43 @@ def truth_records(truth: GroundTruth) -> dict:
     }
 
 
-def _integer(value: object, name: str) -> int:
-    """``value`` if it is a JSON integer; a float or a bool raises a :class:`CvmError`."""
-    if type(value) is not int:
-        raise CvmError(f"{name}={value!r} is not an integer")
-    return value
+def _table(value: object, name: str, read: Callable[[object, str], Any] = number) -> dict:
+    """``value``, a JSON object, with each entry ``read`` as ``name[key]``.
+
+    ``read=_table`` reads a JSON object of objects of numbers.
+    """
+    return {k: read(v, f"{name}[{k!r}]") for k, v in mapping(value, name).items()}
 
 
-def _number(value: object, name: str) -> float:
-    """``float(value)`` if it is a JSON number; a bool or a string raises a :class:`CvmError`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CvmError(f"{name}={value!r} is not a number")
-    try:
-        return float(value)
-    except OverflowError:  # an integer past the largest float
-        raise CvmError(f"{name}={value!r} is not finite") from None
+#: The ``willingness_link`` keys read as root ratings; any other stays a string for validate.
+_RATINGS = {str(r): r for r in range(1, 11)}
 
 
 def truth_from_records(records: Mapping) -> GroundTruth:
     """The truth a ``truth_records`` document describes, validated.
 
-    ``seed``, the ``n_per_supplier`` counts and ``outcome_threshold`` must be JSON
-    integers and every other number a JSON number: ``42.9``, ``true`` or ``"0.8"``
-    would otherwise pass for 42, 1 and 0.8.
+    Every field is read through the :mod:`.errors` readers: ``seed``, the
+    supplier counts and ``outcome_threshold`` as integers.
     """
+    mapping(records, "document")
     truth = GroundTruth(
-        tree=parse_tree_spec(records["tree_text"]),
-        name=str(records["name"]),
-        seed=_integer(records["seed"], "seed"),
-        own_supplier=str(records["own_supplier"]),
-        n_per_supplier={
-            k: _integer(v, f"n_per_supplier[{k!r}]") for k, v in records["n_per_supplier"].items()
-        },
-        coefficients={
-            p: {c: _number(v, f"coefficients[{p!r}][{c!r}]") for c, v in slopes.items()}
-            for p, slopes in records["coefficients"].items()
-        },
-        intercepts={k: _number(v, f"intercepts[{k!r}]") for k, v in records["intercepts"].items()},
-        leaf_means={
-            cls: {leaf: _number(v, f"leaf_means[{cls!r}][{leaf!r}]") for leaf, v in means.items()}
-            for cls, means in records["leaf_means"].items()
-        },
-        noise_sd={k: _number(v, f"noise_sd[{k!r}]") for k, v in records["noise_sd"].items()},
+        tree=parse_tree_spec(string(records["tree_text"], "tree_text")),
+        name=string(records["name"], "name"),
+        seed=integer(records["seed"], "seed"),
+        own_supplier=string(records["own_supplier"], "own_supplier"),
+        n_per_supplier=_table(records["n_per_supplier"], "n_per_supplier", integer),
+        coefficients=_table(records["coefficients"], "coefficients", _table),
+        intercepts=_table(records["intercepts"], "intercepts"),
+        leaf_means=_table(records["leaf_means"], "leaf_means", _table),
+        noise_sd=_table(records["noise_sd"], "noise_sd"),
         willingness_link={
-            int(r): _number(p, f"willingness_link[{r}]")
-            for r, p in records["willingness_link"].items()
+            _RATINGS.get(r, r): p
+            for r, p in _table(records["willingness_link"], "willingness_link").items()
         },
-        class_shift={
-            cls: {node: _number(v, f"class_shift[{cls!r}][{node!r}]") for node, v in shifts.items()}
-            for cls, shifts in records.get("class_shift", {}).items()
-        },
-        halo_sd=_number(records.get("halo_sd", 0.0), "halo_sd"),
-        outcome_threshold=_integer(records.get("outcome_threshold", 8), "outcome_threshold"),
-        decision_maker_share=_number(
+        class_shift=_table(records.get("class_shift", {}), "class_shift", _table),
+        halo_sd=number(records.get("halo_sd", 0.0), "halo_sd"),
+        outcome_threshold=integer(records.get("outcome_threshold", 8), "outcome_threshold"),
+        decision_maker_share=number(
             records.get("decision_maker_share", 1.0), "decision_maker_share"
         ),
     )

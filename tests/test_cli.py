@@ -610,34 +610,44 @@ def test_malformed_hierarchy_file_names_the_file(tmp_path):
     "edit, message",
     [
         (
-            lambda models: models.update(billing=models["quality"]),
+            lambda document: document["models"].update(billing=document["models"]["quality"]),
             "model for 'billing', not an internal node of tree 'automobile_purchase'",
         ),
         (
-            lambda models: models["quality"]["coefficients"].update(price=0.5),
+            lambda document: document["models"]["quality"]["coefficients"].update(price=0.5),
             "coefficients of 'quality' name ['automobile', 'delivery_process', 'price'], "
             "not its children ['automobile', 'delivery_process']",
         ),
         (
-            lambda models: models["quality"]["impact_weights"].pop("automobile"),
+            lambda document: document["models"]["quality"]["impact_weights"].pop("automobile"),
             "impact_weights of 'quality' name ['delivery_process'], "
             "not its children ['automobile', 'delivery_process']",
         ),
+        (
+            lambda document: document.update(unfit={"quality": "x"}),
+            "unfit names 'quality', not an internal node without a model",
+        ),
+        (
+            lambda document: document.update(unfit={"a": 1}),
+            "unfit names 'a', not an internal node without a model",
+        ),
+        (lambda document: document.update(unfit=[1]), "unfit is [1], not an object"),
     ],
-    ids=["model-of-a-leaf", "extra-regressor", "missing-weight"],
+    ids=["model-of-a-leaf", "extra-regressor", "missing-weight", "unfit-with-a-model",
+         "unfit-off-the-tree", "unfit-not-an-object"],
 )
 def test_hierarchy_that_does_not_fit_the_tree_names_the_file_and_node(tmp_path, edit, message):
     hierarchy = tmp_path / "fit.json"
     fitted = invoke("fit", "--tree", TREE, "--survey", SURVEY, *OWN, "--out", str(hierarchy))
     assert fitted.exit_code == 0
     document = json.loads(hierarchy.read_text())
-    edit(document["models"])
+    edit(document)
     hierarchy.write_text(json.dumps(document))
     result = invoke("report", "--tree", TREE, "--survey", SURVEY, *OWN,
                     "--hierarchy", str(hierarchy))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.stderr == f"error: hierarchy {hierarchy}: malformed field: {message}\n"
+    assert result.stderr == f"error: hierarchy {hierarchy}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -682,7 +692,7 @@ def test_a_hierarchy_number_the_report_cannot_use_names_the_model_and_field(
     result = invoke("report", "--tree", TREE, "--survey", SURVEY, *OWN,
                     "--hierarchy", str(hierarchy))
     assert result.exit_code == 1
-    assert result.stderr == f"error: hierarchy {hierarchy}: malformed field: {message}\n"
+    assert result.stderr == f"error: hierarchy {hierarchy}: {message}\n"
 
 
 @functools.cache
@@ -717,34 +727,57 @@ _FIELD_VALUES = [
 ]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    field=st.sampled_from(list(_fields(json.loads(_small_fit())))),
-    value=st.sampled_from(_FIELD_VALUES),
-)
-def test_a_saved_fit_with_one_field_changed_reports_or_fails_with_one_error_line(field, value):
-    document = json.loads(_small_fit())
+def _changed(document, field, value) -> str:
+    """``document`` as JSON text with the value at key path ``field`` set to ``value``."""
     *parents, key = field
     target = functools.reduce(dict.__getitem__, parents, document)
     if value is _DELETED:
         del target[key]
     else:
         target[key] = value
+    return json.dumps(document)
+
+
+def _wrote_or_failed_with_one_error_line(result, out: Path, inputs: list[str]) -> None:
+    """Either ``out`` was written, or one ``error:`` line, exit 1 and no artifact."""
+    assert result.exit_code in (0, 1), result.exception
+    if result.exit_code == 0:
+        assert out.is_file()
+    else:
+        assert isinstance(result.exception, SystemExit)
+        lines = [line for line in result.stderr.splitlines() if not line.startswith("warning: ")]
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+        assert sorted(p.name for p in out.parent.iterdir()) == inputs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    field=st.sampled_from(list(_fields(json.loads(_small_fit())))),
+    value=st.sampled_from(_FIELD_VALUES),
+)
+def test_a_saved_fit_with_one_field_changed_reports_or_fails_with_one_error_line(field, value):
     with tempfile.TemporaryDirectory() as tmp:
         survey, hierarchy, out = (Path(tmp) / name for name in ("s.csv", "fit.json", "r.txt"))
         survey.write_text(_small_survey())
-        hierarchy.write_text(json.dumps(document))
+        hierarchy.write_text(_changed(json.loads(_small_fit()), field, value))
         result = invoke("report", "--tree", TREE, "--survey", str(survey), *OWN,
                         "--hierarchy", str(hierarchy), "--out", str(out))
-        assert result.exit_code in (0, 1), result.exception
-        if result.exit_code == 0:
-            assert out.is_file()
-        else:
-            assert isinstance(result.exception, SystemExit)
-            lines = [line for line in result.stderr.splitlines()
-                     if not line.startswith("warning: ")]
-            assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
-            assert sorted(p.name for p in Path(tmp).iterdir()) == ["fit.json", "s.csv"]
+        _wrote_or_failed_with_one_error_line(result, out, ["fit.json", "s.csv"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    field=st.sampled_from(list(_fields(json.loads(Path(TRUTH).read_text())))),
+    value=st.sampled_from(_FIELD_VALUES),
+)
+def test_a_seed_config_with_one_field_changed_simulates_or_fails_with_one_error_line(
+    field, value
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "truth.json", Path(tmp) / "s.csv"
+        config.write_text(_changed(json.loads(Path(TRUTH).read_text()), field, value))
+        result = invoke("simulate", "--seed-config", str(config), "--out", str(out))
+        _wrote_or_failed_with_one_error_line(result, out, ["truth.json"])
 
 
 def _warn_then_fail(*args):
@@ -784,6 +817,28 @@ def test_malformed_seed_config_names_the_file(tmp_path):
     assert f"error: ground truth is not valid JSON: {config}" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "what, args",
+    [
+        ("config", lambda document: ["--config", str(document), "validate", "--tree", TREE]),
+        ("ground truth", lambda document: ["simulate", "--seed-config", str(document),
+                                           "--out", str(document.with_name("s.csv"))]),
+        ("hierarchy", lambda document: ["report", "--tree", TREE, "--survey", SURVEY, *OWN,
+                                        "--hierarchy", str(document)]),
+    ],
+    ids=["config", "seed-config", "hierarchy"],
+)
+def test_an_integer_past_pythons_digit_limit_is_not_valid_json(tmp_path, what, args):
+    document = tmp_path / "in.json"
+    document.write_text('{"seed": ' + "7" * 5000 + "}")
+    result = invoke(*args(document))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: {what} is not valid JSON: {document}: ")
+    assert result.stderr.count("\n") == 1
+    assert os.listdir(tmp_path) == ["in.json"]
+
+
 def test_seed_config_without_a_tree_names_the_missing_field(tmp_path):
     config = tmp_path / "truth.json"
     config.write_text("{}")
@@ -798,26 +853,34 @@ def test_seed_config_without_a_tree_names_the_missing_field(tmp_path):
     [
         (["seed"], -1, "seed=-1 outside [0, 2**64)"),
         (["seed"], 2**64, f"seed={2**64} outside [0, 2**64)"),
-        (["halo_sd"], float("nan"), "halo_sd=nan is not finite"),
-        (["noise_sd", "billing"], float("inf"), "noise_sd['billing']=inf is not finite"),
+        (["halo_sd"], float("nan"), "halo_sd is nan, not a finite number"),
+        (["noise_sd", "billing"], float("inf"), "noise_sd['billing'] is inf, not a finite number"),
         (["coefficients", "quality", "automobile"], float("nan"),
-         "coefficients['quality']['automobile']=nan is not finite"),
-        (["intercepts", "price"], float("-inf"), "intercepts['price']=-inf is not finite"),
+         "coefficients['quality']['automobile'] is nan, not a finite number"),
+        (["intercepts", "price"], float("-inf"),
+         "intercepts['price'] is -inf, not a finite number"),
         (["class_shift", "our_co", "worth_what_paid_for"], float("inf"),
-         "class_shift['our_co']['worth_what_paid_for']=inf is not finite"),
-        (["seed"], 42.9, "seed=42.9 is not an integer"),
-        (["seed"], True, "seed=True is not an integer"),
-        (["n_per_supplier", "our_co"], 999.7, "n_per_supplier['our_co']=999.7 is not an integer"),
-        (["outcome_threshold"], 8.0, "outcome_threshold=8.0 is not an integer"),
-        (["halo_sd"], True, "halo_sd=True is not a number"),
-        (["decision_maker_share"], "0.8", "decision_maker_share='0.8' is not a number"),
+         "class_shift['our_co']['worth_what_paid_for'] is inf, not a finite number"),
+        (["seed"], 42.9, "seed is 42.9, not an integer"),
+        (["seed"], True, "seed is True, not an integer"),
+        (["n_per_supplier", "our_co"], 999.7, "n_per_supplier['our_co'] is 999.7, not an integer"),
+        (["outcome_threshold"], 8.0, "outcome_threshold is 8.0, not an integer"),
+        (["halo_sd"], True, "halo_sd is True, not a number"),
+        (["decision_maker_share"], "0.8", "decision_maker_share is '0.8', not a number"),
         (["coefficients", "quality", "automobile"], True,
-         "coefficients['quality']['automobile']=True is not a number"),
-        (["halo_sd"], 10**400, f"halo_sd={10**400} is not finite"),
+         "coefficients['quality']['automobile'] is True, not a number"),
+        (["halo_sd"], 10**400, f"halo_sd is {10**400}, not a finite number"),
+        (["own_supplier"], None, "own_supplier is None, not a string"),
+        (["own_supplier"], 5, "own_supplier is 5, not a string"),
+        (["name"], {}, "name is {}, not a string"),
+        # beside the bundled "1": 0.03, so only the key can be refused
+        (["willingness_link", " 1"], 0.03, "willingness_link must map every root rating 1..10"),
+        (["willingness_link", "01"], 0.03, "willingness_link must map every root rating 1..10"),
     ],
     ids=["negative-seed", "seed-2**64", "nan-halo", "inf-noise", "nan-slope", "inf-intercept",
          "inf-shift", "fractional-seed", "true-seed", "fractional-count", "float-threshold",
-         "true-halo", "string-share", "true-slope", "huge-halo"],
+         "true-halo", "string-share", "true-slope", "huge-halo", "null-own-supplier",
+         "number-own-supplier", "object-name", "spaced-link-key", "zero-padded-link-key"],
 )
 def test_a_seed_config_with_a_seed_or_parameter_out_of_range_is_an_error(
     tmp_path, field, value, message
@@ -832,7 +895,7 @@ def test_a_seed_config_with_a_seed_or_parameter_out_of_range_is_an_error(
     result = invoke("simulate", "--seed-config", str(config), "--out", str(tmp_path / "s.csv"))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.stderr == f"error: {message}\n"
+    assert result.stderr == f"error: ground truth {config}: {message}\n"
     assert not (tmp_path / "s.csv").exists()
 
 
